@@ -13,10 +13,11 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from typing import Collection, Iterable
 
 from .errors import AnchorIneligible, TargetTooLarge, TooFewInstances
 from .javamethods import MethodUnit
-from .masking import CompletionInstance
+from .masking import CompletionInstance, offset_in_text
 from .seeding import derive_seed
 
 DEFAULT_TEST_SIZE = 500
@@ -89,6 +90,29 @@ class DatasetManifest:
             "source_hashes": list(self.source_hashes),
         }
 
+    @classmethod
+    def from_record(cls, rec: dict) -> "DatasetManifest":
+        counts = rec["counts"]
+        return cls(
+            dataset_id=rec["dataset_id"],
+            role=rec["role"],
+            anchor_developer=rec["anchor_developer"],
+            cutoff_ts=rec["cutoff_ts"],
+            counts=(counts["train"], counts["val"], counts["test"]),
+            seed=rec["seed"],
+            source_hashes=tuple(rec["source_hashes"]),
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class Dataset:
+    """A dataset's manifest and parts, as written under ``datasets/<id>/``."""
+
+    manifest: DatasetManifest
+    train: tuple[CompletionInstance, ...]
+    val: tuple[CompletionInstance, ...] = ()
+    test: tuple[CompletionInstance, ...] = ()
+
 
 def _instances_hash(instances: list[CompletionInstance]) -> str:
     h = hashlib.sha256()
@@ -130,11 +154,17 @@ def eligible(
     return len(split.train) >= min_train and len(split.test) == test_size
 
 
-@dataclass(frozen=True, slots=True)
-class OrgDataset:
-    manifest: DatasetManifest
-    train: tuple[CompletionInstance, ...]
-    val: tuple[CompletionInstance, ...]
+def developer_dataset(author: str, split: SplitAssignment, seed: int) -> Dataset:
+    """A developer's split as a dataset; its cutoff is the newest training change."""
+    manifest = DatasetManifest(
+        dataset_id=f"dev-{author}",
+        role=ROLE_DEVELOPER,
+        anchor_developer=author,
+        cutoff_ts=max(i.timestamp for i in split.train),
+        counts=(len(split.train), len(split.val), len(split.test)),
+        seed=seed,
+    )
+    return Dataset(manifest, split.train, split.val, split.test)
 
 
 def build_org_dataset(
@@ -145,7 +175,7 @@ def build_org_dataset(
     min_train: int = DEFAULT_MIN_TRAIN,
     train_fraction: float = DEFAULT_TRAIN_FRACTION,
     anchor_split: SplitAssignment | None = None,
-) -> OrgDataset:
+) -> Dataset:
     """Union all developers' instances up to the anchor's training
     cutoff, scrub the anchor's held-out duplicates, and split 90/10 by
     recency.
@@ -193,7 +223,7 @@ def build_org_dataset(
         seed=seed,
         source_hashes=(_instances_hash(list(train)), _instances_hash(list(val))),
     )
-    return OrgDataset(manifest, train, val)
+    return Dataset(manifest, train, val)
 
 
 def _seeded_sample(
@@ -269,18 +299,13 @@ def mlm_pretrain_instances(method: MethodUnit, rng: random.Random) -> MlmInstanc
     k = math.ceil(MLM_MASK_RATE * len(tokens))
     positions = sorted(rng.sample(range(len(tokens)), k))
 
-    lines = method.text.split("\n")
-
-    def offset(line: int, col: int) -> int:
-        rel = line - method.start_line
-        return sum(len(lines[i]) + 1 for i in range(rel)) + col
-
+    offset = offset_in_text(method)
     pieces: list[str] = []
     targets: list[str] = []
     cursor = 0
     for i, pos in enumerate(positions):
         tok = tokens[pos]
-        start = offset(tok.line, tok.col)
+        start = offset(tok)
         pieces.append(method.text[cursor:start])
         pieces.append(f"<MASK_{i}>")
         targets.append(tok.text)
@@ -297,29 +322,77 @@ def mlm_pretrain_instances(method: MethodUnit, rng: random.Random) -> MlmInstanc
 
 
 def audit_temporal_leak(
-    org: OrgDataset, anchor_split: SplitAssignment
+    datasets: Iterable[Dataset],
+    test_size: int = DEFAULT_TEST_SIZE,
+    min_train: int = DEFAULT_MIN_TRAIN,
+    generic_repo_ids: Collection[str] = (),
 ) -> list[str]:
-    """Check the leak-freedom invariants of one organization dataset.
+    """Check the construction rules of every anchored dataset.
+
+    Each anchored dataset needs its anchor's developer dataset, with a
+    test set, among ``datasets``; its training data (train and val for
+    an organization dataset) must not duplicate the anchor's val or
+    test data up to whitespace. Per role:
+
+    - developer: exactly ``test_size`` test and at least ``min_train``
+      train instances; train no newer than val and test;
+    - organization and org-subset: the cutoff and every training
+      instance older than the anchor's val and test, no instance after
+      the cutoff, and an org-subset is contained in the anchor's
+      organization train set;
+    - baseline-plus: every instance older than the anchor's first test
+      instance and, when ``generic_repo_ids`` is given, from those
+      repositories only.
 
     Returns human-readable violations; empty means clean.
     """
+    anchored = [d for d in datasets if d.manifest.anchor_developer]
+    devs = {d.manifest.anchor_developer: d for d in anchored if d.manifest.role == ROLE_DEVELOPER}
+    org_train_ids = {
+        d.manifest.anchor_developer: {i.instance_id for i in d.train}
+        for d in anchored
+        if d.manifest.role == ROLE_ORGANIZATION
+    }
+    holdout_keys: dict[str, set[tuple[str, str]]] = {}
     problems: list[str] = []
-    holdout = list(anchor_split.val) + list(anchor_split.test)
-    cutoff = org.manifest.cutoff_ts or 0
-    min_holdout_ts = min(i.timestamp for i in holdout) if holdout else None
-    if min_holdout_ts is not None and cutoff >= min_holdout_ts:
-        problems.append(f"cutoff {cutoff} not older than holdout ts {min_holdout_ts}")
-    train_all = list(org.train) + list(org.val)
-    if train_all:
-        max_train = max(i.timestamp for i in train_all)
-        if max_train > cutoff:
-            problems.append(f"train ts {max_train} exceeds cutoff {cutoff}")
-        if min_holdout_ts is not None and max_train >= min_holdout_ts:
-            problems.append(
-                f"train ts {max_train} not older than holdout ts {min_holdout_ts}"
-            )
-    holdout_keys = {dedup_key(i) for i in holdout}
-    for inst in train_all:
-        if dedup_key(inst) in holdout_keys:
-            problems.append(f"instance {inst.instance_id} duplicates a holdout instance")
+    for ds in anchored:
+        name, role, anchor = ds.manifest.dataset_id, ds.manifest.role, ds.manifest.anchor_developer
+        dev = devs.get(anchor)
+        if dev is None or not dev.test:
+            problems.append(f"{name}: anchor {anchor} has no developer test set")
+            continue
+        holdout = dev.val + dev.test
+        min_holdout_ts = min(i.timestamp for i in holdout)
+        train = ds.train + ds.val if role == ROLE_ORGANIZATION else ds.train
+        # an empty training set breaks no time rule
+        max_train_ts = max((i.timestamp for i in train), default=-math.inf)
+        if role == ROLE_DEVELOPER:
+            if len(ds.test) != test_size:
+                problems.append(f"{name}: test size {len(ds.test)} != {test_size}")
+            if len(ds.train) < min_train:
+                problems.append(f"{name}: train size below minimum")
+            if max_train_ts > min_holdout_ts:
+                problems.append(f"{name}: train newer than holdout")
+        elif role == ROLE_BASELINE_PLUS:
+            first_test_ts = min(i.timestamp for i in dev.test)
+            if max_train_ts >= first_test_ts:
+                problems.append(f"{name}: instance at or after anchor's first test ts")
+            if generic_repo_ids and any(i.repo_id not in generic_repo_ids for i in train):
+                problems.append(f"{name}: instance from an organization repository")
+        else:
+            cutoff = ds.manifest.cutoff_ts
+            if cutoff is not None:
+                if cutoff >= min_holdout_ts:
+                    problems.append(f"{name}: cutoff {cutoff} not older than anchor holdout")
+                if max_train_ts > cutoff:
+                    problems.append(f"{name}: instance newer than cutoff {cutoff}")
+            if max_train_ts >= min_holdout_ts:
+                problems.append(f"{name}: training data not older than anchor holdout")
+            if role == ROLE_ORG_SUBSET and anchor in org_train_ids:
+                if not {i.instance_id for i in train} <= org_train_ids[anchor]:
+                    problems.append(f"{name}: subset not contained in organization train set")
+        if anchor not in holdout_keys:
+            holdout_keys[anchor] = {dedup_key(i) for i in holdout}
+        if any(dedup_key(i) in holdout_keys[anchor] for i in train):
+            problems.append(f"{name}: training data duplicates anchor holdout")
     return problems

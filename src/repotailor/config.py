@@ -1,17 +1,22 @@
 """Run configuration: one JSON file drives every pipeline stage.
 
-Caps default to full-scale values (100 developers, 1,500 methods per
-repository, 500-instance test sets, 1,000-instance training minimum);
-fixture-scale runs override them in the config file.
+Caps and CrystalBLEU knobs default to the full-scale values declared on
+their dataclasses; fixture-scale runs override them in the config file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .storage import dumps_canonical, read_json, sha256_text
+
+
+def _field_values(obj: object) -> dict:
+    # a shallow dataclasses.asdict: asdict deep-copies every value, which
+    # made config_hash(), called several times per stage, 3x slower
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,11 +36,6 @@ class Caps:
     methods_per_repo: int = 1500
     test_size: int = 500
     min_train: int = 1000
-
-    def validate(self) -> None:
-        for name in ("top_developers", "contributor_pool", "methods_per_repo", "test_size", "min_train"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"cap {name} must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,29 +57,15 @@ class RunConfig:
     scenario_file: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "organization": self.organization,
-            "repos": [
+        out = _field_values(self)
+        out["caps"] = _field_values(self.caps)
+        out["crystal_bleu"] = _field_values(self.crystal_bleu)
+        for key in ("repos", "generic_repos"):
+            out[key] = [
                 {"path": r.path, "branch": r.branch, "repo_id": r.resolved_id()}
-                for r in self.repos
-            ],
-            "generic_repos": [
-                {"path": r.path, "branch": r.branch, "repo_id": r.resolved_id()}
-                for r in self.generic_repos
-            ],
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "caps": {
-                "top_developers": self.caps.top_developers,
-                "contributor_pool": self.caps.contributor_pool,
-                "methods_per_repo": self.caps.methods_per_repo,
-                "test_size": self.caps.test_size,
-                "min_train": self.caps.min_train,
-            },
-            "crystal_bleu": {"k": self.crystal_bleu.k, "max_order": self.crystal_bleu.max_order},
-            "identity_overrides": self.identity_overrides,
-            "scenario_file": self.scenario_file,
-        }
+                for r in getattr(self, key)
+            ]
+        return out
 
     def config_hash(self) -> str:
         # the output directory does not affect content, only placement
@@ -95,14 +81,29 @@ def _parse_repos(raw: object, what: str) -> tuple[RepoSpec, ...]:
         raise ConfigError(f"{what} must be a list")
     specs = []
     for item in raw:
-        if not isinstance(item, dict) or "path" not in item:
-            raise ConfigError(f"each {what} entry needs a 'path'")
+        if not isinstance(item, dict) or not isinstance(item.get("path"), str):
+            raise ConfigError(f"each {what} entry needs a 'path' string")
         specs.append(RepoSpec(
             path=item["path"],
             branch=item.get("branch", "main"),
             repo_id=item.get("repo_id", ""),
         ))
     return tuple(specs)
+
+
+def _positive_ints(cls: type, raw: object, what: str):
+    """An instance of the knob dataclass ``cls`` from its config object:
+    listed keys must be its fields and hold positive ints, unlisted
+    fields keep their defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be an object")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    for name, value in raw.items():
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"{what}.{name} must be a positive integer, got {value!r}")
+    return cls(**raw)
 
 
 def load_config(path: str | Path, out_dir: str | None = None, seed: int | None = None) -> RunConfig:
@@ -117,25 +118,15 @@ def load_config(path: str | Path, out_dir: str | None = None, seed: int | None =
         if key not in data and not (key == "out_dir" and out_dir) and not (key == "seed" and seed is not None):
             raise ConfigError(f"config missing required key {key!r}")
 
-    caps_raw = data.get("caps", {})
-    caps = Caps(
-        top_developers=caps_raw.get("top_developers", 100),
-        contributor_pool=caps_raw.get("contributor_pool", 1000),
-        methods_per_repo=caps_raw.get("methods_per_repo", 1500),
-        test_size=caps_raw.get("test_size", 500),
-        min_train=caps_raw.get("min_train", 1000),
-    )
-    caps.validate()
-    cb_raw = data.get("crystal_bleu", {})
     config = RunConfig(
         organization=data["organization"],
         repos=_parse_repos(data["repos"], "repos"),
         generic_repos=_parse_repos(data.get("generic_repos"), "generic_repos"),
         seed=seed if seed is not None else int(data["seed"]),
         out_dir=out_dir or data["out_dir"],
-        caps=caps,
-        crystal_bleu=CrystalBleuKnobs(
-            k=cb_raw.get("k", 500), max_order=cb_raw.get("max_order", 4)
+        caps=_positive_ints(Caps, data.get("caps", {}), "caps"),
+        crystal_bleu=_positive_ints(
+            CrystalBleuKnobs, data.get("crystal_bleu", {}), "crystal_bleu"
         ),
         identity_overrides=data.get("identity_overrides"),
         scenario_file=data.get("scenario_file"),
@@ -143,6 +134,8 @@ def load_config(path: str | Path, out_dir: str | None = None, seed: int | None =
     if not config.repos:
         raise ConfigError("config lists no repositories")
     ids = [r.resolved_id() for r in config.repos + config.generic_repos]
+    if not all(ids):
+        raise ConfigError("a repo path such as '.' or '/' has no name; give it a 'repo_id'")
     if len(set(ids)) != len(ids):
         raise ConfigError("repo ids must be unique across repos and generic_repos")
     return config

@@ -15,7 +15,10 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable
 
+from .javalex import SourceToken
 from .javamethods import MethodUnit
 
 SENTINEL = "<FILL_ME>"
@@ -176,10 +179,12 @@ def segment(added: list[int], method: MethodUnit) -> list[MaskSegment]:
     return segments
 
 
-def _text_offset(method: MethodUnit, line: int, col: int) -> int:
-    lines = method.text.split("\n")
-    rel = line - method.start_line
-    return sum(len(lines[i]) + 1 for i in range(rel)) + col
+def offset_in_text(method: MethodUnit) -> Callable[[SourceToken], int]:
+    """Maps a token of ``method`` to its character offset in ``method.text``;
+    line starts are computed once, each lookup is constant time."""
+    starts = [0, *accumulate(len(line) + 1 for line in method.text.split("\n"))]
+    first = method.start_line
+    return lambda tok: starts[tok.line - first] + tok.col
 
 
 def _instance_id(context: str, target: str, provenance: Provenance, signature: str) -> str:
@@ -209,9 +214,9 @@ def _mask_last_tokens(
     if SENTINEL in method.text:  # cannot place an unambiguous sentinel
         return None
     masked = segment_tokens[-n:]
-    start = _text_offset(method, masked[0].line, masked[0].col)
-    last = masked[-1]
-    end = _text_offset(method, last.line, last.col) + len(last.text)
+    offset = offset_in_text(method)
+    start = offset(masked[0])
+    end = offset(masked[-1]) + len(masked[-1].text)
     target = method.text[start:end]
     context = method.text[:start] + SENTINEL + method.text[end:]
     return CompletionInstance(

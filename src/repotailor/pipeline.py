@@ -12,9 +12,10 @@ import csv
 import subprocess
 from collections import defaultdict
 from pathlib import Path
+from typing import Sequence
 
 from . import assembly, insight, masking, metrics, stats
-from .config import RunConfig
+from .config import RepoSpec, RunConfig
 from .errors import (
     ConfigHashMismatch,
     DataError,
@@ -35,6 +36,7 @@ from .javamethods import (
 from .masking import CompletionInstance, MaskLengthDistribution, Provenance
 from .mining import (
     CommitRecord,
+    OutlierThreshold,
     added_lines,
     filter_bots,
     filter_outliers,
@@ -103,9 +105,9 @@ def _write_stamp(cfg: RunConfig, stage: str, inputs: dict[str, str], outputs: di
     })
 
 
-def _method_record(repo_id: str, commit: CommitRecord, file: str, method: MethodUnit) -> dict:
+def _method_record(commit: CommitRecord, file: str, method: MethodUnit) -> dict:
     return {
-        "repo": repo_id,
+        "repo": commit.repo_id,
         "sha": commit.sha,
         "ts": commit.timestamp,
         "file": file,
@@ -131,8 +133,24 @@ def method_from_text(text: str, name: str, signature: str) -> MethodUnit:
     )
 
 
+def _ingest(specs: tuple[RepoSpec, ...]) -> tuple[list[CommitRecord], dict, OutlierThreshold | None]:
+    """The first-parent commits of every spec's branch without bot and
+    outlier commits, sorted, with the commit counts after each filter
+    and the outlier threshold, which is fitted to this pool alone.
+    """
+    commits = [c for spec in specs for c in stream_commits(spec.path, spec.branch, spec.resolved_id())]
+    funnel = {"total": len(commits)}
+    commits = filter_bots(commits)
+    funnel["after_bot_filter"] = len(commits)
+    threshold = None
+    if commits:
+        commits, threshold = filter_outliers(commits)
+    commits.sort(key=lambda c: (c.repo_id, c.timestamp, c.sha))
+    funnel["after_outlier_filter"] = len(commits)
+    return commits, funnel, threshold
+
+
 def _mine_changed_methods(
-    cfg: RunConfig,
     commit: CommitRecord,
     repo_path: str,
     counters: dict,
@@ -212,21 +230,8 @@ def run_mine(cfg: RunConfig) -> dict:
         "method_drop_reasons": {},
     }
 
-    commits: list[CommitRecord] = []
-    repo_paths: dict[str, str] = {}
-    for spec in cfg.repos:
-        repo_id = spec.resolved_id()
-        repo_paths[repo_id] = spec.path
-        commits.extend(stream_commits(spec.path, spec.branch, repo_id))
-    total_commits = len(commits)
-
-    commits = filter_bots(commits)
-    after_bots = len(commits)
-    threshold = None
-    if commits:
-        commits, threshold = filter_outliers(commits)
-    commits.sort(key=lambda c: (c.repo_id, c.timestamp, c.sha))
-
+    repo_paths = {spec.resolved_id(): spec.path for spec in cfg.repos + cfg.generic_repos}
+    commits, funnel, threshold = _ingest(cfg.repos)
     overrides = load_overrides(cfg.identity_overrides) if cfg.identity_overrides else None
     raw_authors = [(c.author_name, c.author_email, c.java_added_lines) for c in commits]
     identities = resolve_identities(raw_authors, overrides)
@@ -246,32 +251,17 @@ def run_mine(cfg: RunConfig) -> dict:
         if author_id not in pool_ids:
             skipped_non_pool += 1
             continue
-        changed = _mine_changed_methods(cfg, commit, repo_paths[commit.repo_id], counters)
+        changed = _mine_changed_methods(commit, repo_paths[commit.repo_id], counters)
         instances.extend(_mask_commit_methods(cfg, commit, author_id, changed))
     instances.sort(key=lambda i: (i.repo_id, i.timestamp, i.commit_sha, i.file, i.instance_id))
 
-    generic_methods: list[dict] = []
-    generic_commit_counts = {"total": 0, "kept": 0}
-    if cfg.generic_repos:
-        gen_commits: list[CommitRecord] = []
-        gen_paths: dict[str, str] = {}
-        for spec in cfg.generic_repos:
-            repo_id = spec.resolved_id()
-            gen_paths[repo_id] = spec.path
-            gen_commits.extend(stream_commits(spec.path, spec.branch, repo_id))
-        generic_commit_counts["total"] = len(gen_commits)
-        gen_commits = filter_bots(gen_commits)
-        if gen_commits:
-            gen_commits, _ = filter_outliers(gen_commits)
-        gen_commits.sort(key=lambda c: (c.repo_id, c.timestamp, c.sha))
-        generic_commit_counts["kept"] = len(gen_commits)
-        for commit in gen_commits:
-            if not commit.changed_java_files:
-                continue
-            changed = _mine_changed_methods(cfg, commit, gen_paths[commit.repo_id], counters)
-            for file, method, _ in changed:
-                generic_methods.append(_method_record(commit.repo_id, commit, file, method))
-        generic_methods.sort(key=lambda r: (r["repo"], r["ts"], r["sha"], r["file"], r["signature"]))
+    gen_commits, gen_funnel, _ = _ingest(cfg.generic_repos)
+    generic_methods = [
+        _method_record(commit, file, method)
+        for commit in gen_commits
+        for file, method, _ in _mine_changed_methods(commit, repo_paths[commit.repo_id], counters)
+    ]
+    generic_methods.sort(key=lambda r: (r["repo"], r["ts"], r["sha"], r["file"], r["signature"]))
 
     write_jsonl(out_dir / "commits.jsonl", (c.to_record() for c in commits))
     write_jsonl(out_dir / "identities.jsonl", (i.to_record() for i in identities))
@@ -282,11 +272,7 @@ def run_mine(cfg: RunConfig) -> dict:
     report = {
         "config_hash": cfg.config_hash(),
         "organization": cfg.organization,
-        "commits": {
-            "total": total_commits,
-            "after_bot_filter": after_bots,
-            "after_outlier_filter": len(commits),
-        },
+        "commits": funnel,
         "outlier_threshold": None if threshold is None else {
             "q3": threshold.q3, "iqr": threshold.iqr, "cutoff": threshold.cutoff,
         },
@@ -307,7 +293,11 @@ def run_mine(cfg: RunConfig) -> dict:
             "dropped_by_reason": dict(sorted(counters["method_drop_reasons"].items())),
         },
         "instances": {"emitted": len(instances)},
-        "generic": generic_commit_counts | {"methods": len(generic_methods)},
+        "generic": {
+            "total": gen_funnel["total"],
+            "kept": gen_funnel["after_outlier_filter"],
+            "methods": len(generic_methods),
+        },
     }
     write_json(out_dir / "run_report.json", report)
 
@@ -325,19 +315,15 @@ def _load_instances(path: Path) -> list[CompletionInstance]:
     return [CompletionInstance.from_record(rec) for rec in read_jsonl(path)]
 
 
-def _write_dataset(
-    out_dir: Path,
-    manifest: assembly.DatasetManifest,
-    train: list[CompletionInstance],
-    val: list[CompletionInstance],
-    test: list[CompletionInstance],
-) -> dict:
+def _write_dataset(out_dir: Path, manifest: assembly.DatasetManifest, **parts: Sequence) -> dict:
+    """Write each part as ``<name>.jsonl`` and the manifest into the
+    dataset's directory; returns its ``index.json`` entry."""
     dataset_dir = out_dir / "datasets" / manifest.dataset_id
     files = {}
-    for name, part in (("train", train), ("val", val), ("test", test)):
+    for name, part in parts.items():
         path = dataset_dir / f"{name}.jsonl"
         write_jsonl(path, (i.to_record() for i in part))
-        files[f"{name}.jsonl"] = sha256_file(path)
+        files[path.name] = sha256_file(path)
     write_json(dataset_dir / "manifest.json", manifest.to_record())
     files["manifest.json"] = sha256_file(dataset_dir / "manifest.json")
     return {"path": str(dataset_dir.relative_to(out_dir)), "files": files, **manifest.to_record()}
@@ -377,19 +363,12 @@ def run_assemble(cfg: RunConfig) -> dict:
 
     manifests: list[dict] = []
     notes: list[str] = []
-    org_sets: dict[str, assembly.OrgDataset] = {}
+    org_sets: dict[str, assembly.Dataset] = {}
 
     for author in selected:
         split = splits[author]
-        manifest = assembly.DatasetManifest(
-            dataset_id=f"dev-{author}",
-            role=assembly.ROLE_DEVELOPER,
-            anchor_developer=author,
-            cutoff_ts=max(i.timestamp for i in split.train),
-            counts=(len(split.train), len(split.val), len(split.test)),
-            seed=cfg.seed,
-        )
-        manifests.append(_write_dataset(out_dir, manifest, list(split.train), list(split.val), list(split.test)))
+        dev = assembly.developer_dataset(author, split, cfg.seed)
+        manifests.append(_write_dataset(out_dir, dev.manifest, train=dev.train, val=dev.val, test=dev.test))
 
         org = assembly.build_org_dataset(
             selected_instances, author,
@@ -399,7 +378,7 @@ def run_assemble(cfg: RunConfig) -> dict:
             anchor_split=split,
         )
         org_sets[author] = org
-        manifests.append(_write_dataset(out_dir, org.manifest, list(org.train), list(org.val), []))
+        manifests.append(_write_dataset(out_dir, org.manifest, train=org.train, val=org.val, test=()))
 
         target = len(split.train)
         if target <= len(org.train):
@@ -413,7 +392,7 @@ def run_assemble(cfg: RunConfig) -> dict:
                 counts=(len(subset), 0, 0),
                 seed=subset_seed,
             )
-            manifests.append(_write_dataset(out_dir, manifest, subset, [], []))
+            manifests.append(_write_dataset(out_dir, manifest, train=subset, val=(), test=()))
         else:
             notes.append(f"orgsub-{author}: org train smaller than developer train, skipped")
 
@@ -441,7 +420,7 @@ def _assemble_generic(
     generic_path: Path,
     selected_instances: dict[str, list[CompletionInstance]],
     splits: dict[str, assembly.SplitAssignment],
-    org_sets: dict[str, assembly.OrgDataset],
+    org_sets: dict[str, assembly.Dataset],
     manifests: list[dict],
     notes: list[str],
 ) -> None:
@@ -497,15 +476,14 @@ def _assemble_generic(
             counts=(n_train, len(ordered) - n_train, 0),
             seed=cfg.seed,
         )
-        manifests.append(_write_dataset(out_dir, manifest, ordered[:n_train], ordered[n_train:], []))
+        manifests.append(_write_dataset(
+            out_dir, manifest, train=ordered[:n_train], val=ordered[n_train:], test=()
+        ))
 
     if pretrain_instances:
         ordered_mlm = sorted(pretrain_instances, key=lambda i: i.instance_id)
         rng_for(cfg.seed, "pretrain-val-split").shuffle(ordered_mlm)
         n_train = int(SPLIT_TRAIN_FRACTION * len(ordered_mlm))
-        dataset_dir = out_dir / "datasets" / "pretrain"
-        write_jsonl(dataset_dir / "train.jsonl", (i.to_record() for i in ordered_mlm[:n_train]))
-        write_jsonl(dataset_dir / "val.jsonl", (i.to_record() for i in ordered_mlm[n_train:]))
         manifest = assembly.DatasetManifest(
             dataset_id="pretrain",
             role=assembly.ROLE_PRETRAIN,
@@ -514,15 +492,10 @@ def _assemble_generic(
             counts=(n_train, len(ordered_mlm) - n_train, 0),
             seed=cfg.seed,
         )
-        write_json(dataset_dir / "manifest.json", manifest.to_record())
-        manifests.append({
-            "path": str(dataset_dir.relative_to(out_dir)),
-            "files": {
-                name: sha256_file(dataset_dir / name)
-                for name in ("train.jsonl", "val.jsonl", "manifest.json")
-            },
-            **manifest.to_record(),
-        })
+        # a pre-training set has no test part
+        manifests.append(_write_dataset(
+            out_dir, manifest, train=ordered_mlm[:n_train], val=ordered_mlm[n_train:]
+        ))
 
     for author in sorted(org_sets):
         org = org_sets[author]
@@ -542,28 +515,16 @@ def _assemble_generic(
             counts=(len(sample), 0, 0),
             seed=bplus_seed,
         )
-        manifests.append(_write_dataset(out_dir, manifest, sample, [], []))
+        manifests.append(_write_dataset(out_dir, manifest, train=sample, val=(), test=()))
 
 
-def _dataset_dir(cfg: RunConfig, dataset_id: str) -> Path:
-    path = Path(cfg.out_dir) / "datasets" / dataset_id
-    if not path.exists():
-        raise MissingStage(f"dataset {dataset_id!r} not found; run assemble first")
-    return path
-
-
-def _exclusion_for_dataset(cfg: RunConfig, dataset_id: str) -> set:
+def _exclusion_for_dataset(cfg: RunConfig, manifests: dict[str, dict], dataset_id: str) -> set:
     """Trivially shared n-grams from the organization training targets
     paired with this dataset's anchor (falling back to its own train).
     """
-    manifest = read_json(_dataset_dir(cfg, dataset_id) / "manifest.json")
-    anchor = manifest.get("anchor_developer")
-    source = dataset_id
-    if anchor:
-        org_dir = Path(cfg.out_dir) / "datasets" / f"org-{anchor}"
-        if org_dir.exists():
-            source = f"org-{anchor}"
-    train = _load_instances(_dataset_dir(cfg, source) / "train.jsonl")
+    anchor = manifests[dataset_id]["anchor_developer"]
+    source = f"org-{anchor}" if anchor and f"org-{anchor}" in manifests else dataset_id
+    train = _load_instances(Path(cfg.out_dir) / manifests[source]["path"] / "train.jsonl")
     return metrics.exclusion_corpus_from_targets(
         [i.target for i in train], cfg.crystal_bleu.k, cfg.crystal_bleu.max_order
     )
@@ -572,7 +533,11 @@ def _exclusion_for_dataset(cfg: RunConfig, dataset_id: str) -> set:
 def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> dict:
     """Score prediction files against one dataset's test split."""
     _check_stage_stamp(cfg, STAGE_ASSEMBLE)
-    test = _load_instances(_dataset_dir(cfg, dataset_id) / "test.jsonl")
+    manifests = {m["dataset_id"]: m for m in read_json(Path(cfg.out_dir) / "index.json")["manifests"]}
+    if dataset_id not in manifests:
+        raise MissingStage(f"dataset {dataset_id!r} is not in index.json; run assemble first")
+    man = manifests[dataset_id]
+    test = _load_instances(Path(cfg.out_dir) / man["path"] / "test.jsonl") if man["counts"]["test"] else []
     if not test:
         raise DataError(f"dataset {dataset_id!r} has no test split to score against")
 
@@ -583,7 +548,7 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     if not by_model:
         raise EmptyInput(f"no predictions in {predictions_path}")
 
-    trivial = _exclusion_for_dataset(cfg, dataset_id)
+    trivial = _exclusion_for_dataset(cfg, manifests, dataset_id)
     reports = metrics.corpus_report(test, dict(by_model), trivial, cfg.crystal_bleu.max_order)
 
     out = {
@@ -642,6 +607,7 @@ def run_compare(
 
     em_result, cb_result = stats.compare_models(rows_a, rows_b)
     outcome = stats.paired_outcome_from_rows(rows_a, rows_b)
+    em = em_result.to_record()
 
     def pct(rows: list[metrics.ScoreRow]) -> float:
         return 100.0 * sum(r.em for r in rows) / len(rows) if rows else 0.0
@@ -658,11 +624,9 @@ def run_compare(
             "a_percent": pct(rows_a),
             "b_percent": pct(rows_b),
             "delta": pct(rows_a) - pct(rows_b),
-            "odds_ratio": "inf" if outcome.n01 == 0 and outcome.n10 > 0 else (
-                1.0 if outcome.n10 + outcome.n01 == 0 else outcome.n10 / max(outcome.n01, 1)
-            ),
+            "odds_ratio": em["effect"],
             "counts": {"n11": outcome.n11, "n10": outcome.n10, "n01": outcome.n01, "n00": outcome.n00},
-            **em_result.to_record(),
+            **em,
         },
         "crystal_bleu": {
             "a_mean": mean_cb(rows_a),
@@ -745,72 +709,25 @@ def run_insight(cfg: RunConfig) -> dict:
 
 
 def run_verify(cfg: RunConfig) -> list[str]:
-    """Leak audit and invariant checks over an assembled output tree."""
+    """Leak audit over an assembled output tree, plus a check that every
+    dataset directory on disk is listed in ``index.json``."""
     out_dir = Path(cfg.out_dir)
     _check_stage_stamp(cfg, STAGE_ASSEMBLE)
     index = read_json(out_dir / "index.json")
-    violations: list[str] = []
-
-    def load(dataset_id: str, part: str) -> list[CompletionInstance]:
-        return _load_instances(out_dir / "datasets" / dataset_id / f"{part}.jsonl")
-
-    dev_splits: dict[str, dict[str, list[CompletionInstance]]] = {}
+    anchored = []
     for man in index["manifests"]:
-        if man["role"] == assembly.ROLE_DEVELOPER:
-            author = man["anchor_developer"]
-            dev_splits[author] = {p: load(man["dataset_id"], p) for p in ("train", "val", "test")}
-
-    for author, parts in sorted(dev_splits.items()):
-        if len(parts["test"]) != cfg.caps.test_size:
-            violations.append(f"dev-{author}: test size {len(parts['test'])} != {cfg.caps.test_size}")
-        if len(parts["train"]) < cfg.caps.min_train:
-            violations.append(f"dev-{author}: train size below minimum")
-        holdout = parts["val"] + parts["test"]
-        if parts["train"] and holdout:
-            if max(i.timestamp for i in parts["train"]) > min(i.timestamp for i in holdout):
-                violations.append(f"dev-{author}: train newer than holdout")
-        holdout_keys = {assembly.dedup_key(i) for i in holdout}
-        if any(assembly.dedup_key(i) in holdout_keys for i in parts["train"]):
-            violations.append(f"dev-{author}: train duplicates a holdout instance")
-
-    org_train_ids: dict[str, set[str]] = {}
-    generic_repo_ids = {spec.resolved_id() for spec in cfg.generic_repos}
-    for man in index["manifests"]:
-        role = man["role"]
-        if role not in (assembly.ROLE_ORGANIZATION, assembly.ROLE_ORG_SUBSET, assembly.ROLE_BASELINE_PLUS):
-            continue
-        anchor = man["anchor_developer"]
-        dataset_id = man["dataset_id"]
-        parts = dev_splits.get(anchor)
-        if parts is None:
-            violations.append(f"{dataset_id}: anchor {anchor} has no developer dataset")
-            continue
-        holdout = parts["val"] + parts["test"]
-        min_holdout_ts = min(i.timestamp for i in holdout)
-        train = load(dataset_id, "train") + (load(dataset_id, "val") if role == assembly.ROLE_ORGANIZATION else [])
-        cutoff = man["cutoff_ts"]
-        if role == assembly.ROLE_ORGANIZATION:
-            org_train_ids[anchor] = {i.instance_id for i in load(dataset_id, "train")}
-        for inst in train:
-            if role != assembly.ROLE_BASELINE_PLUS and cutoff is not None and inst.timestamp > cutoff:
-                violations.append(f"{dataset_id}: instance {inst.instance_id} newer than cutoff")
-                break
-        if role == assembly.ROLE_BASELINE_PLUS:
-            first_test_ts = min(i.timestamp for i in parts["test"])
-            if any(i.timestamp >= first_test_ts for i in train):
-                violations.append(f"{dataset_id}: instance at or after anchor's first test ts")
-            if generic_repo_ids and any(i.repo_id not in generic_repo_ids for i in train):
-                violations.append(f"{dataset_id}: instance from an organization repository")
-        else:
-            if train and max(i.timestamp for i in train) >= min_holdout_ts:
-                violations.append(f"{dataset_id}: training data not older than anchor holdout")
-            holdout_keys = {assembly.dedup_key(i) for i in holdout}
-            if any(assembly.dedup_key(i) in holdout_keys for i in train):
-                violations.append(f"{dataset_id}: training data duplicates anchor holdout")
-        if role == assembly.ROLE_ORG_SUBSET:
-            subset_ids = {i.instance_id for i in load(dataset_id, "train")}
-            if anchor in org_train_ids and not subset_ids <= org_train_ids[anchor]:
-                violations.append(f"{dataset_id}: subset not contained in organization train set")
-
+        if man["anchor_developer"]:
+            parts = (_load_instances(out_dir / man["path"] / f"{p}.jsonl") for p in ("train", "val", "test"))
+            anchored.append(assembly.Dataset(assembly.DatasetManifest.from_record(man), *map(tuple, parts)))
+    violations = assembly.audit_temporal_leak(
+        anchored, cfg.caps.test_size, cfg.caps.min_train,
+        {spec.resolved_id() for spec in cfg.generic_repos},
+    )
+    listed = {man["dataset_id"] for man in index["manifests"]}
+    violations += [
+        f"{path.name}: dataset directory not listed in index.json"
+        for path in sorted((out_dir / "datasets").glob("*"))
+        if path.name not in listed
+    ]
     write_json(out_dir / "verify.json", {"config_hash": cfg.config_hash(), "violations": violations})
     return violations

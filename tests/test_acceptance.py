@@ -16,6 +16,7 @@ import pytest
 from repotailor.assembly import (
     audit_temporal_leak,
     build_org_dataset,
+    developer_dataset,
     eligible,
     split_developer,
 )
@@ -129,7 +130,7 @@ def test_criterion_03_temporal_leak_audit():
             if not eligible(split, min_train=8, test_size=5):
                 continue
             org = build_org_dataset(devs, anchor, seed=11, test_size=5, min_train=8)
-            assert audit_temporal_leak(org, split) == []
+            assert audit_temporal_leak([developer_dataset(anchor, split, 11), org], 5, 8) == []
             cutoff = org.manifest.cutoff_ts
             holdout_ts = min(i.timestamp for i in list(split.val) + list(split.test))
             train_ts = [i.timestamp for i in list(org.train) + list(org.val)]

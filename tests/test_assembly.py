@@ -11,6 +11,7 @@ from repotailor.assembly import (
     build_org_subset,
     cap_methods_per_repo,
     dedup,
+    developer_dataset,
     eligible,
     mlm_pretrain_instances,
     split_developer,
@@ -149,7 +150,7 @@ def test_org_timestamp_tie_excluded():
     org = build_org_dataset(dev_instances, "anchor", seed=1, test_size=5, min_train=10)
     assert cutoff < first_holdout  # sanity for this fixture
     assert "other-tied" not in {i.instance_id for i in org.train + org.val}
-    assert audit_temporal_leak(org, split) == []
+    assert audit_temporal_leak([developer_dataset("anchor", split, 1), org], 5, 10) == []
 
 
 def test_org_cutoff_steps_back_on_anchor_boundary_tie():
@@ -167,7 +168,7 @@ def test_org_cutoff_steps_back_on_anchor_boundary_tie():
     assert org.manifest.cutoff_ts < min_holdout
     ids = {i.instance_id for i in org.train + org.val}
     assert "other-attie" not in ids
-    assert audit_temporal_leak(org, split) == []
+    assert audit_temporal_leak([developer_dataset("anchor", split, 1), org], 5, 10) == []
 
 
 def test_org_anchor_must_be_eligible():
@@ -285,4 +286,4 @@ def test_temporal_leak_fuzz_small():
         if not eligible(split, min_train=10, test_size=5):
             continue
         org = build_org_dataset(devs, anchor, seed=7, test_size=5, min_train=10)
-        assert audit_temporal_leak(org, split) == []
+        assert audit_temporal_leak([developer_dataset(anchor, split, 7), org], 5, 10) == []

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repotailor.assembly import ROLE_DEVELOPER, ROLE_ORGANIZATION
+from repotailor.assembly import (
+    ROLE_BASELINE_PLUS,
+    ROLE_DEVELOPER,
+    ROLE_ORG_SUBSET,
+    ROLE_ORGANIZATION,
+)
 from repotailor.cli import main
 from repotailor.config import load_config
-from repotailor.errors import ConfigError, ConfigHashMismatch
+from repotailor.errors import ConfigError, ConfigHashMismatch, MissingStage
 from repotailor.pipeline import (
     run_assemble,
     run_compare,
@@ -112,19 +118,68 @@ def test_mine_is_noop_when_heads_unchanged(mined):
     assert commits_path.read_bytes() == before
 
 
-def test_verify_flags_planted_leak(fixture_repos, tmp_path):
-    org, _ = fixture_repos
-    config_path = write_fixture_config(tmp_path, tmp_path / "out", org, name="leak.json")
-    cfg = load_config(config_path)
-    run_mine(cfg)
-    index = run_assemble(cfg)
-    org_man = next(m for m in index["manifests"] if m["role"] == ROLE_ORGANIZATION)
-    train_path = Path(cfg.out_dir) / "datasets" / org_man["dataset_id"] / "train.jsonl"
+def _future(row, holdout_row):
+    row["ts"] += 10**9  # an instance from the far future
+
+
+def _duplicate(row, holdout_row):
+    row["context"], row["target"] = holdout_row["context"], holdout_row["target"]
+
+
+def _org_repo(row, holdout_row):
+    row["repo"] = "org0"
+
+
+@pytest.mark.parametrize("role, plant, expected", [
+    pytest.param(ROLE_DEVELOPER, _future, "train newer than holdout", id="developer-future"),
+    pytest.param(ROLE_DEVELOPER, _duplicate, "duplicates anchor holdout", id="developer-duplicate"),
+    pytest.param(ROLE_ORGANIZATION, _future, "newer than cutoff", id="organization-future"),
+    pytest.param(ROLE_ORGANIZATION, _duplicate, "duplicates anchor holdout", id="organization-duplicate"),
+    pytest.param(ROLE_ORG_SUBSET, _future, "newer than cutoff", id="org-subset-future"),
+    pytest.param(ROLE_ORG_SUBSET, _duplicate, "duplicates anchor holdout", id="org-subset-duplicate"),
+    pytest.param(ROLE_BASELINE_PLUS, _future, "first test ts", id="baseline-plus-future"),
+    pytest.param(ROLE_BASELINE_PLUS, _duplicate, "duplicates anchor holdout", id="baseline-plus-duplicate"),
+    pytest.param(ROLE_BASELINE_PLUS, _org_repo, "organization repository", id="baseline-plus-org-repo"),
+])
+def test_verify_flags_planted_leak(mined, tmp_path, role, plant, expected):
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    man = next(m for m in index["manifests"] if m["role"] == role)
+    holdout_row = next(read_jsonl(out / "datasets" / f"dev-{man['anchor_developer']}" / "test.jsonl"))
+    train_path = out / man["path"] / "train.jsonl"
     rows = list(read_jsonl(train_path))
-    rows[0]["ts"] = rows[0]["ts"] + 10**9  # instance from the far future
-    train_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-    violations = run_verify(cfg)
-    assert any("cutoff" in v or "older" in v for v in violations)
+    plant(rows[0], holdout_row)
+    train_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    violations = run_verify(load_config(config_path, out_dir=str(out)))
+    assert any(v.startswith(f"{man['dataset_id']}: ") and expected in v for v in violations), violations
+
+
+def test_stale_datasets_are_flagged_and_not_scored(fixture_repos, tmp_path):
+    org, _ = fixture_repos
+    out = tmp_path / "out"
+    both = load_config(write_fixture_config(tmp_path, out, org, name="two.json"))
+    run_mine(both)
+    before = run_assemble(both)
+    one_path = write_fixture_config(tmp_path, out, org, name="one.json")
+    data = json.loads(one_path.read_text())
+    data["caps"]["top_developers"] = 1
+    one_path.write_text(json.dumps(data), encoding="utf-8")
+    one = load_config(one_path)
+    run_mine(one)
+    after = run_assemble(one)
+    listed = {m["dataset_id"] for m in after["manifests"]}
+    stale = sorted({m["dataset_id"] for m in before["manifests"]} - listed)
+    assert {s.split("-")[0] for s in stale} == {"dev", "org", "orgsub"}
+    assert run_verify(one) == [f"{s}: dataset directory not listed in index.json" for s in stale]
+    dev = next(s for s in stale if s.startswith("dev-"))
+    with pytest.raises(MissingStage):
+        run_score(one, dev, tmp_path / "unused.jsonl")
+    code = main([
+        "score", "--config", str(one_path), "--dataset", dev,
+        "--predictions", str(tmp_path / "unused.jsonl"),
+    ])
+    assert code == 3
 
 
 def test_config_hash_mismatch_refuses_stale_stages(mined, tmp_path):
@@ -231,3 +286,35 @@ def test_load_config_validation(tmp_path):
     worse.write_text('{"organization": "x"}')
     with pytest.raises(ConfigError):
         load_config(worse)
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("caps", {"test_size": "5"}, id="cap-not-int"),
+    pytest.param("caps", [1], id="caps-not-object"),
+    pytest.param("caps", {"test_sise": 5}, id="cap-key-misspelled"),
+    pytest.param("crystal_bleu", {"k": "a"}, id="knob-not-int"),
+    pytest.param("crystal_bleu", {"max_order": 0}, id="knob-not-positive"),
+    pytest.param("repos", [{"path": "/"}], id="repo-id-empty"),
+])
+def test_bad_config_values_exit_2(fixture_repos, tmp_path, capsys, key, value):
+    org, _ = fixture_repos
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", org)
+    data = json.loads(config_path.read_text())
+    data[key] = value
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["mine", "--config", str(config_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_hash_is_pinned(tmp_path):
+    # the hash keys every stage stamp; moving it invalidates existing outputs
+    config_path = write_fixture_config(
+        tmp_path, Path("/runs/out"),
+        [Path(f"/clones/org{i}") for i in range(3)],
+        [Path(f"/clones/gen{i}") for i in range(3)],
+    )
+    assert load_config(config_path).config_hash() == "7d8c4de2fc21b61a"
+    data = json.loads(config_path.read_text())
+    del data["caps"], data["crystal_bleu"]  # every cap and knob at its default
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert load_config(config_path).config_hash() == "15465abd2d7463d0"
