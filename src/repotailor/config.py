@@ -118,11 +118,15 @@ def load_config(path: str | Path, out_dir: str | None = None, seed: int | None =
         if key not in data and not (key == "out_dir" and out_dir) and not (key == "seed" and seed is not None):
             raise ConfigError(f"config missing required key {key!r}")
 
+    if seed is None:
+        seed = data["seed"]
+        if type(seed) is not int:  # bool is an int subclass; a JSON true is no seed
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
     config = RunConfig(
         organization=data["organization"],
         repos=_parse_repos(data["repos"], "repos"),
         generic_repos=_parse_repos(data.get("generic_repos"), "generic_repos"),
-        seed=seed if seed is not None else int(data["seed"]),
+        seed=seed,
         out_dir=out_dir or data["out_dir"],
         caps=_positive_ints(Caps, data.get("caps", {}), "caps"),
         crystal_bleu=_positive_ints(

@@ -49,14 +49,34 @@ def reconstruct_method_text(instance: CompletionInstance) -> str:
     return instance.context.replace(SENTINEL, instance.target, 1)
 
 
-def vocabulary_elements(instances: list[CompletionInstance]) -> set[str]:
-    """Distinct identifier and literal texts in the instances' methods."""
+def vocabulary_elements(
+    instances: list[CompletionInstance], memo: dict[str, frozenset[str]] | None = None
+) -> set[str]:
+    """Distinct identifier and literal texts in the instances' methods.
+
+    ``memo`` maps a method text to its elements; texts missing from it
+    are lexed and added, so a caller that shares one memo across calls
+    lexes each distinct text once.
+    """
+    if memo is None:
+        memo = {}
     elements: set[str] = set()
     for inst in instances:
-        for tok in lex(reconstruct_method_text(inst)):
-            if tok.kind in _VOCAB_KINDS:
-                elements.add(tok.text)
+        text = reconstruct_method_text(inst)
+        vocab = memo.get(text)
+        if vocab is None:
+            vocab = frozenset(tok.text for tok in lex(text) if tok.kind in _VOCAB_KINDS)
+            memo[text] = vocab
+        elements.update(vocab)
     return elements
+
+
+def _share_covered(elements: set[str], other: set[str]) -> float:
+    """Fraction of ``elements`` also in ``other``; 1.0 when there is
+    nothing to cover."""
+    if not elements:
+        return 1.0
+    return len(elements & other) / len(elements)
 
 
 def signature_coverage(
@@ -76,11 +96,7 @@ def vocab_coverage(
     """Fraction of distinct test identifiers/literals present in training."""
     if not test_instances:
         raise EmptyTestSet("no test instances")
-    test_elements = vocabulary_elements(test_instances)
-    if not test_elements:
-        return 1.0  # vacuous: nothing to cover
-    train_elements = vocabulary_elements(train_instances)
-    return len(test_elements & train_elements) / len(test_elements)
+    return _share_covered(vocabulary_elements(test_instances), vocabulary_elements(train_instances))
 
 
 def training_relevance(
@@ -89,22 +105,35 @@ def training_relevance(
     """Fraction of distinct training identifiers/literals used by the tests."""
     if not train_instances:
         raise EmptyTrainSet("no train instances")
-    train_elements = vocabulary_elements(train_instances)
-    if not train_elements:
-        return 1.0
-    test_elements = vocabulary_elements(test_instances)
-    return len(train_elements & test_elements) / len(train_elements)
+    return _share_covered(vocabulary_elements(train_instances), vocabulary_elements(test_instances))
 
 
 def coverage_report(
-    test_instances: list[CompletionInstance], train_instances: list[CompletionInstance]
+    test_instances: list[CompletionInstance],
+    train_instances: list[CompletionInstance],
+    *,
+    test_vocab: set[str] | None = None,
+    train_vocab: set[str] | None = None,
+    memo: dict[str, frozenset[str]] | None = None,
 ) -> CoverageReport:
-    test_vocab = vocabulary_elements(test_instances)
-    train_vocab = vocabulary_elements(train_instances)
+    """Signature coverage, vocabulary coverage and training relevance.
+
+    ``test_vocab`` and ``train_vocab``, when given, must be the
+    `vocabulary_elements` of the matching instances; the missing ones
+    are computed through ``memo``.
+    """
+    if not test_instances:
+        raise EmptyTestSet("no test instances")
+    if not train_instances:
+        raise EmptyTrainSet("no train instances")
+    if test_vocab is None:
+        test_vocab = vocabulary_elements(test_instances, memo)
+    if train_vocab is None:
+        train_vocab = vocabulary_elements(train_instances, memo)
     return CoverageReport(
         signature_coverage=signature_coverage(test_instances, train_instances),
-        vocab_coverage=vocab_coverage(test_instances, train_instances),
-        training_relevance=training_relevance(train_instances, test_instances),
+        vocab_coverage=_share_covered(test_vocab, train_vocab),
+        training_relevance=_share_covered(train_vocab, test_vocab),
         test_count=len(test_instances),
         train_count=len(train_instances),
         test_vocab_size=len(test_vocab),

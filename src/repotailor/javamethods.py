@@ -4,8 +4,9 @@ Methods are located by a signature/brace heuristic rather than a full
 grammar: a declaration header (modifiers, type tokens, identifier,
 parenthesized parameter list, optional throws clause) followed by a
 brace-balanced body, recognized only at class-body nesting level.
-Sources whose significant braces do not balance yield no methods and
-are reported as unparsable upstream.
+Sources whose significant braces do not balance are unparsable:
+`parse_methods` returns None for them, so a caller learns that and the
+methods from one lex.
 """
 
 from __future__ import annotations
@@ -238,11 +239,12 @@ def _classify_header(header: list[SourceToken], parent_decl: str | None) -> tupl
     return "block", "", None
 
 
-def extract_methods(source: str) -> list[MethodUnit]:
-    """Locate method declarations (constructors included) in Java source."""
+def parse_methods(source: str) -> list[MethodUnit] | None:
+    """Method declarations (constructors included) in Java source, or
+    None when its significant braces do not balance; lexes once."""
     sig = significant_tokens(lex(source))
     if not _braces_balanced(sig):
-        return []
+        return None
     lines = source.split("\n")
 
     methods: list[MethodUnit] = []
@@ -286,6 +288,11 @@ def extract_methods(source: str) -> list[MethodUnit]:
 
     methods.sort(key=lambda m: (m.start_line, -m.end_line))
     return methods
+
+
+def extract_methods(source: str) -> list[MethodUnit]:
+    """Locate method declarations (constructors included) in Java source."""
+    return parse_methods(source) or []
 
 
 def name_words(name: str) -> list[str]:

@@ -201,8 +201,15 @@ def score_model(
     trivial: set[Ngram],
     max_order: int = DEFAULT_MAX_ORDER,
     model_id: str | None = None,
+    target_tokens: dict[str, list[str]] | None = None,
 ) -> ModelReport:
-    """Score one model's predictions against the test set targets."""
+    """Score one model's predictions against the test set targets.
+
+    ``target_tokens`` maps target texts to their `token_texts`; targets
+    missing from it are tokenized and added.
+    """
+    if target_tokens is None:
+        target_tokens = {}
     by_id = {inst.instance_id: inst for inst in test_instances}
     preds: dict[str, PredictionRecord] = {}
     if model_id is None:
@@ -223,13 +230,15 @@ def score_model(
             missing += 1
             rows.append(ScoreRow(inst.instance_id, False, 0.0, 0.0, missing=True))
             continue
-        target_tokens = token_texts(inst.target)
+        target = target_tokens.get(inst.target)
+        if target is None:
+            target = target_tokens[inst.target] = token_texts(inst.target)
         pred_tokens = token_texts(pred.text)
-        em = pred_tokens == target_tokens
-        cb, degenerate = crystal_bleu_flagged(pred_tokens, target_tokens, trivial, max_order)
+        em = pred_tokens == target
+        cb, degenerate = crystal_bleu_flagged(pred_tokens, target, trivial, max_order)
         degenerate_total += degenerate
         rows.append(ScoreRow(
-            inst.instance_id, em, cb, plain_bleu(pred_tokens, target_tokens, max_order),
+            inst.instance_id, em, cb, plain_bleu(pred_tokens, target, max_order),
             degenerate=degenerate,
         ))
 
@@ -254,8 +263,10 @@ def corpus_report(
     trivial: set[Ngram],
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> dict[str, ModelReport]:
-    """Per-model EM% and mean CrystalBLEU over one test set."""
+    """Per-model EM% and mean CrystalBLEU over one test set; each
+    target is tokenized once for all models."""
     out = {}
+    target_tokens: dict[str, list[str]] = {}
     for model_id in sorted(predictions_by_model):
         preds = predictions_by_model[model_id]
         for pred in preds:
@@ -264,7 +275,7 @@ def corpus_report(
                     f"prediction for {pred.instance_id!r} carries model "
                     f"{pred.model_id!r}, expected {model_id!r}"
                 )
-        out[model_id] = score_model(test_instances, preds, trivial, max_order, model_id)
+        out[model_id] = score_model(test_instances, preds, trivial, max_order, model_id, target_tokens)
     return out
 
 

@@ -29,9 +29,8 @@ from .javalex import lex, significant_tokens
 from .javamethods import (
     MethodUnit,
     apply_method_filters,
-    extract_methods,
-    is_parsable,
     map_added_lines,
+    parse_methods,
 )
 from .masking import CompletionInstance, MaskLengthDistribution, Provenance
 from .mining import (
@@ -169,10 +168,10 @@ def _mine_changed_methods(
         lines = added_lines(parent, child, file)
         if not lines:
             continue
-        if not is_parsable(child):
+        methods = parse_methods(child)
+        if methods is None:
             counters["unparsable_files"] += 1
             continue
-        methods = extract_methods(child)
         counters["methods_extracted"] += len(methods)
         kept = []
         for m in methods:
@@ -268,6 +267,8 @@ def run_mine(cfg: RunConfig) -> dict:
     write_jsonl(out_dir / "instances.jsonl", (i.to_record() for i in instances))
     if cfg.generic_repos:
         write_jsonl(out_dir / "generic_methods.jsonl", generic_methods)
+    else:  # a leftover from an earlier config must not feed assemble
+        (out_dir / "generic_methods.jsonl").unlink(missing_ok=True)
 
     report = {
         "config_hash": cfg.config_hash(),
@@ -313,6 +314,12 @@ def run_mine(cfg: RunConfig) -> dict:
 
 def _load_instances(path: Path) -> list[CompletionInstance]:
     return [CompletionInstance.from_record(rec) for rec in read_jsonl(path)]
+
+
+def _load_part(out_dir: Path, manifest_record: dict, part: str) -> list[CompletionInstance]:
+    """One part (train, val or test) of the dataset an ``index.json``
+    entry lists."""
+    return _load_instances(out_dir / manifest_record["path"] / f"{part}.jsonl")
 
 
 def _write_dataset(out_dir: Path, manifest: assembly.DatasetManifest, **parts: Sequence) -> dict:
@@ -396,9 +403,10 @@ def run_assemble(cfg: RunConfig) -> dict:
         else:
             notes.append(f"orgsub-{author}: org train smaller than developer train, skipped")
 
-    generic_path = out_dir / "generic_methods.jsonl"
-    if generic_path.exists():
-        _assemble_generic(cfg, out_dir, generic_path, selected_instances, splits, org_sets, manifests, notes)
+    if inputs["generic_methods"]:
+        _assemble_generic(cfg, out_dir, selected_instances, splits, org_sets, manifests, notes)
+    else:  # a leftover from an earlier config must not feed insight
+        (out_dir / "generic_pool.jsonl").unlink(missing_ok=True)
 
     index = {
         "config_hash": cfg.config_hash(),
@@ -417,14 +425,13 @@ def run_assemble(cfg: RunConfig) -> dict:
 def _assemble_generic(
     cfg: RunConfig,
     out_dir: Path,
-    generic_path: Path,
     selected_instances: dict[str, list[CompletionInstance]],
     splits: dict[str, assembly.SplitAssignment],
     org_sets: dict[str, assembly.Dataset],
     manifests: list[dict],
     notes: list[str],
 ) -> None:
-    records = list(read_jsonl(generic_path))
+    records = list(read_jsonl(out_dir / "generic_methods.jsonl"))
     by_repo: dict[str, list[dict]] = defaultdict(list)
     for rec in records:
         by_repo[rec["repo"]].append(rec)
@@ -524,7 +531,7 @@ def _exclusion_for_dataset(cfg: RunConfig, manifests: dict[str, dict], dataset_i
     """
     anchor = manifests[dataset_id]["anchor_developer"]
     source = f"org-{anchor}" if anchor and f"org-{anchor}" in manifests else dataset_id
-    train = _load_instances(Path(cfg.out_dir) / manifests[source]["path"] / "train.jsonl")
+    train = _load_part(Path(cfg.out_dir), manifests[source], "train")
     return metrics.exclusion_corpus_from_targets(
         [i.target for i in train], cfg.crystal_bleu.k, cfg.crystal_bleu.max_order
     )
@@ -537,7 +544,7 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     if dataset_id not in manifests:
         raise MissingStage(f"dataset {dataset_id!r} is not in index.json; run assemble first")
     man = manifests[dataset_id]
-    test = _load_instances(Path(cfg.out_dir) / man["path"] / "test.jsonl") if man["counts"]["test"] else []
+    test = _load_part(Path(cfg.out_dir), man, "test") if man["counts"]["test"] else []
     if not test:
         raise DataError(f"dataset {dataset_id!r} has no test split to score against")
 
@@ -656,14 +663,15 @@ def run_insight(cfg: RunConfig) -> dict:
     generic_pool_path = out_dir / "generic_pool.jsonl"
     generic_pool = _load_instances(generic_pool_path) if generic_pool_path.exists() else []
 
+    # each distinct method text is lexed once for the whole stage
+    memo: dict[str, frozenset[str]] = {}
+    generic_vocab = insight.vocabulary_elements(generic_pool, memo)
+
     coverage: dict[str, dict] = {}
     for author, man in sorted(by_role[assembly.ROLE_DEVELOPER].items()):
-        dev_dir = out_dir / "datasets" / man["dataset_id"]
-        test = _load_instances(dev_dir / "test.jsonl")
-        per_role = {}
-        per_role["developer"] = insight.coverage_report(
-            test, _load_instances(dev_dir / "train.jsonl")
-        ).to_record()
+        test = _load_part(out_dir, man, "test")
+        test_vocab = insight.vocabulary_elements(test, memo)
+        trains = [("developer", _load_part(out_dir, man, "train"), None)]
         for role, key in (
             (assembly.ROLE_ORGANIZATION, "organization"),
             (assembly.ROLE_ORG_SUBSET, "org-subset"),
@@ -671,12 +679,17 @@ def run_insight(cfg: RunConfig) -> dict:
         ):
             other = by_role[role].get(author)
             if other:
-                train = _load_instances(out_dir / "datasets" / other["dataset_id"] / "train.jsonl")
+                train = _load_part(out_dir, other, "train")
                 if train:
-                    per_role[key] = insight.coverage_report(test, train).to_record()
+                    trains.append((key, train, None))
         if generic_pool:
-            per_role["generic-pool"] = insight.coverage_report(test, generic_pool).to_record()
-        coverage[author] = per_role
+            trains.append(("generic-pool", generic_pool, generic_vocab))
+        coverage[author] = {
+            key: insight.coverage_report(
+                test, train, test_vocab=test_vocab, train_vocab=train_vocab, memo=memo
+            ).to_record()
+            for key, train, train_vocab in trains
+        }
 
     scenarios = insight.load_scenarios(cfg.scenario_file)
     cost: dict[str, dict] = {}
@@ -717,7 +730,7 @@ def run_verify(cfg: RunConfig) -> list[str]:
     anchored = []
     for man in index["manifests"]:
         if man["anchor_developer"]:
-            parts = (_load_instances(out_dir / man["path"] / f"{p}.jsonl") for p in ("train", "val", "test"))
+            parts = (_load_part(out_dir, man, p) for p in ("train", "val", "test"))
             anchored.append(assembly.Dataset(assembly.DatasetManifest.from_record(man), *map(tuple, parts)))
     violations = assembly.audit_temporal_leak(
         anchored, cfg.caps.test_size, cfg.caps.min_train,

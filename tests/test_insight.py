@@ -5,12 +5,14 @@ import math
 import pytest
 
 from repotailor.errors import EmptyTestSet, EmptyTrainSet, NonPositiveDelta
+from repotailor.javalex import CHAR_LITERAL, IDENTIFIER, NUMBER_LITERAL, STRING_LITERAL, lex
 from repotailor.insight import (
     CostScenario,
     breakeven_inferences,
     cost_curve,
     coverage_report,
     load_scenarios,
+    reconstruct_method_text,
     signature_coverage,
     training_relevance,
     vocab_coverage,
@@ -108,6 +110,56 @@ def test_coverage_report_bundles_all_three():
     assert report.vocab_coverage == 1.0
     assert report.training_relevance == 1.0
     assert 0 < report.test_vocab_size == report.train_vocab_size
+
+
+def test_coverage_report_same_with_precomputed_vocabularies_and_memo():
+    test = [java_instance(f"t{i}", f"s{i % 3}()", f"alpha{i} = beta + {i};") for i in range(6)]
+    train = [java_instance(f"r{i}", f"s{i % 4}()", f"alpha{i % 2} = gamma * {i};") for i in range(9)]
+    expected = coverage_report(test, train)
+
+    def reference_vocab(instances):  # the per-token loop, no memo
+        kinds = (IDENTIFIER, STRING_LITERAL, CHAR_LITERAL, NUMBER_LITERAL)
+        return {
+            tok.text for i in instances for tok in lex(reconstruct_method_text(i)) if tok.kind in kinds
+        }
+
+    test_ref, train_ref = reference_vocab(test), reference_vocab(train)
+    assert expected.vocab_coverage == len(test_ref & train_ref) / len(test_ref)
+    assert expected.training_relevance == len(train_ref & test_ref) / len(train_ref)
+    assert (expected.test_vocab_size, expected.train_vocab_size) == (len(test_ref), len(train_ref))
+    memo = {}
+    assert coverage_report(test, train, memo=memo) == expected
+    assert memo  # filled, and reused below
+    test_vocab = vocabulary_elements(test, memo)
+    train_vocab = vocabulary_elements(train, memo)
+    assert test_vocab == vocabulary_elements(test) and train_vocab == vocabulary_elements(train)
+    assert coverage_report(test, train, test_vocab=test_vocab, train_vocab=train_vocab) == expected
+    assert coverage_report(test, train, test_vocab=test_vocab, memo=memo) == expected
+    assert expected.vocab_coverage == vocab_coverage(test, train)
+    assert expected.training_relevance == training_relevance(train, test)
+
+
+def test_coverage_report_empty_sets_raise():
+    some = [java_instance("t", "m()", "x = 1;")]
+    with pytest.raises(EmptyTestSet):
+        coverage_report([], [])
+    with pytest.raises(EmptyTrainSet):
+        coverage_report(some, [], test_vocab=vocabulary_elements(some), train_vocab=set())
+
+
+def test_vocabulary_elements_lexes_each_distinct_text_once(monkeypatch):
+    import repotailor.insight as insight_module
+
+    calls = []
+    real_lex = insight_module.lex
+    monkeypatch.setattr(insight_module, "lex", lambda text: calls.append(text) or real_lex(text))
+    same = [java_instance(f"t{i}", "m()", "alpha = beta;") for i in range(4)]
+    other = [java_instance("o", "m()", "gamma = 1;")]
+    memo = {}
+    assert vocabulary_elements(same, memo) == vocabulary_elements(same)
+    vocabulary_elements(same + other, memo)
+    # with the memo: the shared text, later only the new one; without: the shared text again
+    assert len(calls) == 3
 
 
 def make_scenario(training_cost, delta=1.6686e-5, developers=10, weekly=1150):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 from repotailor.javamethods import (
     REASON_EMPTY_BODY,
     REASON_NON_LATIN,
@@ -13,9 +15,10 @@ from repotailor.javamethods import (
     is_parsable,
     map_added_lines,
     name_words,
+    parse_methods,
 )
 
-from conftest import method_of
+from conftest import _method_source, method_of
 
 SIMPLE_CLASS = """class Greeter {
     String greet(String name) {
@@ -407,3 +410,41 @@ def test_full_path_total_on_token_soup():
                     if inst is not None:
                         assert inst.context.count(SENTINEL) == 1
                         assert inst.context.replace(SENTINEL, inst.target, 1) == mm.text
+
+
+def _fixture_sources() -> list[str]:
+    """Every Java source string in this module, plus the shape the
+    fixture repositories commit."""
+    import ast
+
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    sources = [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "{" in node.value
+    ]
+    sources.append(_method_source("Fixture", ["int a = seed + 1;", "scale = a * 2;"]))
+    return sources
+
+
+def test_parse_methods_agrees_with_is_parsable_and_extract_methods():
+    import random
+
+    rng = random.Random(7)
+    sources = _fixture_sources()
+    fragments = ["", "class A {}", "class A { { }", "}{", "class A { void m() { } } }"]
+    for src in sources:
+        lines = src.split("\n")
+        # every line prefix and suffix: balanced and unbalanced fragments
+        fragments += ["\n".join(lines[:k]) for k in range(len(lines))]
+        fragments += ["\n".join(lines[k:]) for k in range(1, len(lines))]
+        fragments += [src.replace("}", "", 1), src + "}", "{" + src]
+        cut = rng.randrange(len(src) + 1)
+        fragments.append(src[:cut] + src[cut:].replace("{", "", 1))
+    seen = {True: 0, False: 0}
+    for src in sources + fragments:
+        parsed = parse_methods(src)
+        assert (parsed is not None) == is_parsable(src), src
+        assert (parsed or []) == extract_methods(src), src
+        seen[parsed is not None] += 1
+    assert len(sources) >= 25 and min(seen.values()) >= 100, seen
+    assert parse_methods("class A {}") == []  # parsable, no methods: not None

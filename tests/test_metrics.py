@@ -195,3 +195,21 @@ def test_corpus_report_order_invariant():
     backward = corpus_report(list(reversed(test_set)), preds, set())["m"]
     assert forward.em_percent == backward.em_percent
     assert forward.rows == backward.rows
+
+
+def test_corpus_report_tokenizes_each_target_once(monkeypatch):
+    import repotailor.metrics as metrics_module
+
+    test_set = make_test_set()
+    texts = {"0": "a+b;", "1": "return y;", "2": "y=f(z);", "3": "count--;"}  # no text is a target
+    preds = {m: predictions(m, texts) for m in ("m1", "m2", "m3")}
+    alone = {m: score_model(test_set, preds[m], set(), model_id=m) for m in preds}
+    calls = []
+    monkeypatch.setattr(
+        metrics_module, "token_texts", lambda text: calls.append(text) or token_texts(text)
+    )
+    reports = corpus_report(test_set, preds, set())
+    assert reports == alone
+    targets = [i.target for i in test_set]
+    assert sorted(t for t in calls if t in targets) == sorted(targets)
+    assert len(calls) == len(targets) + 3 * len(texts)

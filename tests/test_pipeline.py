@@ -240,6 +240,57 @@ def test_insight_outputs(mined):
         assert 0.0 <= role_report["vocab_coverage"] <= 1.0
 
 
+def test_insight_lexes_each_distinct_method_text_once(mined, monkeypatch):
+    from repotailor import insight
+    from repotailor.insight import reconstruct_method_text
+    from repotailor.masking import CompletionInstance
+
+    cfg, _, _, index = mined
+    out = Path(cfg.out_dir)
+    parts = [out / "generic_pool.jsonl"]
+    for man in index["manifests"]:
+        if man["anchor_developer"]:
+            parts += [out / man["path"] / "train.jsonl", out / man["path"] / "test.jsonl"]
+    texts = {
+        reconstruct_method_text(CompletionInstance.from_record(rec))
+        for path in parts for rec in read_jsonl(path)
+    }
+    calls = []
+    real_lex = insight.lex
+    monkeypatch.setattr(insight, "lex", lambda text: calls.append(text) or real_lex(text))
+    coverage = run_insight(cfg)["coverage"]
+    assert "generic-pool" in next(iter(coverage.values()))
+    assert 0 < len(calls) <= len(texts)
+    assert len(set(calls)) == len(calls)
+
+
+def test_generic_inputs_from_an_earlier_config_are_not_reused(fixture_repos, tmp_path):
+    org, generic = fixture_repos
+    out = tmp_path / "out"
+    with_generic = load_config(write_fixture_config(tmp_path, out, org, generic[:1], name="gen.json"))
+    run_mine(with_generic)
+    before = run_assemble(with_generic)
+    assert (out / "generic_methods.jsonl").exists() and (out / "generic_pool.jsonl").exists()
+    generic_ids = {
+        m["dataset_id"] for m in before["manifests"]
+        if m["dataset_id"] in ("generic", "pretrain") or m["dataset_id"].startswith("bplus-")
+    }
+    assert "generic" in generic_ids
+
+    without = load_config(write_fixture_config(tmp_path, out, org, name="org.json"))
+    run_mine(without)
+    after = run_assemble(without)
+    assert not (out / "generic_methods.jsonl").exists()
+    assert not (out / "generic_pool.jsonl").exists()
+    assert {m["role"] for m in after["manifests"]} == {ROLE_DEVELOPER, ROLE_ORGANIZATION, ROLE_ORG_SUBSET}
+    for per_role in run_insight(without)["coverage"].values():
+        assert "generic-pool" not in per_role and "baseline-plus" not in per_role
+    # the directories the earlier config built are flagged, not used
+    assert run_verify(without) == [
+        f"{d}: dataset directory not listed in index.json" for d in sorted(generic_ids)
+    ]
+
+
 def test_assemble_ineligible_only_yields_zero_manifests(fixture_repos, tmp_path):
     org, _ = fixture_repos
     config_path = write_fixture_config(
@@ -295,6 +346,9 @@ def test_load_config_validation(tmp_path):
     pytest.param("crystal_bleu", {"k": "a"}, id="knob-not-int"),
     pytest.param("crystal_bleu", {"max_order": 0}, id="knob-not-positive"),
     pytest.param("repos", [{"path": "/"}], id="repo-id-empty"),
+    pytest.param("seed", "abc", id="seed-not-int"),
+    pytest.param("seed", True, id="seed-bool"),
+    pytest.param("seed", 7.0, id="seed-float"),
 ])
 def test_bad_config_values_exit_2(fixture_repos, tmp_path, capsys, key, value):
     org, _ = fixture_repos
