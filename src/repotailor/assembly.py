@@ -13,16 +13,16 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Sequence
 
 from .errors import AnchorIneligible, TargetTooLarge, TooFewInstances
 from .javamethods import MethodUnit
 from .masking import CompletionInstance, offset_in_text
-from .seeding import derive_seed
+from .seeding import derive_seed, rng_for
 
 DEFAULT_TEST_SIZE = 500
 DEFAULT_MIN_TRAIN = 1000
-DEFAULT_TRAIN_FRACTION = 0.9
+TRAIN_FRACTION = 0.9
 DEFAULT_METHODS_PER_REPO = 1500
 MLM_MASK_RATE = 0.15
 
@@ -59,14 +59,6 @@ class SplitAssignment:
     train: tuple[CompletionInstance, ...]
     val: tuple[CompletionInstance, ...]
     test: tuple[CompletionInstance, ...]
-
-    @property
-    def assignment(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for name, part in (("train", self.train), ("val", self.val), ("test", self.test)):
-            for inst in part:
-                out[inst.instance_id] = name
-        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,6 +105,33 @@ class Dataset:
     val: tuple[CompletionInstance, ...] = ()
     test: tuple[CompletionInstance, ...] = ()
 
+    def parts(self) -> dict[str, tuple]:
+        """The parts written as ``<name>.jsonl``; a pre-training set has
+        no test part."""
+        parts = {"train": self.train, "val": self.val, "test": self.test}
+        if self.manifest.role == ROLE_PRETRAIN:
+            del parts["test"]
+        return parts
+
+
+def _dataset(
+    dataset_id: str,
+    role: str,
+    anchor: str | None,
+    cutoff_ts: int | None,
+    seed: int,
+    train: Sequence,
+    val: Sequence = (),
+    test: Sequence = (),
+    source_hashes: tuple[str, ...] = (),
+) -> Dataset:
+    """The one place a manifest is made: its counts are the parts' sizes."""
+    train, val, test = tuple(train), tuple(val), tuple(test)
+    manifest = DatasetManifest(
+        dataset_id, role, anchor, cutoff_ts, (len(train), len(val), len(test)), seed, source_hashes
+    )
+    return Dataset(manifest, train, val, test)
+
 
 def _instances_hash(instances: list[CompletionInstance]) -> str:
     h = hashlib.sha256()
@@ -123,9 +142,7 @@ def _instances_hash(instances: list[CompletionInstance]) -> str:
 
 
 def split_developer(
-    instances: list[CompletionInstance],
-    test_size: int = DEFAULT_TEST_SIZE,
-    train_fraction: float = DEFAULT_TRAIN_FRACTION,
+    instances: list[CompletionInstance], test_size: int = DEFAULT_TEST_SIZE
 ) -> SplitAssignment:
     """Time-ordered split: newest ``test_size`` instances become the
     test set, the rest splits 90/10 by recency into train/val, then
@@ -138,7 +155,7 @@ def split_developer(
         )
     test = ordered[-test_size:]
     rest = ordered[:-test_size]
-    n_train = math.floor(train_fraction * len(rest))
+    n_train = math.floor(TRAIN_FRACTION * len(rest))
     train = rest[:n_train]
     val = rest[n_train:]
     train = dedup(train, val + test)
@@ -156,37 +173,26 @@ def eligible(
 
 def developer_dataset(author: str, split: SplitAssignment, seed: int) -> Dataset:
     """A developer's split as a dataset; its cutoff is the newest training change."""
-    manifest = DatasetManifest(
-        dataset_id=f"dev-{author}",
-        role=ROLE_DEVELOPER,
-        anchor_developer=author,
-        cutoff_ts=max(i.timestamp for i in split.train),
-        counts=(len(split.train), len(split.val), len(split.test)),
-        seed=seed,
+    cutoff_ts = max(i.timestamp for i in split.train)
+    return _dataset(
+        f"dev-{author}", ROLE_DEVELOPER, author, cutoff_ts, seed, split.train, split.val, split.test
     )
-    return Dataset(manifest, split.train, split.val, split.test)
 
 
 def build_org_dataset(
     all_dev_instances: dict[str, list[CompletionInstance]],
     anchor: str,
+    anchor_split: SplitAssignment,
     seed: int,
     test_size: int = DEFAULT_TEST_SIZE,
     min_train: int = DEFAULT_MIN_TRAIN,
-    train_fraction: float = DEFAULT_TRAIN_FRACTION,
-    anchor_split: SplitAssignment | None = None,
 ) -> Dataset:
-    """Union all developers' instances up to the anchor's training
-    cutoff, scrub the anchor's held-out duplicates, and split 90/10 by
+    """Union all developers' instances up to the cutoff of the anchor's
+    split, scrub the anchor's held-out duplicates, and split 90/10 by
     recency.
     """
     if anchor not in all_dev_instances:
         raise AnchorIneligible(f"unknown anchor {anchor!r}")
-    if anchor_split is None:
-        try:
-            anchor_split = split_developer(all_dev_instances[anchor], test_size, train_fraction)
-        except TooFewInstances as exc:
-            raise AnchorIneligible(str(exc)) from exc
     if not eligible(anchor_split, min_train, test_size):
         raise AnchorIneligible(f"anchor {anchor!r} has no eligible split")
 
@@ -211,19 +217,12 @@ def build_org_dataset(
             seen.add(inst.instance_id)
             unique.append(inst)
 
-    n_train = math.floor(train_fraction * len(unique))
-    train = tuple(unique[:n_train])
-    val = tuple(unique[n_train:])
-    manifest = DatasetManifest(
-        dataset_id=f"org-{anchor}",
-        role=ROLE_ORGANIZATION,
-        anchor_developer=anchor,
-        cutoff_ts=cutoff_ts,
-        counts=(len(train), len(val), 0),
-        seed=seed,
-        source_hashes=(_instances_hash(list(train)), _instances_hash(list(val))),
+    n_train = math.floor(TRAIN_FRACTION * len(unique))
+    train, val = unique[:n_train], unique[n_train:]
+    return _dataset(
+        f"org-{anchor}", ROLE_ORGANIZATION, anchor, cutoff_ts, seed, train, val,
+        source_hashes=(_instances_hash(train), _instances_hash(val)),
     )
-    return Dataset(manifest, train, val)
 
 
 def _seeded_sample(
@@ -235,28 +234,48 @@ def _seeded_sample(
     return sorted(sample, key=order_key)
 
 
-def build_org_subset(
-    org_set: list[CompletionInstance], target_size: int, seed: int
-) -> list[CompletionInstance]:
-    """Uniform seeded sample of the organization set, without replacement."""
-    if target_size > len(org_set):
-        raise TargetTooLarge(f"target {target_size} > pool {len(org_set)}")
-    return _seeded_sample(org_set, target_size, seed)
+def build_org_subset(org: Dataset, target_size: int, seed: int) -> Dataset:
+    """Uniform seeded sample of the organization train set, without
+    replacement, under the organization dataset's anchor and cutoff."""
+    if target_size > len(org.train):
+        raise TargetTooLarge(f"target {target_size} > pool {len(org.train)}")
+    anchor = org.manifest.anchor_developer
+    sample = _seeded_sample(list(org.train), target_size, seed)
+    return _dataset(f"orgsub-{anchor}", ROLE_ORG_SUBSET, anchor, org.manifest.cutoff_ts, seed, sample)
 
 
 def build_baseline_plus(
     generic_pool: list[CompletionInstance],
+    anchor: str,
     target_size: int,
     first_test_ts: int,
     seed: int,
-) -> list[CompletionInstance]:
+) -> Dataset:
     """Seeded sample from the generic pool restricted to instances
-    strictly older than the anchor's first test timestamp.
+    strictly older than the anchor's first test timestamp, its cutoff.
     """
     pool = [i for i in generic_pool if i.timestamp < first_test_ts]
     if target_size > len(pool):
         raise TargetTooLarge(f"target {target_size} > eligible pool {len(pool)}")
-    return _seeded_sample(pool, target_size, seed)
+    sample = _seeded_sample(pool, target_size, seed)
+    return _dataset(f"bplus-{anchor}", ROLE_BASELINE_PLUS, anchor, first_test_ts, seed, sample)
+
+
+# unanchored roles: the dataset id and the name of the split's shuffle seed
+_UNANCHORED = {
+    ROLE_GENERIC_FINETUNE: ("generic", "generic-split"),
+    ROLE_PRETRAIN: ("pretrain", "pretrain-val-split"),
+}
+
+
+def build_unanchored(role: str, items: Sequence, seed: int) -> Dataset:
+    """The generic fine-tuning or pre-training dataset: ``items`` in a
+    seeded shuffle, split 90/10 into train and val."""
+    dataset_id, shuffle_name = _UNANCHORED[role]
+    ordered = sorted(items, key=lambda i: i.instance_id)
+    rng_for(seed, shuffle_name).shuffle(ordered)
+    n_train = int(TRAIN_FRACTION * len(ordered))
+    return _dataset(dataset_id, role, None, None, seed, ordered[:n_train], ordered[n_train:])
 
 
 def cap_methods_per_repo(
@@ -332,7 +351,8 @@ def audit_temporal_leak(
     Each anchored dataset needs its anchor's developer dataset, with a
     test set, among ``datasets``; its training data (train and val for
     an organization dataset) must not duplicate the anchor's val or
-    test data up to whitespace. Per role:
+    test data up to whitespace, and each part's size must equal its
+    manifest count. Per role:
 
     - developer: exactly ``test_size`` test and at least ``min_train``
       train instances; train no newer than val and test;
@@ -357,6 +377,10 @@ def audit_temporal_leak(
     problems: list[str] = []
     for ds in anchored:
         name, role, anchor = ds.manifest.dataset_id, ds.manifest.role, ds.manifest.anchor_developer
+        for part, count in zip(("train", "val", "test"), ds.manifest.counts):
+            size = len(getattr(ds, part))
+            if size != count:
+                problems.append(f"{name}: {part} has {size} instances, manifest counts {count}")
         dev = devs.get(anchor)
         if dev is None or not dev.test:
             problems.append(f"{name}: anchor {anchor} has no developer test set")

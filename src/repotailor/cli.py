@@ -18,8 +18,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
-STAGES = ("mine", "assemble", "score", "compare", "insight", "verify")
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="run configuration JSON")

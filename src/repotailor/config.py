@@ -1,7 +1,8 @@
 """Run configuration: one JSON file drives every pipeline stage.
 
-Caps and CrystalBLEU knobs default to the full-scale values declared on
-their dataclasses; fixture-scale runs override them in the config file.
+Caps and CrystalBLEU knobs default to the full-scale values that the
+modules using them declare; fixture-scale runs override them in the
+config file.
 """
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .assembly import DEFAULT_METHODS_PER_REPO, DEFAULT_MIN_TRAIN, DEFAULT_TEST_SIZE
 from .errors import ConfigError
+from .metrics import DEFAULT_MAX_ORDER, DEFAULT_TRIVIAL_K
 from .storage import dumps_canonical, read_json, sha256_text
 
 
@@ -33,15 +36,15 @@ class RepoSpec:
 class Caps:
     top_developers: int = 100
     contributor_pool: int = 1000
-    methods_per_repo: int = 1500
-    test_size: int = 500
-    min_train: int = 1000
+    methods_per_repo: int = DEFAULT_METHODS_PER_REPO
+    test_size: int = DEFAULT_TEST_SIZE
+    min_train: int = DEFAULT_MIN_TRAIN
 
 
 @dataclass(frozen=True, slots=True)
 class CrystalBleuKnobs:
-    k: int = 500
-    max_order: int = 4
+    k: int = DEFAULT_TRIVIAL_K
+    max_order: int = DEFAULT_MAX_ORDER
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,11 +86,14 @@ def _parse_repos(raw: object, what: str) -> tuple[RepoSpec, ...]:
     for item in raw:
         if not isinstance(item, dict) or not isinstance(item.get("path"), str):
             raise ConfigError(f"each {what} entry needs a 'path' string")
-        specs.append(RepoSpec(
+        spec = RepoSpec(
             path=item["path"],
             branch=item.get("branch", "main"),
             repo_id=item.get("repo_id", ""),
-        ))
+        )
+        if not isinstance(spec.branch, str) or not isinstance(spec.repo_id, str):
+            raise ConfigError(f"{what} entry {spec.path!r}: 'branch' and 'repo_id' must be strings")
+        specs.append(spec)
     return tuple(specs)
 
 

@@ -15,6 +15,8 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ConfigError
+
 MIN_LOCAL_PART_LEN = 5
 
 
@@ -149,11 +151,13 @@ def top_contributors(identities: list[AuthorIdentity], k: int) -> list[AuthorIde
 
 
 def load_overrides(path: str | Path) -> dict[tuple[str, str], str]:
-    """Read a JSONL override file of {name, email, author_id} rows."""
-    overrides: dict[tuple[str, str], str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        overrides[(rec["name"], rec["email"])] = rec["author_id"]
+    """Read a JSONL override file of {name, email, author_id} string rows;
+    an unreadable file or a malformed row is a ConfigError."""
+    try:
+        rows = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
+        overrides = {(row["name"], row["email"]): row["author_id"] for row in rows}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read identity overrides {path}: {exc!r}") from exc
+    if not all(isinstance(s, str) for key, author in overrides.items() for s in (*key, author)):
+        raise ConfigError(f"identity overrides {path}: name, email and author_id must be strings")
     return overrides

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import EmptyTestSet, EmptyTrainSet, NonPositiveDelta
+from .errors import ConfigError, EmptyTestSet, EmptyTrainSet, NonPositiveDelta
 from .javalex import CHAR_LITERAL, IDENTIFIER, NUMBER_LITERAL, STRING_LITERAL, lex
 from .masking import SENTINEL, CompletionInstance
 
@@ -209,19 +209,21 @@ def cost_curve(scenario: CostScenario, max_inferences: int, points: int = 101) -
 
 
 def load_scenarios(path: str | Path | None = None) -> dict[str, CostScenario]:
-    """Best/worst cost scenarios from a JSON file (shipped defaults)."""
-    if path is None:
-        raw = resources.files("repotailor").joinpath("data/scenario.json").read_text("utf-8")
-    else:
-        raw = Path(path).read_text(encoding="utf-8")
-    data = json.loads(raw)
-    common = {
-        "inference_cost_small": data["inference_cost_small"],
-        "inference_cost_large": data["inference_cost_large"],
-        "developers": data["developers"],
-        "weekly_rate": data["weekly_rate"],
-    }
-    return {
-        "best": CostScenario(name="best", training_cost=data["training_cost_best"], **common),
-        "worst": CostScenario(name="worst", training_cost=data["training_cost_worst"], **common),
-    }
+    """Best/worst cost scenarios from a JSON file (shipped defaults); an
+    unreadable file or a missing or non-numeric value is a ConfigError."""
+    try:
+        if path is None:
+            raw = resources.files("repotailor").joinpath("data/scenario.json").read_text("utf-8")
+        else:
+            raw = Path(path).read_text(encoding="utf-8")
+        data = json.loads(raw)
+        common = {
+            key: data[key]
+            for key in ("inference_cost_small", "inference_cost_large", "developers", "weekly_rate")
+        }
+        training = {name: data[f"training_cost_{name}"] for name in ("best", "worst")}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read scenario file {path}: {exc!r}") from exc
+    if not all(type(v) in (int, float) for v in (*common.values(), *training.values())):
+        raise ConfigError(f"scenario file {path}: every cost, count and rate must be a number")
+    return {name: CostScenario(name=name, training_cost=cost, **common) for name, cost in training.items()}

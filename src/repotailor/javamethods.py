@@ -23,7 +23,6 @@ from .javalex import (
 )
 
 REASON_OK = "ok"
-REASON_UNPARSABLE = "unparsable"
 REASON_TEST_NAME = "test-name"
 REASON_EMPTY_BODY = "empty-or-comment-body"
 REASON_TOO_SHORT = "too-short"
@@ -316,19 +315,15 @@ def _latin_only(text: str) -> bool:
     return True
 
 
-def apply_method_filters(
-    m: MethodUnit,
-    min_tokens: int = MIN_METHOD_TOKENS,
-    max_tokens: int = MAX_METHOD_TOKENS,
-) -> FilterVerdict:
+def apply_method_filters(m: MethodUnit) -> FilterVerdict:
     """Apply the keep/drop rules for one extracted method."""
     if any(w.lower() == "test" for w in name_words(m.name)):
         return FilterVerdict(False, REASON_TEST_NAME)
     if m.body_token_count <= 0:
         return FilterVerdict(False, REASON_EMPTY_BODY)
-    if m.token_count < min_tokens:
+    if m.token_count < MIN_METHOD_TOKENS:
         return FilterVerdict(False, REASON_TOO_SHORT)
-    if m.token_count > max_tokens:
+    if m.token_count > MAX_METHOD_TOKENS:
         return FilterVerdict(False, REASON_TOO_LONG)
     if not _latin_only(m.text):
         return FilterVerdict(False, REASON_NON_LATIN)

@@ -277,7 +277,6 @@ def generate_generic(
     dist: MaskLengthDistribution,
     rng: random.Random,
     provenance: Provenance = Provenance(),
-    max_instances: int = MAX_GENERIC_PER_METHOD,
 ) -> list[CompletionInstance]:
     """Mask up to three line/block end-spans of a method.
 
@@ -297,7 +296,7 @@ def generate_generic(
     # fall back to any maskable span so short methods still contribute
     for floor in (dist.median, 0.0):
         for _ in range(_GENERIC_ATTEMPTS):
-            if len(out) >= max_instances:
+            if len(out) >= MAX_GENERIC_PER_METHOD:
                 break
             start = rng.choice(start_lines)
             window = set(range(start, start + 3))

@@ -81,6 +81,17 @@ def _run_git(repo_path: str | Path, *args: str) -> str:
     return result.stdout
 
 
+def branch_head(repo_path: str | Path, branch: str) -> str:
+    """The sha ``refs/heads/<branch>`` points at, or "" when there is no
+    such branch (or no repository at ``repo_path``)."""
+    probe = subprocess.run(
+        ["git", "-C", str(repo_path), "rev-parse", "--verify", "--quiet", f"refs/heads/{branch}"],
+        capture_output=True,
+        text=True,
+    )
+    return probe.stdout.strip() if probe.returncode == 0 else ""
+
+
 def stream_commits(repo_path: str | Path, branch: str, repo_id: str | None = None) -> list[CommitRecord]:
     """First-parent chain of ``branch``, oldest first, with diff stats."""
     path = Path(repo_path)
@@ -91,12 +102,7 @@ def stream_commits(repo_path: str | Path, branch: str, repo_id: str | None = Non
     except (RuntimeError, OSError) as exc:
         raise RepoUnreadable(f"{path}: {exc}") from exc
 
-    probe = subprocess.run(
-        ["git", "-C", str(path), "rev-parse", "--verify", "--quiet", f"refs/heads/{branch}"],
-        capture_output=True,
-        text=True,
-    )
-    if probe.returncode != 0:
+    if not branch_head(path, branch):
         heads = _run_git(path, "for-each-ref", "refs/heads")
         if not heads.strip():
             return []  # repository without commits

@@ -9,10 +9,8 @@ dataset in an output tree.
 from __future__ import annotations
 
 import csv
-import subprocess
 from collections import defaultdict
 from pathlib import Path
-from typing import Sequence
 
 from . import assembly, insight, masking, metrics, stats
 from .config import RepoSpec, RunConfig
@@ -37,6 +35,7 @@ from .mining import (
     CommitRecord,
     OutlierThreshold,
     added_lines,
+    branch_head,
     filter_bots,
     filter_outliers,
     read_blob,
@@ -55,7 +54,6 @@ STAGE_MINE = "mine"
 STAGE_ASSEMBLE = "assemble"
 
 PRETRAIN_REPO_FRACTION = 0.4
-SPLIT_TRAIN_FRACTION = 0.9
 
 
 def _stamp_path(cfg: RunConfig, stage: str) -> Path:
@@ -63,15 +61,7 @@ def _stamp_path(cfg: RunConfig, stage: str) -> Path:
 
 
 def _head_shas(cfg: RunConfig) -> dict[str, str]:
-    shas = {}
-    for spec in list(cfg.repos) + list(cfg.generic_repos):
-        probe = subprocess.run(
-            ["git", "-C", spec.path, "rev-parse", "--verify", "--quiet", f"refs/heads/{spec.branch}"],
-            capture_output=True,
-            text=True,
-        )
-        shas[spec.resolved_id()] = probe.stdout.strip() if probe.returncode == 0 else ""
-    return shas
+    return {spec.resolved_id(): branch_head(spec.path, spec.branch) for spec in cfg.repos + cfg.generic_repos}
 
 
 def _check_stage_stamp(cfg: RunConfig, stage: str) -> dict:
@@ -229,9 +219,9 @@ def run_mine(cfg: RunConfig) -> dict:
         "method_drop_reasons": {},
     }
 
+    overrides = load_overrides(cfg.identity_overrides) if cfg.identity_overrides else None
     repo_paths = {spec.resolved_id(): spec.path for spec in cfg.repos + cfg.generic_repos}
     commits, funnel, threshold = _ingest(cfg.repos)
-    overrides = load_overrides(cfg.identity_overrides) if cfg.identity_overrides else None
     raw_authors = [(c.author_name, c.author_email, c.java_added_lines) for c in commits]
     identities = resolve_identities(raw_authors, overrides)
     pool = top_contributors(identities, cfg.caps.contributor_pool) if identities else []
@@ -322,12 +312,13 @@ def _load_part(out_dir: Path, manifest_record: dict, part: str) -> list[Completi
     return _load_instances(out_dir / manifest_record["path"] / f"{part}.jsonl")
 
 
-def _write_dataset(out_dir: Path, manifest: assembly.DatasetManifest, **parts: Sequence) -> dict:
+def _write_dataset(out_dir: Path, dataset: assembly.Dataset) -> dict:
     """Write each part as ``<name>.jsonl`` and the manifest into the
     dataset's directory; returns its ``index.json`` entry."""
+    manifest = dataset.manifest
     dataset_dir = out_dir / "datasets" / manifest.dataset_id
     files = {}
-    for name, part in parts.items():
+    for name, part in dataset.parts().items():
         path = dataset_dir / f"{name}.jsonl"
         write_jsonl(path, (i.to_record() for i in part))
         files[path.name] = sha256_file(path)
@@ -368,43 +359,32 @@ def run_assemble(cfg: RunConfig) -> dict:
     selected = ranked[: caps.top_developers]
     selected_instances = {a: by_author[a] for a in selected}
 
-    manifests: list[dict] = []
+    datasets: list[assembly.Dataset] = []
     notes: list[str] = []
     org_sets: dict[str, assembly.Dataset] = {}
 
     for author in selected:
         split = splits[author]
-        dev = assembly.developer_dataset(author, split, cfg.seed)
-        manifests.append(_write_dataset(out_dir, dev.manifest, train=dev.train, val=dev.val, test=dev.test))
-
+        datasets.append(assembly.developer_dataset(author, split, cfg.seed))
         org = assembly.build_org_dataset(
-            selected_instances, author,
+            selected_instances, author, split,
             seed=derive_seed(cfg.seed, "org", author),
             test_size=caps.test_size,
             min_train=caps.min_train,
-            anchor_split=split,
         )
         org_sets[author] = org
-        manifests.append(_write_dataset(out_dir, org.manifest, train=org.train, val=org.val, test=()))
-
-        target = len(split.train)
-        if target <= len(org.train):
-            subset_seed = derive_seed(cfg.seed, "orgsub", author)
-            subset = assembly.build_org_subset(list(org.train), target, subset_seed)
-            manifest = assembly.DatasetManifest(
-                dataset_id=f"orgsub-{author}",
-                role=assembly.ROLE_ORG_SUBSET,
-                anchor_developer=author,
-                cutoff_ts=org.manifest.cutoff_ts,
-                counts=(len(subset), 0, 0),
-                seed=subset_seed,
-            )
-            manifests.append(_write_dataset(out_dir, manifest, train=subset, val=(), test=()))
-        else:
+        datasets.append(org)
+        try:
+            datasets.append(assembly.build_org_subset(
+                org, len(split.train), derive_seed(cfg.seed, "orgsub", author)
+            ))
+        except TargetTooLarge:
             notes.append(f"orgsub-{author}: org train smaller than developer train, skipped")
 
     if inputs["generic_methods"]:
-        _assemble_generic(cfg, out_dir, selected_instances, splits, org_sets, manifests, notes)
+        generic_datasets, generic_notes = _generic_datasets(cfg, out_dir, splits, org_sets)
+        datasets += generic_datasets
+        notes += generic_notes
     else:  # a leftover from an earlier config must not feed insight
         (out_dir / "generic_pool.jsonl").unlink(missing_ok=True)
 
@@ -413,7 +393,7 @@ def run_assemble(cfg: RunConfig) -> dict:
         "organization": cfg.organization,
         "eligible_developers": len(splits),
         "selected_developers": selected,
-        "manifests": manifests,
+        "manifests": [_write_dataset(out_dir, d) for d in datasets],
         "notes": notes,
     }
     write_json(out_dir / "index.json", index)
@@ -422,15 +402,15 @@ def run_assemble(cfg: RunConfig) -> dict:
     return index
 
 
-def _assemble_generic(
+def _generic_datasets(
     cfg: RunConfig,
     out_dir: Path,
-    selected_instances: dict[str, list[CompletionInstance]],
     splits: dict[str, assembly.SplitAssignment],
     org_sets: dict[str, assembly.Dataset],
-    manifests: list[dict],
-    notes: list[str],
-) -> None:
+) -> tuple[list[assembly.Dataset], list[str]]:
+    """The generic, pre-training and baseline+ datasets from the mined
+    generic methods, plus notes on skipped baseline+ datasets; writes
+    the generic pool that ``insight`` reads."""
     records = list(read_jsonl(out_dir / "generic_methods.jsonl"))
     by_repo: dict[str, list[dict]] = defaultdict(list)
     for rec in records:
@@ -471,58 +451,22 @@ def _assemble_generic(
     generic_pool.sort(key=assembly.order_key)
     write_jsonl(out_dir / "generic_pool.jsonl", (i.to_record() for i in generic_pool))
 
+    datasets = []
     if generic_pool:
-        ordered = sorted(generic_pool, key=lambda i: i.instance_id)
-        rng_for(cfg.seed, "generic-split").shuffle(ordered)
-        n_train = int(SPLIT_TRAIN_FRACTION * len(ordered))
-        manifest = assembly.DatasetManifest(
-            dataset_id="generic",
-            role=assembly.ROLE_GENERIC_FINETUNE,
-            anchor_developer=None,
-            cutoff_ts=None,
-            counts=(n_train, len(ordered) - n_train, 0),
-            seed=cfg.seed,
-        )
-        manifests.append(_write_dataset(
-            out_dir, manifest, train=ordered[:n_train], val=ordered[n_train:], test=()
-        ))
-
+        datasets.append(assembly.build_unanchored(assembly.ROLE_GENERIC_FINETUNE, generic_pool, cfg.seed))
     if pretrain_instances:
-        ordered_mlm = sorted(pretrain_instances, key=lambda i: i.instance_id)
-        rng_for(cfg.seed, "pretrain-val-split").shuffle(ordered_mlm)
-        n_train = int(SPLIT_TRAIN_FRACTION * len(ordered_mlm))
-        manifest = assembly.DatasetManifest(
-            dataset_id="pretrain",
-            role=assembly.ROLE_PRETRAIN,
-            anchor_developer=None,
-            cutoff_ts=None,
-            counts=(n_train, len(ordered_mlm) - n_train, 0),
-            seed=cfg.seed,
-        )
-        # a pre-training set has no test part
-        manifests.append(_write_dataset(
-            out_dir, manifest, train=ordered_mlm[:n_train], val=ordered_mlm[n_train:]
-        ))
-
+        datasets.append(assembly.build_unanchored(assembly.ROLE_PRETRAIN, pretrain_instances, cfg.seed))
+    notes = []
     for author in sorted(org_sets):
-        org = org_sets[author]
-        target = len(org.train)
         first_test_ts = min(i.timestamp for i in splits[author].test)
         bplus_seed = derive_seed(cfg.seed, "bplus", author)
         try:
-            sample = assembly.build_baseline_plus(generic_pool, target, first_test_ts, bplus_seed)
+            datasets.append(assembly.build_baseline_plus(
+                generic_pool, author, len(org_sets[author].train), first_test_ts, bplus_seed
+            ))
         except TargetTooLarge as exc:
             notes.append(f"bplus-{author}: {exc}")
-            continue
-        manifest = assembly.DatasetManifest(
-            dataset_id=f"bplus-{author}",
-            role=assembly.ROLE_BASELINE_PLUS,
-            anchor_developer=author,
-            cutoff_ts=first_test_ts,
-            counts=(len(sample), 0, 0),
-            seed=bplus_seed,
-        )
-        manifests.append(_write_dataset(out_dir, manifest, train=sample, val=(), test=()))
+    return datasets, notes
 
 
 def _exclusion_for_dataset(cfg: RunConfig, manifests: dict[str, dict], dataset_id: str) -> set:
@@ -653,6 +597,7 @@ def run_insight(cfg: RunConfig) -> dict:
     """Coverage reports per developer/dataset role plus the cost model."""
     out_dir = Path(cfg.out_dir)
     _check_stage_stamp(cfg, STAGE_ASSEMBLE)
+    scenarios = insight.load_scenarios(cfg.scenario_file)
     index = read_json(out_dir / "index.json")
 
     by_role: dict[str, dict[str, dict]] = defaultdict(dict)
@@ -691,7 +636,6 @@ def run_insight(cfg: RunConfig) -> dict:
             for key, train, train_vocab in trains
         }
 
-    scenarios = insight.load_scenarios(cfg.scenario_file)
     cost: dict[str, dict] = {}
     max_x = 0
     for name, scenario in sorted(scenarios.items()):

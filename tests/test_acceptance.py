@@ -5,6 +5,7 @@ to see them).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import statistics
@@ -129,7 +130,7 @@ def test_criterion_03_temporal_leak_audit():
                 continue
             if not eligible(split, min_train=8, test_size=5):
                 continue
-            org = build_org_dataset(devs, anchor, seed=11, test_size=5, min_train=8)
+            org = build_org_dataset(devs, anchor, split, seed=11, test_size=5, min_train=8)
             assert audit_temporal_leak([developer_dataset(anchor, split, 11), org], 5, 8) == []
             cutoff = org.manifest.cutoff_ts
             holdout_ts = min(i.timestamp for i in list(split.val) + list(split.test))
@@ -319,3 +320,23 @@ def test_criterion_12_end_to_end_determinism(e2e_repos, tmp_path):
         for rel in digest_a:
             assert digest_a[rel] == digest_b[rel], f"{rel} differs between runs"
     _report(12, f"two full runs produce byte-identical trees ({len(digest_a)} files)", t, 120.0)
+
+
+# sha256 over the seed-42 fixture run's tree; a change to any output file
+# (a refactor that was meant to keep outputs) changes it
+PINNED_TREE_SHA256 = "d6a90514df8a1ac512cd7164bed028cc19febdb851ef52c6a1874d1f17ca472c"
+
+
+def test_full_run_tree_is_pinned(e2e_repos, tmp_path):
+    org, generic = e2e_repos
+    out_dir = _full_run(tmp_path, org, generic, "pinned", seed=42)
+    # the config hash covers absolute repo paths, so it varies with the
+    # checkout location; stamps also hash files that hold it
+    config_hash = load_config(tmp_path / "pinned.json").config_hash().encode()
+    h = hashlib.sha256()
+    for rel, data in _tree_digest(out_dir).items():
+        if rel.startswith("stamps/"):
+            continue
+        h.update(rel.encode("utf-8") + b"\0")
+        h.update(data.replace(config_hash, b"<config-hash>") + b"\0")
+    assert h.hexdigest() == PINNED_TREE_SHA256

@@ -5,10 +5,19 @@ import random
 import pytest
 
 from repotailor.assembly import (
+    ROLE_BASELINE_PLUS,
+    ROLE_DEVELOPER,
+    ROLE_GENERIC_FINETUNE,
+    ROLE_ORG_SUBSET,
+    ROLE_ORGANIZATION,
+    ROLE_PRETRAIN,
+    Dataset,
+    DatasetManifest,
     audit_temporal_leak,
     build_baseline_plus,
     build_org_dataset,
     build_org_subset,
+    build_unanchored,
     cap_methods_per_repo,
     dedup,
     developer_dataset,
@@ -113,7 +122,8 @@ def test_org_cutoff_includes_older_excludes_newer():
             make_instance("other", ts=BASE_TS + 10_000, tag="new"),
         ],
     }
-    org = build_org_dataset(dev_instances, "anchor", seed=1, test_size=5, min_train=10)
+    split = split_developer(dev_instances["anchor"], test_size=5)
+    org = build_org_dataset(dev_instances, "anchor", split, seed=1, test_size=5, min_train=10)
     ids = {i.instance_id for i in org.train + org.val}
     assert "other-old" in ids
     assert "other-new" not in ids
@@ -121,8 +131,8 @@ def test_org_cutoff_includes_older_excludes_newer():
 
 def test_org_anchor_only_covers_anchor_train():
     dev_instances = {"anchor": series("anchor", 40)}
-    org = build_org_dataset(dev_instances, "anchor", seed=1, test_size=5, min_train=10)
     split = split_developer(dev_instances["anchor"], test_size=5)
+    org = build_org_dataset(dev_instances, "anchor", split, seed=1, test_size=5, min_train=10)
     org_keys = {i.instance_id for i in org.train + org.val}
     assert {i.instance_id for i in split.train} <= org_keys
 
@@ -135,7 +145,7 @@ def test_org_removes_anchor_holdout_duplicates():
         context=split.test[0].context, target=split.test[0].target,
     )
     dev_instances = {"anchor": anchor, "other": [dup_of_test]}
-    org = build_org_dataset(dev_instances, "anchor", seed=1, test_size=5, min_train=10)
+    org = build_org_dataset(dev_instances, "anchor", split, seed=1, test_size=5, min_train=10)
     assert "other-dup" not in {i.instance_id for i in org.train + org.val}
 
 
@@ -147,7 +157,7 @@ def test_org_timestamp_tie_excluded():
     # force a tie: another developer committed exactly at the holdout boundary
     tied = make_instance("other", ts=first_holdout, tag="tied")
     dev_instances = {"anchor": anchor, "other": [tied]}
-    org = build_org_dataset(dev_instances, "anchor", seed=1, test_size=5, min_train=10)
+    org = build_org_dataset(dev_instances, "anchor", split, seed=1, test_size=5, min_train=10)
     assert cutoff < first_holdout  # sanity for this fixture
     assert "other-tied" not in {i.instance_id for i in org.train + org.val}
     assert audit_temporal_leak([developer_dataset("anchor", split, 1), org], 5, 10) == []
@@ -164,7 +174,7 @@ def test_org_cutoff_steps_back_on_anchor_boundary_tie():
     min_holdout = min(i.timestamp for i in list(split.val) + list(split.test))
     assert max_train == min_holdout  # fixture really does tie
     other = [make_instance("other", ts=max_train, tag="attie")]
-    org = build_org_dataset({"anchor": anchor, "other": other}, "anchor", seed=1, test_size=5, min_train=10)
+    org = build_org_dataset({"anchor": anchor, "other": other}, "anchor", split, seed=1, test_size=5, min_train=10)
     assert org.manifest.cutoff_ts < min_holdout
     ids = {i.instance_id for i in org.train + org.val}
     assert "other-attie" not in ids
@@ -172,33 +182,71 @@ def test_org_cutoff_steps_back_on_anchor_boundary_tie():
 
 
 def test_org_anchor_must_be_eligible():
+    short = series("anchor", 6)
     with pytest.raises(AnchorIneligible):
-        build_org_dataset({"anchor": series("anchor", 6)}, "anchor", seed=1, test_size=5, min_train=10)
+        build_org_dataset({"anchor": short}, "anchor", split_developer(short, 5), seed=1, test_size=5, min_train=10)
+    other = series("a", 40)
     with pytest.raises(AnchorIneligible):
-        build_org_dataset({"a": series("a", 40)}, "missing", seed=1, test_size=5, min_train=10)
+        build_org_dataset({"a": other}, "missing", split_developer(other, 5), seed=1, test_size=5, min_train=10)
+
+
+def org_of(pool):
+    """An organization dataset whose train set is ``pool``."""
+    manifest = DatasetManifest("org-d", ROLE_ORGANIZATION, "d", BASE_TS + 10**6, (len(pool), 0, 0), 1)
+    return Dataset(manifest, tuple(pool))
 
 
 def test_org_subset_identity_empty_and_determinism():
     pool = series("d", 20)
-    assert sorted(i.instance_id for i in build_org_subset(pool, 20, seed=9)) == sorted(
+    assert sorted(i.instance_id for i in build_org_subset(org_of(pool), 20, seed=9).train) == sorted(
         i.instance_id for i in pool
     )
-    assert build_org_subset(pool, 0, seed=9) == []
-    a = build_org_subset(pool, 7, seed=9)
-    b = build_org_subset(list(reversed(pool)), 7, seed=9)
+    assert build_org_subset(org_of(pool), 0, seed=9).train == ()
+    a = build_org_subset(org_of(pool), 7, seed=9)
+    b = build_org_subset(org_of(list(reversed(pool))), 7, seed=9)
     assert a == b
     with pytest.raises(TargetTooLarge):
-        build_org_subset(pool, 21, seed=9)
+        build_org_subset(org_of(pool), 21, seed=9)
 
 
 def test_baseline_plus_respects_first_test_ts():
     pool = [make_instance("g", ts=BASE_TS + i, tag=str(i), repo="gen") for i in range(50)]
     cut = BASE_TS + 25
-    sample = build_baseline_plus(pool, 10, first_test_ts=cut, seed=3)
+    sample = build_baseline_plus(pool, "d", 10, first_test_ts=cut, seed=3).train
     assert len(sample) == 10
     assert all(i.timestamp < cut for i in sample)
     with pytest.raises(TargetTooLarge):
-        build_baseline_plus(pool, 26, first_test_ts=cut, seed=3)
+        build_baseline_plus(pool, "d", 26, first_test_ts=cut, seed=3)
+
+
+def test_builders_derive_manifests_from_their_parts():
+    anchor = series("anchor", 40)
+    split = split_developer(anchor, test_size=5)
+    dev = developer_dataset("anchor", split, 1)
+    org = build_org_dataset({"anchor": anchor}, "anchor", split, seed=2, test_size=5, min_train=10)
+    sub = build_org_subset(org, 10, seed=3)
+    pool = [make_instance("g", ts=BASE_TS + i, tag=str(i), repo="gen") for i in range(50)]
+    bplus = build_baseline_plus(pool, "anchor", 10, first_test_ts=split.test[0].timestamp, seed=4)
+    generic = build_unanchored(ROLE_GENERIC_FINETUNE, pool, seed=5)
+    pretrain = build_unanchored(ROLE_PRETRAIN, pool, seed=5)
+    expected = [
+        (dev, "dev-anchor", ROLE_DEVELOPER, "anchor", max(i.timestamp for i in split.train), 1),
+        (org, "org-anchor", ROLE_ORGANIZATION, "anchor", org.manifest.cutoff_ts, 2),
+        (sub, "orgsub-anchor", ROLE_ORG_SUBSET, "anchor", org.manifest.cutoff_ts, 3),
+        (bplus, "bplus-anchor", ROLE_BASELINE_PLUS, "anchor", split.test[0].timestamp, 4),
+        (generic, "generic", ROLE_GENERIC_FINETUNE, None, None, 5),
+        (pretrain, "pretrain", ROLE_PRETRAIN, None, None, 5),
+    ]
+    for ds, dataset_id, role, anchor_id, cutoff_ts, seed in expected:
+        m = ds.manifest
+        assert (m.dataset_id, m.role, m.anchor_developer, m.cutoff_ts, m.seed) == (
+            dataset_id, role, anchor_id, cutoff_ts, seed
+        )
+        assert m.counts == (len(ds.train), len(ds.val), len(ds.test))
+    assert (len(generic.train), len(generic.val)) == (45, 5)
+    assert generic.train != pretrain.train  # each role shuffles under its own seed
+    assert list(pretrain.parts()) == ["train", "val"]
+    assert list(generic.parts()) == ["train", "val", "test"]
 
 
 def test_cap_methods_per_repo():
@@ -285,5 +333,5 @@ def test_temporal_leak_fuzz_small():
             continue
         if not eligible(split, min_train=10, test_size=5):
             continue
-        org = build_org_dataset(devs, anchor, seed=7, test_size=5, min_train=10)
+        org = build_org_dataset(devs, anchor, split, seed=7, test_size=5, min_train=10)
         assert audit_temporal_leak([developer_dataset(anchor, split, 7), org], 5, 10) == []

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import repotailor
 from repotailor.assembly import (
     ROLE_BASELINE_PLUS,
     ROLE_DEVELOPER,
@@ -118,39 +119,44 @@ def test_mine_is_noop_when_heads_unchanged(mined):
     assert commits_path.read_bytes() == before
 
 
-def _future(row, holdout_row):
-    row["ts"] += 10**9  # an instance from the far future
+def _future(rows, holdout_row):
+    rows[0]["ts"] += 10**9  # an instance from the far future
 
 
-def _duplicate(row, holdout_row):
-    row["context"], row["target"] = holdout_row["context"], holdout_row["target"]
+def _duplicate(rows, holdout_row):
+    rows[0]["context"], rows[0]["target"] = holdout_row["context"], holdout_row["target"]
 
 
-def _org_repo(row, holdout_row):
-    row["repo"] = "org0"
+def _org_repo(rows, holdout_row):
+    rows[0]["repo"] = "org0"
 
 
-@pytest.mark.parametrize("role, plant, expected", [
-    pytest.param(ROLE_DEVELOPER, _future, "train newer than holdout", id="developer-future"),
-    pytest.param(ROLE_DEVELOPER, _duplicate, "duplicates anchor holdout", id="developer-duplicate"),
-    pytest.param(ROLE_ORGANIZATION, _future, "newer than cutoff", id="organization-future"),
-    pytest.param(ROLE_ORGANIZATION, _duplicate, "duplicates anchor holdout", id="organization-duplicate"),
-    pytest.param(ROLE_ORG_SUBSET, _future, "newer than cutoff", id="org-subset-future"),
-    pytest.param(ROLE_ORG_SUBSET, _duplicate, "duplicates anchor holdout", id="org-subset-duplicate"),
-    pytest.param(ROLE_BASELINE_PLUS, _future, "first test ts", id="baseline-plus-future"),
-    pytest.param(ROLE_BASELINE_PLUS, _duplicate, "duplicates anchor holdout", id="baseline-plus-duplicate"),
-    pytest.param(ROLE_BASELINE_PLUS, _org_repo, "organization repository", id="baseline-plus-org-repo"),
+def _drop_last(rows, holdout_row):
+    del rows[-1]
+
+
+@pytest.mark.parametrize("role, part, plant, expected", [
+    pytest.param(ROLE_DEVELOPER, "train", _future, "train newer than holdout", id="developer-future"),
+    pytest.param(ROLE_DEVELOPER, "train", _duplicate, "duplicates anchor holdout", id="developer-duplicate"),
+    pytest.param(ROLE_ORGANIZATION, "train", _future, "newer than cutoff", id="organization-future"),
+    pytest.param(ROLE_ORGANIZATION, "train", _duplicate, "duplicates anchor holdout", id="organization-duplicate"),
+    pytest.param(ROLE_ORGANIZATION, "val", _drop_last, "manifest counts", id="organization-val-short"),
+    pytest.param(ROLE_ORG_SUBSET, "train", _future, "newer than cutoff", id="org-subset-future"),
+    pytest.param(ROLE_ORG_SUBSET, "train", _duplicate, "duplicates anchor holdout", id="org-subset-duplicate"),
+    pytest.param(ROLE_BASELINE_PLUS, "train", _future, "first test ts", id="baseline-plus-future"),
+    pytest.param(ROLE_BASELINE_PLUS, "train", _duplicate, "duplicates anchor holdout", id="baseline-plus-duplicate"),
+    pytest.param(ROLE_BASELINE_PLUS, "train", _org_repo, "organization repository", id="baseline-plus-org-repo"),
 ])
-def test_verify_flags_planted_leak(mined, tmp_path, role, plant, expected):
+def test_verify_flags_planted_leak(mined, tmp_path, role, part, plant, expected):
     cfg, config_path, _, index = mined
     out = tmp_path / "out"
     shutil.copytree(cfg.out_dir, out)
     man = next(m for m in index["manifests"] if m["role"] == role)
     holdout_row = next(read_jsonl(out / "datasets" / f"dev-{man['anchor_developer']}" / "test.jsonl"))
-    train_path = out / man["path"] / "train.jsonl"
-    rows = list(read_jsonl(train_path))
-    plant(rows[0], holdout_row)
-    train_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    part_path = out / man["path"] / f"{part}.jsonl"
+    rows = list(read_jsonl(part_path))
+    plant(rows, holdout_row)
+    part_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     violations = run_verify(load_config(config_path, out_dir=str(out)))
     assert any(v.startswith(f"{man['dataset_id']}: ") and expected in v for v in violations), violations
 
@@ -349,15 +355,50 @@ def test_load_config_validation(tmp_path):
     pytest.param("seed", "abc", id="seed-not-int"),
     pytest.param("seed", True, id="seed-bool"),
     pytest.param("seed", 7.0, id="seed-float"),
+    pytest.param("repos", lambda repos: [{**repos[0], "repo_id": 7}], id="repo_id-not-str"),
+    pytest.param("repos", lambda repos: [{**repos[0], "branch": ["main"]}], id="branch-not-str"),
 ])
 def test_bad_config_values_exit_2(fixture_repos, tmp_path, capsys, key, value):
     org, _ = fixture_repos
     config_path = write_fixture_config(tmp_path, tmp_path / "out", org)
     data = json.loads(config_path.read_text())
-    data[key] = value
+    data[key] = value(data[key]) if callable(value) else value
     config_path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["mine", "--config", str(config_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _scenario_without_small_cost() -> str:
+    scenario = json.loads((Path(repotailor.__file__).parent / "data" / "scenario.json").read_text())
+    del scenario["inference_cost_small"]
+    return json.dumps(scenario)
+
+
+@pytest.mark.parametrize("key, content, stages", [
+    pytest.param("identity_overrides", None, ["mine"], id="overrides-missing"),
+    pytest.param(
+        "identity_overrides", '{"name": "Alice Dev", "email": "alice.dev@example.com"}\n', ["mine"],
+        id="override-without-author-id",
+    ),
+    pytest.param("scenario_file", None, ["mine", "assemble", "insight"], id="scenario-missing"),
+    pytest.param(
+        "scenario_file", _scenario_without_small_cost(), ["mine", "assemble", "insight"],
+        id="scenario-without-small-cost",
+    ),
+])
+def test_bad_override_and_scenario_files_exit_2(fixture_repos, tmp_path, capsys, key, content, stages):
+    org, _ = fixture_repos
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", org)
+    data = json.loads(config_path.read_text())
+    data[key] = str(tmp_path / f"{key}.json")
+    if content is not None:
+        Path(data[key]).write_text(content, encoding="utf-8")
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    for stage in stages[:-1]:
+        assert main([stage, "--config", str(config_path)]) == 0
+    assert main([stages[-1], "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and data[key] in err
 
 
 def test_config_hash_is_pinned(tmp_path):
