@@ -129,7 +129,6 @@ class MaskLengthDistribution:
 
 # length targets measured on merged developer change histories
 APACHE_MASK_DISTRIBUTION = MaskLengthDistribution(mean=11.0, median=8.0, min=3, max=50)
-SPRING_MASK_DISTRIBUTION = MaskLengthDistribution(mean=13.0, median=10.0, min=3, max=50)
 
 
 def _line_token_counts(method: MethodUnit) -> Counter:

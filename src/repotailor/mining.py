@@ -2,12 +2,15 @@
 
 Commits come from the first-parent chain of a branch in an on-disk
 clone, oldest first, with change stats taken against the first parent
-(the root commit is diffed against the empty tree). Line-level change
-attribution uses a minimal Myers diff and reports only inserted lines.
+(the root commit is diffed against the empty tree). File contents come
+from one ``git cat-file --batch`` process per repository. Line-level
+change attribution uses a minimal Myers diff and reports only inserted
+lines.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,15 +72,18 @@ class OutlierThreshold:
 
 
 def _run_git(repo_path: str | Path, *args: str) -> str:
-    result = subprocess.run(
-        ["git", "-C", str(repo_path), *args],
-        capture_output=True,
-        text=True,
-        encoding="utf-8",
-        errors="replace",
-    )
+    try:
+        result = subprocess.run(
+            ["git", "-C", str(repo_path), *args],
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            errors="replace",
+        )
+    except OSError as exc:
+        raise RepoUnreadable(f"{repo_path}: git {args[0]}: {exc}") from exc
     if result.returncode != 0:
-        raise RuntimeError(f"git {args[0]} failed: {result.stderr.strip()}")
+        raise RepoUnreadable(f"{repo_path}: git {args[0]} failed: {result.stderr.strip()}")
     return result.stdout
 
 
@@ -97,11 +103,7 @@ def stream_commits(repo_path: str | Path, branch: str, repo_id: str | None = Non
     path = Path(repo_path)
     if repo_id is None:
         repo_id = path.name
-    try:
-        _run_git(path, "rev-parse", "--git-dir")
-    except (RuntimeError, OSError) as exc:
-        raise RepoUnreadable(f"{path}: {exc}") from exc
-
+    _run_git(path, "rev-parse", "--git-dir")
     if not branch_head(path, branch):
         heads = _run_git(path, "for-each-ref", "refs/heads")
         if not heads.strip():
@@ -162,16 +164,70 @@ def stream_commits(repo_path: str | Path, branch: str, repo_id: str | None = Non
     return commits
 
 
-def read_blob(repo_path: str | Path, sha: str, file: str) -> str | None:
+class BlobReader:
+    """One ``git cat-file --batch`` child that serves every blob read of
+    one repository.
+
+    Use it as a context manager: leaving the block closes the child's
+    input and waits for it to exit, killing it when it does not. A child
+    that fails while reading raises `RepoUnreadable`.
+    """
+
+    def __init__(self, repo_path: str | Path):
+        self.repo_path = Path(repo_path)
+        try:
+            self.process = subprocess.Popen(
+                ["git", "-C", str(repo_path), "cat-file", "--batch"],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+            )
+        except OSError as exc:
+            raise RepoUnreadable(f"{repo_path}: git cat-file: {exc}") from exc
+
+    def __enter__(self) -> "BlobReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        try:
+            self.process.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.communicate()
+
+    def read(self, name: str) -> bytes | None:
+        """The contents of object ``name`` (such as ``<sha>:<path>``), or
+        None when it is missing or not a blob."""
+        proc = self.process
+        try:
+            proc.stdin.write(os.fsencode(name) + b"\n")
+            proc.stdin.flush()
+            header = proc.stdout.readline()
+            if not header:
+                raise EOFError(f"no reply, exit status {proc.poll()}")
+            fields = header.split()
+            if fields and fields[-1] == b"missing":
+                return None
+            if len(fields) != 3 or not fields[2].isdigit():
+                raise ValueError(f"unexpected header {header!r}")
+            size = int(fields[2])
+            data = proc.stdout.read(size)
+            if len(data) != size or proc.stdout.read(1) != b"\n":
+                raise EOFError(f"object cut short, exit status {proc.poll()}")
+        except (OSError, EOFError, ValueError) as exc:
+            raise RepoUnreadable(f"{self.repo_path}: git cat-file --batch on {name}: {exc}") from exc
+        return data if fields[1] == b"blob" else None
+
+
+def read_blob(reader: BlobReader, sha: str, file: str) -> str | None:
     """File content at a commit; None for missing or undecodable blobs."""
-    result = subprocess.run(
-        ["git", "-C", str(repo_path), "show", f"{sha}:{file}"],
-        capture_output=True,
-    )
-    if result.returncode != 0:
+    data = reader.read(f"{sha}:{file}")
+    if data is None:
         return None
     try:
-        return result.stdout.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError:
         return None
 

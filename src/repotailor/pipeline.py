@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 from collections import defaultdict
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from . import assembly, insight, masking, metrics, stats
@@ -32,6 +34,7 @@ from .javamethods import (
 )
 from .masking import CompletionInstance, MaskLengthDistribution, Provenance
 from .mining import (
+    BlobReader,
     CommitRecord,
     OutlierThreshold,
     added_lines,
@@ -141,20 +144,20 @@ def _ingest(specs: tuple[RepoSpec, ...]) -> tuple[list[CommitRecord], dict, Outl
 
 def _mine_changed_methods(
     commit: CommitRecord,
-    repo_path: str,
+    reader: BlobReader,
     counters: dict,
 ) -> list[tuple[str, MethodUnit, list[int]]]:
     """(file, kept method, added line numbers) triples for one commit."""
     out: list[tuple[str, MethodUnit, list[int]]] = []
     reasons = counters["method_drop_reasons"]
     for file in sorted(commit.changed_java_files):
-        child = read_blob(repo_path, commit.sha, file)
+        child = read_blob(reader, commit.sha, file)
         if child is None:
             counters["undecodable_files"] += 1
             continue
         parent = ""
         if commit.first_parent_sha is not None:
-            parent = read_blob(repo_path, commit.first_parent_sha, file) or ""
+            parent = read_blob(reader, commit.first_parent_sha, file) or ""
         lines = added_lines(parent, child, file)
         if not lines:
             continue
@@ -231,25 +234,32 @@ def run_mine(cfg: RunConfig) -> dict:
         for alias in ident.aliases:
             author_of[alias] = ident.author_id
 
+    # commits are sorted by repository: one blob reader per repository,
+    # each closed and reaped before the next opens
     instances: list[CompletionInstance] = []
     skipped_non_pool = 0
-    for commit in commits:
-        if not commit.changed_java_files:
-            continue
-        author_id = author_of[(commit.author_name, commit.author_email)]
-        if author_id not in pool_ids:
-            skipped_non_pool += 1
-            continue
-        changed = _mine_changed_methods(commit, repo_paths[commit.repo_id], counters)
-        instances.extend(_mask_commit_methods(cfg, commit, author_id, changed))
+    for repo_id, repo_commits in groupby(commits, key=attrgetter("repo_id")):
+        with BlobReader(repo_paths[repo_id]) as reader:
+            for commit in repo_commits:
+                if not commit.changed_java_files:
+                    continue
+                author_id = author_of[(commit.author_name, commit.author_email)]
+                if author_id not in pool_ids:
+                    skipped_non_pool += 1
+                    continue
+                changed = _mine_changed_methods(commit, reader, counters)
+                instances.extend(_mask_commit_methods(cfg, commit, author_id, changed))
     instances.sort(key=lambda i: (i.repo_id, i.timestamp, i.commit_sha, i.file, i.instance_id))
 
     gen_commits, gen_funnel, _ = _ingest(cfg.generic_repos)
-    generic_methods = [
-        _method_record(commit, file, method)
-        for commit in gen_commits
-        for file, method, _ in _mine_changed_methods(commit, repo_paths[commit.repo_id], counters)
-    ]
+    generic_methods = []
+    for repo_id, repo_commits in groupby(gen_commits, key=attrgetter("repo_id")):
+        with BlobReader(repo_paths[repo_id]) as reader:
+            generic_methods.extend(
+                _method_record(commit, file, method)
+                for commit in repo_commits
+                for file, method, _ in _mine_changed_methods(commit, reader, counters)
+            )
     generic_methods.sort(key=lambda r: (r["repo"], r["ts"], r["sha"], r["file"], r["signature"]))
 
     write_jsonl(out_dir / "commits.jsonl", (c.to_record() for c in commits))
@@ -667,16 +677,29 @@ def run_insight(cfg: RunConfig) -> dict:
 
 def run_verify(cfg: RunConfig) -> list[str]:
     """Leak audit over an assembled output tree, plus a check that every
-    dataset directory on disk is listed in ``index.json``."""
+    dataset directory on disk is listed in ``index.json``. A missing
+    part file is a violation, and the audit sees it as empty."""
     out_dir = Path(cfg.out_dir)
     _check_stage_stamp(cfg, STAGE_ASSEMBLE)
     index = read_json(out_dir / "index.json")
-    anchored = []
-    for man in index["manifests"]:
-        if man["anchor_developer"]:
-            parts = (_load_part(out_dir, man, p) for p in ("train", "val", "test"))
-            anchored.append(assembly.Dataset(assembly.DatasetManifest.from_record(man), *map(tuple, parts)))
-    violations = assembly.audit_temporal_leak(
+    missing: list[str] = []
+
+    def load(man: dict, part: str) -> tuple[CompletionInstance, ...]:
+        try:
+            return tuple(_load_part(out_dir, man, part))
+        except FileNotFoundError:
+            missing.append(f"{man['dataset_id']}: {part}.jsonl missing")
+            return ()
+
+    anchored = [
+        assembly.Dataset(
+            assembly.DatasetManifest.from_record(man),
+            *(load(man, part) for part in ("train", "val", "test")),
+        )
+        for man in index["manifests"]
+        if man["anchor_developer"]
+    ]
+    violations = missing + assembly.audit_temporal_leak(
         anchored, cfg.caps.test_size, cfg.caps.min_train,
         {spec.resolved_id() for spec in cfg.generic_repos},
     )

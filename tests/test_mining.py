@@ -1,19 +1,33 @@
 from __future__ import annotations
 
 import random
+import subprocess
 
 import pytest
 
+from repotailor.cli import main
+from repotailor.config import load_config
 from repotailor.errors import BranchMissing, EmptyInput, RepoUnreadable
 from repotailor.mining import (
+    BlobReader,
     CommitRecord,
     added_lines,
     filter_bots,
     filter_outliers,
+    read_blob,
     stream_commits,
 )
+from repotailor.pipeline import run_mine
 
-from conftest import BASE_TS, commit_files, init_repo, run_git
+from conftest import (
+    BASE_TS,
+    build_generic_repo,
+    build_org_repo,
+    commit_files,
+    init_repo,
+    run_git,
+    write_fixture_config,
+)
 from oracles import q3_iqr_oracle
 
 
@@ -176,3 +190,91 @@ def test_added_lines_positions_match_child_fuzz():
         for line in result:
             assert child_lines[line.line_number - 1] == line.text
         assert added_lines(parent_text, parent_text) == []
+
+
+def _git_show(repo, sha, file):
+    """File content at a commit as ``git show <sha>:<path>`` gives it;
+    None when git fails or the bytes are not UTF-8."""
+    result = subprocess.run(["git", "-C", str(repo), "show", f"{sha}:{file}"], capture_output=True)
+    if result.returncode != 0:
+        return None
+    try:
+        return result.stdout.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def test_read_blob_matches_git_show_on_fixture_repos(tmp_path):
+    repos = [build_org_repo(tmp_path / "org", 0), build_generic_repo(tmp_path / "gen", 0)]
+    compared = 0
+    for repo in repos:
+        with BlobReader(repo) as reader:
+            for commit in stream_commits(repo, "main"):
+                for file in commit.changed_java_files:
+                    assert read_blob(reader, commit.sha, file) == _git_show(repo, commit.sha, file)
+                    if commit.first_parent_sha is not None:
+                        parent = read_blob(reader, commit.first_parent_sha, file)
+                        assert parent == _git_show(repo, commit.first_parent_sha, file)
+                    compared += 1
+    assert compared > 25  # the outlier commit alone adds 25 new files
+
+
+MULTI_BYTE = "class M { String s = \"na\u00efve \u65e5\u672c \U0001f600\"; }\n"
+LOOKS_LIKE_HEADER = f"{'ab' * 20} blob 12\n{'cd' * 20}:X.java missing\nclass H {{}}\n"
+
+
+@pytest.fixture
+def edge_repo(tmp_path):
+    """Commit 1 adds A.java; commit 2 changes it and adds files with
+    edge-case contents, one of them Latin-1 encoded."""
+    repo = init_repo(tmp_path / "edge")
+    commit_files(repo, {"A.java": "class A {}\n"}, "one", "Alice", "a@x.com", BASE_TS)
+    (repo / "Latin.java").write_bytes("class L { String s = \"caf\u00e9\"; }\n".encode("latin-1"))
+    commit_files(repo, {
+        "A.java": "class A {\n    int f() { return 1; }\n}\n",
+        "Empty.java": "",
+        "pkg/NoEol.java": "class N {}",
+        "Multi.java": MULTI_BYTE,
+        "Header.java": LOOKS_LIKE_HEADER,
+    }, "two", "Alice", "a@x.com", BASE_TS + 60)
+    return repo
+
+
+def test_read_blob_edge_cases(edge_repo):
+    first, second = (c.sha for c in stream_commits(edge_repo, "main"))
+    with BlobReader(edge_repo) as reader:
+        assert read_blob(reader, first, "Empty.java") is None  # absent in the parent
+        assert read_blob(reader, second, "Latin.java") is None  # not UTF-8
+        assert read_blob(reader, second, "Empty.java") == ""
+        assert read_blob(reader, second, "pkg/NoEol.java") == "class N {}"
+        assert read_blob(reader, second, "Multi.java") == MULTI_BYTE
+        assert read_blob(reader, second, "Header.java") == LOOKS_LIKE_HEADER
+        assert read_blob(reader, first, "A.java") == "class A {}\n"  # still in step after them
+        assert read_blob(reader, second, "pkg") is None  # a tree, not a blob
+
+
+def test_undecodable_blob_is_counted(edge_repo, tmp_path):
+    cfg = load_config(write_fixture_config(tmp_path, tmp_path / "out", [edge_repo]))
+    report = run_mine(cfg)
+    assert report["files"]["undecodable"] == 1
+
+
+def test_reader_whose_child_died_raises(edge_repo):
+    sha = stream_commits(edge_repo, "main")[0].sha
+    with BlobReader(edge_repo) as reader:
+        assert read_blob(reader, sha, "A.java") == "class A {}\n"
+        reader.process.kill()
+        reader.process.wait(timeout=10)
+        with pytest.raises(RepoUnreadable):
+            read_blob(reader, sha, "A.java")
+    assert reader.process.returncode is not None
+
+
+def test_failing_git_log_is_repo_unreadable(edge_repo, tmp_path, capsys):
+    blob = run_git(edge_repo, "rev-parse", "HEAD~1:A.java").strip()
+    (edge_repo / ".git" / "objects" / blob[:2] / blob[2:]).unlink()  # numstat cannot diff it
+    with pytest.raises(RepoUnreadable, match="git log failed"):
+        stream_commits(edge_repo, "main")
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", [edge_repo])
+    assert main(["mine", "--config", str(config_path)]) == 3
+    assert "data error" in capsys.readouterr().err

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
 import repotailor
+from repotailor import pipeline
 from repotailor.assembly import (
     ROLE_BASELINE_PLUS,
     ROLE_DEVELOPER,
@@ -159,6 +161,74 @@ def test_verify_flags_planted_leak(mined, tmp_path, role, part, plant, expected)
     part_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     violations = run_verify(load_config(config_path, out_dir=str(out)))
     assert any(v.startswith(f"{man['dataset_id']}: ") and expected in v for v in violations), violations
+
+
+def test_verify_reports_a_missing_part(mined, tmp_path, capsys):
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    man = next(m for m in index["manifests"] if m["role"] == ROLE_ORGANIZATION)
+    (out / man["path"] / "val.jsonl").unlink()
+    violations = run_verify(load_config(config_path, out_dir=str(out)))
+    assert f"{man['dataset_id']}: val.jsonl missing" in violations
+    assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 3
+    assert f"violation: {man['dataset_id']}: val.jsonl missing" in capsys.readouterr().err
+
+
+GIT_PROCESSES_PER_REPO = 5  # rev-parse twice, log, cat-file, and the stamp's rev-parse
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process started while the test runs. `subprocess.run`
+    starts its process through `subprocess.Popen`, so replacing
+    `Popen` records both ways of starting one."""
+    processes: list[subprocess.Popen] = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            processes.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return processes
+
+
+def test_mine_starts_a_few_git_processes_per_repository(fixture_repos, tmp_path, monkeypatch, started):
+    org, generic = fixture_repos
+    cfg = load_config(write_fixture_config(tmp_path, tmp_path / "out", org, generic))
+    blob_reads = 0
+    read_blob = pipeline.read_blob
+
+    def counted(*args):
+        nonlocal blob_reads
+        blob_reads += 1
+        return read_blob(*args)
+
+    monkeypatch.setattr(pipeline, "read_blob", counted)
+    run_mine(cfg)
+    git = [p for p in started if p.args[0] == "git"]
+    assert any("log" in p.args for p in git)  # subprocess.run is recorded
+    assert len(git) <= GIT_PROCESSES_PER_REPO * len(org + generic) < blob_reads
+    readers = [p for p in git if "cat-file" in p.args]
+    assert len(readers) == len(org + generic)
+    assert all(p.returncode is not None for p in readers)
+
+
+@pytest.mark.parametrize("failing", ["_mask_commit_methods", "_method_record"], ids=["org", "generic"])
+def test_mine_reaps_blob_readers_when_it_raises(fixture_repos, tmp_path, monkeypatch, started, failing):
+    org, generic = fixture_repos
+    cfg = load_config(write_fixture_config(tmp_path, tmp_path / "out", org, generic))
+
+    def fail(*args):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(pipeline, failing, fail)
+    with pytest.raises(RuntimeError, match="planted"):
+        run_mine(cfg)
+    readers = [p for p in started if "cat-file" in p.args]
+    assert readers
+    assert all(p.returncode is not None for p in readers)
 
 
 def test_stale_datasets_are_flagged_and_not_scored(fixture_repos, tmp_path):
