@@ -1,16 +1,32 @@
-"""Total lexer for Java source.
+"""Lexer for Java source that yields its significant tokens.
 
-Tokenization never fails: unknown characters become one-character
-operator tokens, unterminated literals close at end of line (or end of
-input for block comments and text blocks). Concatenating the token
-texts in order reproduces the input exactly, which the rest of the
-pipeline relies on for span surgery.
+`lex` never fails: unknown characters become one-character operator
+tokens, unterminated strings and chars close at end of line, and text
+blocks and block comments at end of input. Whitespace and comments are
+skipped. Each token keeps the 1-based line and 0-based column of its
+first character; that position, not the token texts, locates a token
+in its source (see `masking.offset_in_text`).
+
+One compiled pattern does the work, one named group per token kind. A
+possessive prefix absorbs the whitespace and comments before a token,
+so each match is one significant token, and a final end-of-input
+alternative keeps trailing trivia from being scanned again.
+
+A number starts with a `str.isdigit` character, an identifier with a
+`str.isalpha` one (or "_", "$"), and an identifier goes on while
+`str.isalnum` holds. `re`'s own classes differ from the first two on
+about 1,300 code points (`²` is a digit, `½` and `Ⅷ` are neither
+digits nor letters). ASCII text uses ASCII classes, which are exact
+there; the Unicode pattern is built on first use of non-ASCII text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+import array
+import functools
+import re
+import sys
+from typing import NamedTuple
 
 IDENTIFIER = "identifier"
 KEYWORD = "keyword"
@@ -19,8 +35,6 @@ CHAR_LITERAL = "char-literal"
 NUMBER_LITERAL = "number-literal"
 OPERATOR = "operator"
 SEPARATOR = "separator"
-COMMENT = "comment"
-WHITESPACE = "whitespace"
 
 KEYWORDS = frozenset({
     "abstract", "assert", "boolean", "break", "byte", "case", "catch",
@@ -35,7 +49,7 @@ KEYWORDS = frozenset({
     "true", "false", "null",
 })
 
-# Longest-match first within each bucket.
+# Longest-match first; separators are tried before operators.
 _OPERATORS = (
     ">>>=", ">>=", "<<=", ">>>", "<<", ">>", "->", "==", "!=", "<=",
     ">=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "&=", "|=",
@@ -44,173 +58,101 @@ _OPERATORS = (
 )
 _SEPARATORS = ("...", "::", "(", ")", "{", "}", "[", "]", ";", ",", ".", "@")
 
-_WS_CHARS = " \t\f\r\n"
-_HEX_DIGITS = set("0123456789abcdefABCDEF_")
 
-
-@dataclass(frozen=True, slots=True)
-class SourceToken:
+class SourceToken(NamedTuple):
     kind: str
     text: str
     line: int  # 1-based line of the token's first character
     col: int   # 0-based column of the token's first character
 
-    @property
-    def significant(self) -> bool:
-        return self.kind not in (COMMENT, WHITESPACE)
+
+# Whitespace is " \t\f\r\n" only; any other character starts a token.
+_TRIVIA = r"(?:[ \t\f\r\n]++|//[^\n]*+|/\*[\s\S]*?(?:\*/|\Z))*+"
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c in "_$"
+def _pattern(digit: str, ident_start: str, ident_part: str) -> re.Pattern:
+    """The master pattern. ``digit`` and ``ident_part`` are bodies of
+    character classes; ``ident_start`` matches one character."""
+    digits = f"[{digit}][{digit}_]*+"
+    exponent = f"(?:[eE][+-]?{digits})?"
+    number = (
+        f"(?:0[xX][0-9a-fA-F_.]*+(?:[pP][+-]?{digits})?"
+        f"|0[bB][01][01_]*+"
+        # "1." is a number, but "1.foo" is "1" "." "foo"
+        f"|{digits}(?:\\.{digits}|\\.(?!{ident_start}))?{exponent}"
+        f"|\\.{digits}{exponent})[lLfFdD]?"
+    )
+    quoted = r"{q}(?:[^{q}\\\n]++|\\[\s\S])*+(?:{q}|\\)?"
+    groups = (
+        ("number", number),
+        ("word", f"{ident_start}[{ident_part}]*+"),
+        ("separator", "|".join(map(re.escape, _SEPARATORS))),
+        ("string", r'"""[\s\S]*?(?:"""|\Z)|' + quoted.format(q='"')),
+        ("char", quoted.format(q="'")),
+        ("operator", "|".join(map(re.escape, _OPERATORS)) + r"|[\s\S]"),
+        ("end", r"\Z"),
+    )
+    body = "|".join(f"(?P<{name}>{alt})" for name, alt in groups)
+    return re.compile(f"{_TRIVIA}(?:{body})")
 
 
-def _is_ident_part(c: str) -> bool:
-    return c.isalnum() or c in "_$"
+_ASCII_PATTERN = _pattern("0-9", "[A-Za-z_$]", "0-9A-Za-z_$")
+# Kind of each group, by group number in `_pattern`; a word is a keyword
+# or an identifier.
+_KINDS = (None, NUMBER_LITERAL, None, SEPARATOR, STRING_LITERAL, CHAR_LITERAL, OPERATOR, None)
+_WORD = _ASCII_PATTERN.groupindex["word"]
+_END = _ASCII_PATTERN.groupindex["end"]
 
 
-def _scan_number(s: str, i: int) -> int:
-    n = len(s)
-    j = i
-    if s[j] == "0" and j + 1 < n and s[j + 1] in "xX":
-        j += 2
-        while j < n and (s[j] in _HEX_DIGITS or s[j] == "."):
-            j += 1
-        if j < n and s[j] in "pP":  # hex float exponent
-            k = j + 1
-            if k < n and s[k] in "+-":
-                k += 1
-            if k < n and s[k].isdigit():
-                j = k
-                while j < n and (s[j].isdigit() or s[j] == "_"):
-                    j += 1
-    elif s[j] == "0" and j + 1 < n and s[j + 1] in "bB" and j + 2 < n and s[j + 2] in "01":
-        j += 2
-        while j < n and s[j] in "01_":
-            j += 1
-    else:
-        while j < n and (s[j].isdigit() or s[j] == "_"):
-            j += 1
-        if j < n and s[j] == "." and j + 1 < n and s[j + 1].isdigit():
-            j += 1
-            while j < n and (s[j].isdigit() or s[j] == "_"):
-                j += 1
-        elif j < n and s[j] == "." and s[i].isdigit() and (j + 1 >= n or not _is_ident_start(s[j + 1])):
-            # trailing-dot float like "1."; leave "1.foo" to the separator path
-            j += 1
-        if j < n and s[j] in "eE":
-            k = j + 1
-            if k < n and s[k] in "+-":
-                k += 1
-            if k < n and s[k].isdigit():
-                j = k
-                while j < n and (s[j].isdigit() or s[j] == "_"):
-                    j += 1
-    if j < n and s[j] in "lLfFdD":
-        j += 1
-    return j
+def _escaped(chars: str) -> str:
+    return "".join(f"\\U{ord(c):08x}" for c in chars)
 
 
-def _scan_string(s: str, i: int) -> int:
-    n = len(s)
-    if s.startswith('"""', i):  # text block: runs to the closing triple quote
-        end = s.find('"""', i + 3)
-        return n if end < 0 else end + 3
-    j = i + 1
-    while j < n:
-        c = s[j]
-        if c == "\\" and j + 1 < n:
-            j += 2
-            continue
-        if c == '"':
-            return j + 1
-        if c == "\n":  # unterminated: close before the newline
-            return j
-        j += 1
-    return n
+@functools.cache
+def _unicode_pattern() -> re.Pattern:
+    """The master pattern for non-ASCII text, built on first use.
 
-
-def _scan_char(s: str, i: int) -> int:
-    n = len(s)
-    j = i + 1
-    while j < n:
-        c = s[j]
-        if c == "\\" and j + 1 < n:
-            j += 2
-            continue
-        if c == "'":
-            return j + 1
-        if c == "\n":
-            return j
-        j += 1
-    return n
+    ``\\w`` is exactly `str.isalnum` plus "_", and ``\\d`` exactly
+    `str.isdecimal`. What `str.isdigit` and `str.isalpha` add or remove
+    is found among the word characters that are not decimal digits.
+    """
+    every = array.array("I", range(sys.maxunicode + 1)).tobytes().decode("utf-32-le", "surrogatepass")
+    other = "".join(c for c in "".join(re.findall(r"[^\W\d_]+", every)) if not c.isalpha())
+    digit = r"\d" + _escaped(filter(str.isdigit, other))
+    return _pattern(digit, f"(?:(?![{_escaped(other)}])[^\\W\\d]|\\$)", r"\w$")
 
 
 def lex(source: str) -> list[SourceToken]:
-    """Tokenize Java source; total over arbitrary input."""
+    """Significant tokens of Java source; total over arbitrary input."""
+    pattern = _ASCII_PATTERN if source.isascii() else _unicode_pattern()
     tokens: list[SourceToken] = []
+    append = tokens.append
+    new = tuple.__new__
     n = len(source)
-    i = 0
     line = 1
-    col = 0
-
-    def emit(kind: str, end: int) -> None:
-        nonlocal i, line, col
-        text = source[i:end]
-        tokens.append(SourceToken(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n") - 1
-        else:
-            col += len(text)
-        i = end
-
-    while i < n:
-        c = source[i]
-        if c in _WS_CHARS:
-            j = i
-            while j < n and source[j] in _WS_CHARS:
-                j += 1
-            emit(WHITESPACE, j)
-        elif c == "/" and i + 1 < n and source[i + 1] == "/":
-            j = source.find("\n", i)
-            emit(COMMENT, n if j < 0 else j)
-        elif c == "/" and i + 1 < n and source[i + 1] == "*":
-            j = source.find("*/", i + 2)
-            emit(COMMENT, n if j < 0 else j + 2)
-        elif c == '"':
-            emit(STRING_LITERAL, _scan_string(source, i))
-        elif c == "'":
-            emit(CHAR_LITERAL, _scan_char(source, i))
-        elif c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            emit(NUMBER_LITERAL, _scan_number(source, i))
-        elif _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_part(source[j]):
-                j += 1
-            word = source[i:j]
-            emit(KEYWORD if word in KEYWORDS else IDENTIFIER, j)
-        else:
-            for sep in _SEPARATORS:
-                if source.startswith(sep, i):
-                    emit(SEPARATOR, i + len(sep))
-                    break
-            else:
-                for op in _OPERATORS:
-                    if source.startswith(op, i):
-                        emit(OPERATOR, i + len(op))
-                        break
-                else:
-                    emit(OPERATOR, i + 1)  # unknown character
-
+    line_start = 0  # offset of the current line's first character
+    next_nl = source.find("\n")
+    if next_nl < 0:
+        next_nl = n
+    for m in pattern.finditer(source):
+        group = m.lastindex
+        if group == _END:
+            break
+        text = m[group]
+        start = m.end() - len(text)
+        if next_nl < start:
+            line += source.count("\n", line_start, start)
+            line_start = source.rfind("\n", 0, start) + 1
+            next_nl = source.find("\n", start)
+            if next_nl < 0:
+                next_nl = n
+        kind = _KINDS[group]
+        if group == _WORD:
+            kind = KEYWORD if text in KEYWORDS else IDENTIFIER
+        append(new(SourceToken, (kind, text, line, start - line_start)))
     return tokens
-
-
-def significant_tokens(tokens: Iterable[SourceToken]) -> list[SourceToken]:
-    """Drop comments and whitespace; what the pipeline counts as 'tokens'."""
-    return [t for t in tokens if t.significant]
 
 
 def token_texts(text: str) -> list[str]:
     """Significant token texts of a code snippet (metric/dedup unit)."""
-    return [t.text for t in lex(text) if t.significant]
+    return [t.text for t in lex(text)]

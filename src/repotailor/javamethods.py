@@ -14,13 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .javalex import (
-    IDENTIFIER,
-    KEYWORD,
-    SourceToken,
-    lex,
-    significant_tokens,
-)
+from .javalex import IDENTIFIER, KEYWORD, SourceToken, lex
 
 REASON_OK = "ok"
 REASON_TEST_NAME = "test-name"
@@ -85,7 +79,7 @@ def _braces_balanced(sig: list[SourceToken]) -> bool:
 
 def is_parsable(source: str) -> bool:
     """Whether method recovery can work on this source (braces balance)."""
-    return _braces_balanced(significant_tokens(lex(source)))
+    return _braces_balanced(lex(source))
 
 
 def _strip_annotations(tokens: list[SourceToken]) -> list[SourceToken]:
@@ -241,7 +235,7 @@ def _classify_header(header: list[SourceToken], parent_decl: str | None) -> tupl
 def parse_methods(source: str) -> list[MethodUnit] | None:
     """Method declarations (constructors included) in Java source, or
     None when its significant braces do not balance; lexes once."""
-    sig = significant_tokens(lex(source))
+    sig = lex(source)
     if not _braces_balanced(sig):
         return None
     lines = source.split("\n")

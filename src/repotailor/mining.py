@@ -104,24 +104,30 @@ def stream_commits(repo_path: str | Path, branch: str, repo_id: str | None = Non
     if repo_id is None:
         repo_id = path.name
     _run_git(path, "rev-parse", "--git-dir")
-    if not branch_head(path, branch):
-        heads = _run_git(path, "for-each-ref", "refs/heads")
-        if not heads.strip():
+    ref = f"refs/heads/{branch}"
+    try:
+        out = _run_git(
+            path,
+            "log",
+            "--first-parent",
+            "--reverse",
+            "--diff-merges=first-parent",
+            "--no-renames",  # keeps numstat paths literal
+            "--numstat",
+            # %x01/%x00 expand inside git, keeping NUL out of the argv
+            "--format=%x01%H%x00%an%x00%ae%x00%at%x00%P",
+            ref,
+            "--",
+        )
+    except RepoUnreadable:
+        # only now learn why: no commits at all, no such branch, or a
+        # failure reading a branch that exists
+        heads = _run_git(path, "for-each-ref", "--format=%(refname)", "refs/heads").split()
+        if not heads:
             return []  # repository without commits
-        raise BranchMissing(f"branch {branch!r} not found in {path}")
-
-    out = _run_git(
-        path,
-        "log",
-        "--first-parent",
-        "--reverse",
-        "--diff-merges=first-parent",
-        "--no-renames",  # keeps numstat paths literal
-        "--numstat",
-        # %x01/%x00 expand inside git, keeping NUL out of the argv
-        "--format=%x01%H%x00%an%x00%ae%x00%at%x00%P",
-        branch,
-    )
+        if ref not in heads:
+            raise BranchMissing(f"branch {branch!r} not found in {path}") from None
+        raise
 
     commits: list[CommitRecord] = []
     header: list[str] | None = None

@@ -25,7 +25,7 @@ from .errors import (
     TooFewInstances,
 )
 from .identity import load_overrides, resolve_identities, top_contributors
-from .javalex import lex, significant_tokens
+from .javalex import lex
 from .javamethods import (
     MethodUnit,
     apply_method_filters,
@@ -111,7 +111,7 @@ def _method_record(commit: CommitRecord, file: str, method: MethodUnit) -> dict:
 
 def method_from_text(text: str, name: str, signature: str) -> MethodUnit:
     """Rebuild a maskable MethodUnit from stored method source."""
-    tokens = tuple(significant_tokens(lex(text)))
+    tokens = tuple(lex(text))
     open_idx = next((i for i, t in enumerate(tokens) if t.text == "{"), None)
     body = max(0, len(tokens) - open_idx - 2) if open_idx is not None else 0
     return MethodUnit(

@@ -1,14 +1,27 @@
 """Independent reference implementations used only to check the
 production code. Deliberately brute-force: positional n-gram scans,
-explicit subset-sum enumeration, direct binomial tail sums.
+explicit subset-sum enumeration, direct binomial tail sums, and a
+character-walking lossless Java lexer.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from dataclasses import dataclass
 
 import numpy as np
+
+from repotailor.javalex import (
+    CHAR_LITERAL,
+    IDENTIFIER,
+    KEYWORD,
+    KEYWORDS,
+    NUMBER_LITERAL,
+    OPERATOR,
+    SEPARATOR,
+    STRING_LITERAL,
+)
 
 
 def bleu_oracle(candidate: list[str], reference: list[str], max_order: int = 4) -> float:
@@ -107,3 +120,196 @@ def q3_iqr_oracle(values: list[float]) -> tuple[float, float]:
         return values[0], 0.0
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q3, q3 - q1
+
+
+COMMENT = "comment"
+WHITESPACE = "whitespace"
+
+# Longest-match first within each bucket.
+_OPERATORS = (
+    ">>>=", ">>=", "<<=", ">>>", "<<", ">>", "->", "==", "!=", "<=",
+    ">=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "&=", "|=",
+    "^=", "%=", "+", "-", "*", "/", "%", "&", "|", "^", "!", "~", "=",
+    "<", ">", "?", ":",
+)
+_SEPARATORS = ("...", "::", "(", ")", "{", "}", "[", "]", ";", ",", ".", "@")
+
+_WS_CHARS = " \t\f\r\n"
+_HEX_DIGITS = set("0123456789abcdefABCDEF_")
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceToken:
+    kind: str
+    text: str
+    line: int  # 1-based line of the token's first character
+    col: int   # 0-based column of the token's first character
+
+    @property
+    def significant(self) -> bool:
+        return self.kind not in (COMMENT, WHITESPACE)
+
+
+def _is_ident_start(c: str) -> bool:
+    return c.isalpha() or c in "_$"
+
+
+def _is_ident_part(c: str) -> bool:
+    return c.isalnum() or c in "_$"
+
+
+def _scan_number(s: str, i: int) -> int:
+    n = len(s)
+    j = i
+    if s[j] == "0" and j + 1 < n and s[j + 1] in "xX":
+        j += 2
+        while j < n and (s[j] in _HEX_DIGITS or s[j] == "."):
+            j += 1
+        if j < n and s[j] in "pP":  # hex float exponent
+            k = j + 1
+            if k < n and s[k] in "+-":
+                k += 1
+            if k < n and s[k].isdigit():
+                j = k
+                while j < n and (s[j].isdigit() or s[j] == "_"):
+                    j += 1
+    elif s[j] == "0" and j + 1 < n and s[j + 1] in "bB" and j + 2 < n and s[j + 2] in "01":
+        j += 2
+        while j < n and s[j] in "01_":
+            j += 1
+    else:
+        while j < n and (s[j].isdigit() or s[j] == "_"):
+            j += 1
+        if j < n and s[j] == "." and j + 1 < n and s[j + 1].isdigit():
+            j += 1
+            while j < n and (s[j].isdigit() or s[j] == "_"):
+                j += 1
+        elif j < n and s[j] == "." and s[i].isdigit() and (j + 1 >= n or not _is_ident_start(s[j + 1])):
+            # trailing-dot float like "1."; leave "1.foo" to the separator path
+            j += 1
+        if j < n and s[j] in "eE":
+            k = j + 1
+            if k < n and s[k] in "+-":
+                k += 1
+            if k < n and s[k].isdigit():
+                j = k
+                while j < n and (s[j].isdigit() or s[j] == "_"):
+                    j += 1
+    if j < n and s[j] in "lLfFdD":
+        j += 1
+    return j
+
+
+def _scan_string(s: str, i: int) -> int:
+    n = len(s)
+    if s.startswith('"""', i):  # text block: runs to the closing triple quote
+        end = s.find('"""', i + 3)
+        return n if end < 0 else end + 3
+    j = i + 1
+    while j < n:
+        c = s[j]
+        if c == "\\" and j + 1 < n:
+            j += 2
+            continue
+        if c == '"':
+            return j + 1
+        if c == "\n":  # unterminated: close before the newline
+            return j
+        j += 1
+    return n
+
+
+def _scan_char(s: str, i: int) -> int:
+    n = len(s)
+    j = i + 1
+    while j < n:
+        c = s[j]
+        if c == "\\" and j + 1 < n:
+            j += 2
+            continue
+        if c == "'":
+            return j + 1
+        if c == "\n":
+            return j
+        j += 1
+    return n
+
+
+def reference_lex(source: str) -> list[ReferenceToken]:
+    """Tokenize Java source, whitespace and comments included; total over
+    arbitrary input, and the token texts concatenate to the input."""
+    tokens: list[ReferenceToken] = []
+    n = len(source)
+    i = 0
+    line = 1
+    col = 0
+
+    def emit(kind: str, end: int) -> None:
+        nonlocal i, line, col
+        text = source[i:end]
+        tokens.append(ReferenceToken(kind, text, line, col))
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            col = len(text) - text.rfind("\n") - 1
+        else:
+            col += len(text)
+        i = end
+
+    while i < n:
+        c = source[i]
+        if c in _WS_CHARS:
+            j = i
+            while j < n and source[j] in _WS_CHARS:
+                j += 1
+            emit(WHITESPACE, j)
+        elif c == "/" and i + 1 < n and source[i + 1] == "/":
+            j = source.find("\n", i)
+            emit(COMMENT, n if j < 0 else j)
+        elif c == "/" and i + 1 < n and source[i + 1] == "*":
+            j = source.find("*/", i + 2)
+            emit(COMMENT, n if j < 0 else j + 2)
+        elif c == '"':
+            emit(STRING_LITERAL, _scan_string(source, i))
+        elif c == "'":
+            emit(CHAR_LITERAL, _scan_char(source, i))
+        elif c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+            emit(NUMBER_LITERAL, _scan_number(source, i))
+        elif _is_ident_start(c):
+            j = i
+            while j < n and _is_ident_part(source[j]):
+                j += 1
+            word = source[i:j]
+            emit(KEYWORD if word in KEYWORDS else IDENTIFIER, j)
+        else:
+            for sep in _SEPARATORS:
+                if source.startswith(sep, i):
+                    emit(SEPARATOR, i + len(sep))
+                    break
+            else:
+                for op in _OPERATORS:
+                    if source.startswith(op, i):
+                        emit(OPERATOR, i + len(op))
+                        break
+                else:
+                    emit(OPERATOR, i + 1)  # unknown character
+
+    return tokens
+
+
+def assert_tokens_cover(source: str, tokens) -> None:
+    """``tokens`` are the significant tokens of ``source``: each text
+    sits at the offset of its (line, col), offsets strictly increase
+    without overlap, and every gap between tokens (and before the
+    first and after the last) lexes, under the reference, to whitespace
+    and comments only."""
+    line_starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+    end = 0
+    for tok in tokens:
+        offset = line_starts[tok.line - 1] + tok.col
+        assert offset >= end and tok.text, (tok, end)
+        assert source[offset : offset + len(tok.text)] == tok.text, tok
+        gap = source[end:offset]
+        assert all(t.kind in (WHITESPACE, COMMENT) for t in reference_lex(gap)), (gap, tok)
+        end = offset + len(tok.text)
+    assert all(t.kind in (WHITESPACE, COMMENT) for t in reference_lex(source[end:])), source[end:]

@@ -1,24 +1,31 @@
 from __future__ import annotations
 
+import ast
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import repotailor
 from repotailor.javalex import (
     CHAR_LITERAL,
-    COMMENT,
     IDENTIFIER,
     KEYWORD,
     NUMBER_LITERAL,
     OPERATOR,
     SEPARATOR,
     STRING_LITERAL,
-    WHITESPACE,
     lex,
     token_texts,
 )
 
+from conftest import _method_source, random_method
+from oracles import COMMENT, assert_tokens_cover, reference_lex
+
 
 def kinds_and_texts(source):
-    return [(t.kind, t.text) for t in lex(source) if t.kind != WHITESPACE]
+    return [(t.kind, t.text) for t in lex(source)]
 
 
 def test_simple_declaration():
@@ -50,9 +57,10 @@ def test_string_escapes_and_char_literals():
 
 
 def test_comments():
-    toks = lex("a // line\n/* block\nspans */ b")
-    comments = [t.text for t in toks if t.kind == COMMENT]
+    source = "a // line\n/* block\nspans */ b"
+    comments = [t.text for t in reference_lex(source) if t.kind == COMMENT]
     assert comments == ["// line", "/* block\nspans */"]
+    assert [(t.text, t.line, t.col) for t in lex(source)] == [("a", 1, 0), ("b", 3, 9)]
 
 
 def test_number_literal_forms():
@@ -85,30 +93,120 @@ def test_line_and_col_tracking():
 
 
 def test_unterminated_string_closes_at_newline():
-    toks = lex('x = "oops\ny')
-    texts = [t.text for t in toks]
+    source = 'x = "oops\ny'
+    texts = [t.text for t in reference_lex(source)]
     assert '"oops' in texts
-    assert "".join(texts) == 'x = "oops\ny'
+    assert "".join(texts) == source
+    assert token_texts(source) == ["x", "=", '"oops', "y"]
+
+
+SNIPPETS = [
+    "public class A { /* hi */ int x = 0; }",
+    'void m() { s = "a\\"b" + \'c\'; } // done',
+    "if (a <= b && c >= d) { a >>= 2; }",
+    "x = y /* unterminated",
+    '"""\ntext block\n""" + rest',
+]
+FUZZ_ALPHABET = "ab{}()\"'\\/*\n\t 0123456789.;=<>+-_$é世"
+
+
+def _fuzz(seed: int, count: int, pieces, max_len: int) -> list[str]:
+    rng = random.Random(seed)
+    return ["".join(rng.choice(pieces) for _ in range(rng.randint(0, max_len))) for _ in range(count)]
 
 
 def test_round_trip_on_java_snippets():
-    snippets = [
-        "public class A { /* hi */ int x = 0; }",
-        'void m() { s = "a\\"b" + \'c\'; } // done',
-        "if (a <= b && c >= d) { a >>= 2; }",
-        "x = y /* unterminated",
-        '"""\ntext block\n""" + rest',
-    ]
-    for src in snippets:
-        assert "".join(t.text for t in lex(src)) == src
+    for src in SNIPPETS:
+        assert "".join(t.text for t in reference_lex(src)) == src
 
 
 def test_round_trip_fuzz():
-    rng = random.Random(99)
-    alphabet = "ab{}()\"'\\/*\n\t 0123456789.;=<>+-_$é世"
-    for _ in range(500):
-        src = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
-        assert "".join(t.text for t in lex(src)) == src
+    for src in _fuzz(99, 500, FUZZ_ALPHABET, 60):
+        assert "".join(t.text for t in reference_lex(src)) == src
+
+
+def test_tokens_sit_at_their_positions_and_gaps_are_trivia():
+    for src in SNIPPETS + _fuzz(99, 500, FUZZ_ALPHABET, 60):
+        assert_tokens_cover(src, lex(src))
+
+
+def _test_string_literals() -> list[str]:
+    """Every string literal in this test suite's modules."""
+    strings = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        strings += [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    return strings
+
+
+def _fixture_corpus() -> list[str]:
+    """The file shapes the fixture repositories commit and conftest's
+    synthetic methods."""
+    rng = random.Random(5)
+    stmts = ["int base1 = seed + scale + 1;", "int r0d1a = seed * 2 + scale * 4;", "int botline = seed + scale + 99;"]
+    corpus = [_method_source(f"Main{i}", stmts[: i + 1]) for i in range(len(stmts))]
+    corpus += [f"class Spam{i} {{ int f() {{ return {i} + 1 + 2 + 3 + 4; }} }}\n" for i in range(3)]
+    corpus += [random_method(rng).text for _ in range(50)]
+    return corpus
+
+
+# Number forms, unterminated literals and comments, input ending in a
+# backslash, non-ASCII letters, digits and numerics, and characters
+# that are one-character operators (vertical tab, no-break space).
+EDGE_PIECES = [
+    "0x1.8p3", "0x1.8P-3d", "0xFFL", "0x", "0b2", "0b1_0", "0B", "1.", "1.foo", "1..2", ".5d", "1_000",
+    "1e", "1e+", "1e-9", "2.e3", "3f", "7.L", "٣", "²", "½", "Ⅷ", "é", "世", "𝟘", "ǅ", "〇",
+    '"', "'", '"""', "\\", "/*", "/*/", "*/", "//", "/", "\n", " ", "\t", "\r", "\f", "\v", "\xa0",
+    "a", "x", "_", "$", "e", "p", "d", "L", "0", "1", "9", ".", "...", "::", ">>>=", "->", "@", "#",
+    "{", "}", "(", ")", ";", "=", "+", "-",
+]
+
+
+def test_lex_matches_reference_lexer():
+    """Same (kind, text, line, col) stream as the reference lexer's
+    significant tokens."""
+    inputs = _fixture_corpus() + _test_string_literals() + _fuzz(20_240, 4000, EDGE_PIECES, 30)
+    inputs += [p + q for p in EDGE_PIECES for q in EDGE_PIECES]
+    assert any(not s.isascii() for s in inputs)
+    for src in inputs:
+        want = [(t.kind, t.text, t.line, t.col) for t in reference_lex(src) if t.significant]
+        assert [(t.kind, t.text, t.line, t.col) for t in lex(src)] == want, src
+
+
+def test_unicode_classes_follow_str_predicates():
+    """Over the alphanumeric non-ASCII code points, a digit starts and
+    continues a number exactly when `str.isdigit`, a letter an
+    identifier exactly when `str.isalpha`, and an identifier goes on
+    exactly when `str.isalnum`; other characters are operators. Every
+    digit and every alphanumeric non-letter is checked, and every fifth
+    letter (the ideograph planes alone hold 90k)."""
+    alnum = [c for c in map(chr, range(0x80, sys.maxunicode + 1)) if c.isalnum()]
+    chars = [c for i, c in enumerate(alnum) if c.isdigit() or not c.isalpha() or i % 5 == 0]
+    alone = lex(" ".join(chars))
+    assert [t.text for t in alone] == chars
+    for c, tok in zip(chars, alone):
+        want = NUMBER_LITERAL if c.isdigit() else IDENTIFIER if c.isalpha() else OPERATOR
+        assert tok.kind == want, (hex(ord(c)), tok)
+    assert [t.text for t in lex(" ".join("a" + c for c in chars))] == ["a" + c for c in chars]
+    after_digit = [x for c in chars for x in (["1" + c] if c.isdigit() else ["1", c])]
+    assert token_texts(" ".join("1" + c for c in chars)) == after_digit
+
+
+def test_ascii_text_never_builds_the_unicode_pattern():
+    """Building the Unicode classes costs a fifth of a second; an
+    import or ASCII-only text must not pay it."""
+    probe = (
+        "import repotailor\n"
+        "from repotailor import javalex\n"
+        "assert javalex.lex('class A { int x = 1; }')\n"
+        "print(javalex._unicode_pattern.cache_info().currsize)\n"
+        "javalex.lex('int é;')\n"
+        "print(javalex._unicode_pattern.cache_info().currsize)\n"
+    )
+    src = str(Path(repotailor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.split() == ["0", "1"]
 
 
 def test_token_texts_strips_comments_and_whitespace():
