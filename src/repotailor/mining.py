@@ -4,8 +4,10 @@ Commits come from the first-parent chain of a branch in an on-disk
 clone, oldest first, with change stats taken against the first parent
 (the root commit is diffed against the empty tree). File contents come
 from one ``git cat-file --batch`` process per repository. Line-level
-change attribution uses a minimal Myers diff and reports only inserted
-lines.
+change attribution reports only inserted lines: the same set as the
+greedy forward Myers search over the whole texts, found after trimming
+the common prefix and dropping the lines that occur on one side only,
+with one byte per (d, k) of the search on what is left.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ def stream_commits(repo_path: str | Path, branch: str, repo_id: str | None = Non
     path = Path(repo_path)
     if repo_id is None:
         repo_id = path.name
-    _run_git(path, "rev-parse", "--git-dir")
     ref = f"refs/heads/{branch}"
     try:
         out = _run_git(
@@ -121,7 +122,8 @@ def stream_commits(repo_path: str | Path, branch: str, repo_id: str | None = Non
         )
     except RepoUnreadable:
         # only now learn why: no commits at all, no such branch, or a
-        # failure reading a branch that exists
+        # failure reading a branch that exists; no repository at all
+        # fails here too, as RepoUnreadable
         heads = _run_git(path, "for-each-ref", "--format=%(refname)", "refs/heads").split()
         if not heads:
             return []  # repository without commits
@@ -269,6 +271,13 @@ def added_lines(parent_text: str, child_text: str, file: str = "") -> list[Added
 
     Modified lines surface as delete+insert; only the insert side is
     reported. Line numbers refer to the child version.
+
+    The result is the inserted set of the greedy forward Myers search
+    over the whole texts, but the search sees less: the common prefix
+    is trimmed (the d = 0 snake would consume it), a child line that
+    occurs nowhere in the parent is inserted in every edit script, and
+    a parent line that occurs nowhere in the child is deleted in every
+    one, so both are dropped before the search.
     """
     a = parent_text.split("\n")
     b = child_text.split("\n")
@@ -276,58 +285,82 @@ def added_lines(parent_text: str, child_text: str, file: str = "") -> list[Added
         a.pop()
     if b and b[-1] == "":
         b.pop()
+    prefix = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        prefix += 1
+    a, b = a[prefix:], b[prefix:]
+    in_a, in_b = set(a), set(b)
+    ids: dict[str, int] = {}
+    shared_a = [ids.setdefault(line, len(ids)) for line in a if line in in_b]
+    shared_at = [j for j, line in enumerate(b) if line in in_a]
+    searched = {shared_at[i] for i in _myers_inserted(shared_a, [ids[b[j]] for j in shared_at])}
     return [
-        AddedLine(file=file, line_number=j + 1, text=b[j])
-        for j in _myers_inserted(a, b)
+        AddedLine(file=file, line_number=prefix + j + 1, text=line)
+        for j, line in enumerate(b)
+        if line not in in_a or j in searched
     ]
 
 
-def _myers_inserted(a: list[str], b: list[str]) -> list[int]:
-    """0-based indices of b-lines inserted by the shortest edit script."""
+def _myers_inserted(a: list[int], b: list[int]) -> list[int]:
+    """0-based indices of b-lines inserted by the shortest edit script
+    that the greedy forward search (Myers 1986) finds.
+
+    Each round d keeps one byte per diagonal k in -d..d: whether the
+    furthest d-path on k came down from k + 1 (an insertion) or across
+    from k - 1 (a deletion), ties going across. Walking those bytes back
+    from the last diagonal gives the path, which is then replayed
+    forward with its snakes. Memory is one byte per (d, k) plus one
+    list of 2 (n + m) ints.
+    """
     n, m = len(a), len(b)
     if m == 0:
         return []
     if n == 0:
         return list(range(m))
 
-    v: dict[int, int] = {1: 0}
-    trace: list[dict[int, int]] = []
-    found = False
+    offset = n + m + 1  # v[offset + k]: furthest x on diagonal k
+    v = [0] * (2 * offset + 1)
+    trace: list[bytearray] = []
+    done = False
     for d in range(n + m + 1):
-        trace.append(dict(v))
-        for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and v.get(k - 1, 0) < v.get(k + 1, 0)):
-                x = v.get(k + 1, 0)
+        down = bytearray(d + 1)
+        for i in range(d + 1):
+            k = 2 * i - d
+            if k == -d or (k != d and v[offset + k - 1] < v[offset + k + 1]):
+                x = v[offset + k + 1]
+                down[i] = 1
             else:
-                x = v.get(k - 1, 0) + 1
+                x = v[offset + k - 1] + 1
             y = x - k
             while x < n and y < m and a[x] == b[y]:
                 x += 1
                 y += 1
-            v[k] = x
+            v[offset + k] = x
             if x >= n and y >= m:
-                found = True
+                done = True
                 break
-        if found:
+        trace.append(down)
+        if done:
             break
 
+    steps = bytearray(len(trace))  # steps[d]: round d stepped down
+    k = n - m
+    for d in range(len(trace) - 1, 0, -1):
+        steps[d] = trace[d][(k + d) // 2]
+        k += 1 if steps[d] else -1
+
     inserted: list[int] = []
-    x, y = n, m
-    for d in range(len(trace) - 1, -1, -1):
-        vd = trace[d]
-        k = x - y
-        if k == -d or (k != d and vd.get(k - 1, 0) < vd.get(k + 1, 0)):
-            prev_k = k + 1
-        else:
-            prev_k = k - 1
-        prev_x = vd.get(prev_k, 0)
-        prev_y = prev_x - prev_k
-        while x > prev_x and y > prev_y:  # diagonal: matching lines
-            x -= 1
-            y -= 1
+    x = y = 0
+    for d in range(len(trace)):
         if d > 0:
-            if x == prev_x:  # vertical step: insertion of b[prev_y]
-                inserted.append(prev_y)
-            x, y = prev_x, prev_y
-    inserted.reverse()
+            if steps[d]:
+                inserted.append(y)
+                y += 1
+            else:
+                x += 1
+        while x < n and y < m and a[x] == b[y]:
+            x += 1
+            y += 1
     return inserted

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the
 production code. Deliberately brute-force: positional n-gram scans,
-explicit subset-sum enumeration, direct binomial tail sums, and a
-character-walking lossless Java lexer.
+explicit subset-sum enumeration, direct binomial tail sums, a
+character-walking lossless Java lexer, and a greedy Myers diff that
+keeps a copy of its V array for every round.
 """
 
 from __future__ import annotations
@@ -313,3 +314,54 @@ def assert_tokens_cover(source: str, tokens) -> None:
         assert all(t.kind in (WHITESPACE, COMMENT) for t in reference_lex(gap)), (gap, tok)
         end = offset + len(tok.text)
     assert all(t.kind in (WHITESPACE, COMMENT) for t in reference_lex(source[end:])), source[end:]
+
+
+def reference_inserted(a: list[str], b: list[str]) -> list[int]:
+    """0-based indices of b-lines inserted by the shortest edit script."""
+    n, m = len(a), len(b)
+    if m == 0:
+        return []
+    if n == 0:
+        return list(range(m))
+
+    v: dict[int, int] = {1: 0}
+    trace: list[dict[int, int]] = []
+    found = False
+    for d in range(n + m + 1):
+        trace.append(dict(v))
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and v.get(k - 1, 0) < v.get(k + 1, 0)):
+                x = v.get(k + 1, 0)
+            else:
+                x = v.get(k - 1, 0) + 1
+            y = x - k
+            while x < n and y < m and a[x] == b[y]:
+                x += 1
+                y += 1
+            v[k] = x
+            if x >= n and y >= m:
+                found = True
+                break
+        if found:
+            break
+
+    inserted: list[int] = []
+    x, y = n, m
+    for d in range(len(trace) - 1, -1, -1):
+        vd = trace[d]
+        k = x - y
+        if k == -d or (k != d and vd.get(k - 1, 0) < vd.get(k + 1, 0)):
+            prev_k = k + 1
+        else:
+            prev_k = k - 1
+        prev_x = vd.get(prev_k, 0)
+        prev_y = prev_x - prev_k
+        while x > prev_x and y > prev_y:  # diagonal: matching lines
+            x -= 1
+            y -= 1
+        if d > 0:
+            if x == prev_x:  # vertical step: insertion of b[prev_y]
+                inserted.append(prev_y)
+            x, y = prev_x, prev_y
+    inserted.reverse()
+    return inserted

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import itertools
+import os
 import random
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repotailor
 from repotailor.cli import main
 from repotailor.config import load_config
 from repotailor.errors import BranchMissing, EmptyInput, RepoUnreadable
@@ -28,7 +33,7 @@ from conftest import (
     run_git,
     write_fixture_config,
 )
-from oracles import q3_iqr_oracle
+from oracles import q3_iqr_oracle, reference_inserted
 
 
 def make_commit(author="alice", email="a@x.com", files=1, ts=BASE_TS, sha="0" * 40):
@@ -190,6 +195,120 @@ def test_added_lines_positions_match_child_fuzz():
         for line in result:
             assert child_lines[line.line_number - 1] == line.text
         assert added_lines(parent_text, parent_text) == []
+
+
+def _assert_inserts_match_reference(parent_text: str, child_text: str) -> None:
+    a = parent_text.split("\n")
+    b = child_text.split("\n")
+    if a and a[-1] == "":
+        a.pop()
+    if b and b[-1] == "":
+        b.pop()
+    got = [(line.line_number - 1, line.text) for line in added_lines(parent_text, child_text)]
+    assert got == [(j, b[j]) for j in reference_inserted(a, b)], (parent_text, child_text)
+
+
+def test_added_lines_matches_reference_on_every_small_pair():
+    """Every pair of texts of at most five lines, with one line only the
+    parent can have and one only the child can have."""
+    def texts(alphabet: str) -> list[str]:
+        return ["\n".join(t) for size in range(6) for t in itertools.product(alphabet, repeat=size)]
+
+    children = texts("xyQ")
+    for parent_text in texts("xyP"):
+        for child_text in children:
+            _assert_inserts_match_reference(parent_text, child_text)
+
+
+def test_added_lines_matches_reference_on_random_edits():
+    rng = random.Random(23)
+    for _ in range(3000):
+        pool = [f"line {i}" for i in range(rng.randint(1, 6))]
+        parent = [rng.choice(pool) for _ in range(rng.randint(0, 30))]
+        child = list(parent)
+        for _ in range(rng.randint(0, 8)):
+            at = rng.randint(0, len(child))
+            kind = rng.random()
+            if kind < 0.3:  # a line only the child has, maybe repeated
+                child[at:at] = ["new"] * rng.randint(1, 3)
+            elif kind < 0.6:
+                child[at:at] = [rng.choice(pool)]
+            elif child:
+                del child[min(at, len(child) - 1)]
+        if rng.random() < 0.3:  # a line only the parent has, repeated
+            for _ in range(rng.randint(1, 3)):
+                parent.insert(rng.randint(0, len(parent)), "old")
+        ends = ("", "\n")
+        _assert_inserts_match_reference("\n".join(parent) + rng.choice(ends), "\n".join(child) + rng.choice(ends))
+
+
+def test_added_lines_matches_reference_on_empty_sides_and_trailing_newlines():
+    texts = ["", "\n", "\n\n", "a", "a\n", "a\n\n", "\na", "a\nb", "a\nb\n", "b\na\n", "a\na\n", "x\na"]
+    for parent_text in texts:
+        for child_text in texts:
+            _assert_inserts_match_reference(parent_text, child_text)
+    assert [l.line_number for l in added_lines("x", "x\nx")] == [2]  # no suffix trimming
+
+
+def test_added_lines_matches_reference_on_table_block_rewrite():
+    """A block of initializer rows rewritten, as the large-rewrite
+    histories do, with a few rows that repeat on both sides."""
+    rng = random.Random(5)
+
+    def row() -> str:
+        if rng.random() < 0.05:
+            return "        {0, 0, 0, 0, 0, 0},"
+        return "        {" + ", ".join(str(rng.randrange(100000)) for _ in range(6)) + "},"
+
+    head = ["package p;", "", "class T {", "    static final int[][] TABLE = {"]
+    tail = ["    };", "", "    int f(int x) {", "        return x;", "    }", "}"]
+    for rows, block in ((40, 10), (300, 120), (600, 600)):
+        table = [row() for _ in range(rows)]
+        start = rng.randrange(rows - block + 1)
+        rewritten = table[:start] + [row() for _ in range(block)] + table[start + block:]
+        parent_text = "\n".join(head + table + tail) + "\n"
+        child_text = "\n".join(head + rewritten + tail) + "\n"
+        _assert_inserts_match_reference(parent_text, child_text)
+
+
+_DIFF_MEMORY_PROBE = """
+import random, resource
+from repotailor.mining import added_lines
+
+def status_kb(field):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(field + ":"))
+
+vm_kb = status_kb("VmSize")
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = (vm_kb + 512 * 1024) * 1024  # a diff that grows past this fails fast
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+
+every_line = added_lines("\\n".join(f"old {i}" for i in range(5000)), "\\n".join(f"new {i}" for i in range(5000)))
+assert len(every_line) == 5000
+shared = ["}", "", "    return x;", "    {", "int y = 0;", "// y"]
+rng = random.Random(7)
+parent, child = ([rng.choice(shared) for _ in range(2000)] for _ in range(2))
+assert 0 < len(added_lines("\\n".join(parent), "\\n".join(child))) < 2000
+print(status_kb("VmHWM") // 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_added_lines_peak_memory_is_bounded():
+    """A 5,000-line rewrite where every line changes, and a 2,000-line
+    rewrite drawn from six shared lines, diffed in a child process whose
+    peak RSS must stay under 100 MB.
+
+    The peak is the child's ``VmHWM``: its ``ru_maxrss`` would also count
+    the test process, whose memory the child held until its ``exec``."""
+    src = str(Path(repotailor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", _DIFF_MEMORY_PROBE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 100  # MB; importing repotailor alone takes about 33
 
 
 def _git_show(repo, sha, file):

@@ -175,7 +175,7 @@ def test_verify_reports_a_missing_part(mined, tmp_path, capsys):
     assert f"violation: {man['dataset_id']}: val.jsonl missing" in capsys.readouterr().err
 
 
-GIT_PROCESSES_PER_REPO = 4  # rev-parse --git-dir, log, cat-file, and the stamp's rev-parse
+GIT_PROCESSES_PER_REPO = 3  # log, cat-file, and the stamp's rev-parse
 
 
 @pytest.fixture
