@@ -48,6 +48,10 @@ class ScoreRow:
     degenerate: bool = False
     missing: bool = False
 
+    @classmethod
+    def from_record(cls, rec: dict) -> "ScoreRow":
+        return cls(rec["id"], rec["em"], rec["crystal_bleu"], rec["bleu"], rec["degenerate"], rec["missing"])
+
     def to_record(self) -> dict:
         return {
             "id": self.instance_id,
@@ -64,12 +68,9 @@ def exact_match(prediction: str, target: str) -> bool:
     return token_texts(prediction) == token_texts(target)
 
 
-def count_ngrams(tokens: list[str], max_order: int) -> Counter:
-    counts: Counter = Counter()
-    for order in range(1, max_order + 1):
-        for i in range(len(tokens) - order + 1):
-            counts[tuple(tokens[i : i + order])] += 1
-    return counts
+def count_ngrams(tokens: list[str], max_order: int) -> list[Counter]:
+    """One Counter of the n-grams of each order 1..max_order."""
+    return [Counter(zip(*(tokens[i:] for i in range(order)))) for order in range(1, max_order + 1)]
 
 
 def trivially_shared_ngrams(
@@ -85,58 +86,59 @@ def trivially_shared_ngrams(
         return set()
     totals: Counter = Counter()
     for tokens in corpus:
-        totals.update(count_ngrams(tokens, max_order))
+        for counts in count_ngrams(tokens, max_order):
+            totals.update(counts)
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
     return {ngram for ngram, _ in ranked[:k]}
 
 
-def _bleu_from_counts(
-    cand_counts: Counter,
-    ref_counts: Counter,
-    cand_len: int,
-    ref_len: int,
-    max_order: int,
-) -> float | None:
-    """BLEU over pre-filtered n-gram counts; None when every order is empty."""
+def _bleu_from_counts(cand_counts: list[dict], ref_counts: list[dict], cand_len: int, ref_len: int) -> float | None:
+    """BLEU over per-order n-gram counts; None when every order of the reference is empty."""
     log_sum = 0.0
     included = 0
-    for order in range(1, max_order + 1):
-        ref_total = sum(c for g, c in ref_counts.items() if len(g) == order)
-        if ref_total == 0:
+    for cand, ref in zip(cand_counts, ref_counts):
+        if not ref:
             continue
         included += 1
-        cand_total = sum(c for g, c in cand_counts.items() if len(g) == order)
-        matched = sum(
-            min(c, ref_counts[g])
-            for g, c in cand_counts.items()
-            if len(g) == order and g in ref_counts
-        )
-        precision = matched / cand_total if cand_total > 0 else 0.0
-        if precision <= 0.0:
-            precision = _EPSILON
-        log_sum += math.log(precision)
+        matched = sum(min(c, ref[g]) for g, c in cand.items() if g in ref)
+        log_sum += math.log(matched / sum(cand.values()) if matched else _EPSILON)
     if included == 0:
         return None
-    geo_mean = math.exp(log_sum / included)
-    if cand_len > ref_len:
-        brevity = 1.0
-    else:
-        brevity = math.exp(1.0 - ref_len / cand_len)
-    return brevity * geo_mean
+    brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    return brevity * math.exp(log_sum / included)
+
+
+def _score_pair(
+    cand_counts: list[Counter],
+    ref_counts: list[Counter],
+    cand_len: int,
+    ref_len: int,
+    trivial: set[Ngram],
+) -> tuple[float, float, bool]:
+    """(CrystalBLEU, BLEU, degenerate) of one pair from the per-order
+    counts of each side, each counted once."""
+    if not cand_len:
+        return 0.0, 0.0, False
+    bleu = _bleu_from_counts(cand_counts, ref_counts, cand_len, ref_len) or 0.0
+    crystal = _bleu_from_counts(
+        [{g: c for g, c in counts.items() if g not in trivial} for counts in cand_counts],
+        [{g: c for g, c in counts.items() if g not in trivial} for counts in ref_counts],
+        cand_len,
+        ref_len,
+    )
+    if crystal is None:
+        # reference n-grams were all excluded: score the raw pair instead
+        return bleu, bleu, True
+    return crystal, bleu, False
 
 
 def plain_bleu(candidate: list[str], reference: list[str], max_order: int = DEFAULT_MAX_ORDER) -> float:
     """Sentence BLEU with epsilon smoothing on zero precisions."""
     if not candidate:
         return 0.0
-    score = _bleu_from_counts(
-        count_ngrams(candidate, max_order),
-        count_ngrams(reference, max_order),
-        len(candidate),
-        len(reference),
-        max_order,
-    )
-    return 0.0 if score is None else score
+    return _bleu_from_counts(
+        count_ngrams(candidate, max_order), count_ngrams(reference, max_order), len(candidate), len(reference)
+    ) or 0.0
 
 
 def crystal_bleu(
@@ -145,8 +147,7 @@ def crystal_bleu(
     trivial: set[Ngram],
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> float:
-    score, _ = crystal_bleu_flagged(candidate, reference, trivial, max_order)
-    return score
+    return crystal_bleu_flagged(candidate, reference, trivial, max_order)[0]
 
 
 def crystal_bleu_flagged(
@@ -156,18 +157,11 @@ def crystal_bleu_flagged(
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> tuple[float, bool]:
     """CrystalBLEU plus a flag marking degenerate (fully excluded) pairs."""
-    if not candidate:
-        return 0.0, False
-    cand_counts = count_ngrams(candidate, max_order)
-    ref_counts = count_ngrams(reference, max_order)
-    for ngram in trivial:
-        cand_counts.pop(ngram, None)
-        ref_counts.pop(ngram, None)
-    score = _bleu_from_counts(cand_counts, ref_counts, len(candidate), len(reference), max_order)
-    if score is None:
-        # reference n-grams were all excluded: score the raw pair instead
-        return plain_bleu(candidate, reference, max_order), True
-    return score, False
+    score, _, degenerate = _score_pair(
+        count_ngrams(candidate, max_order), count_ngrams(reference, max_order),
+        len(candidate), len(reference), trivial,
+    )
+    return score, degenerate
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,12 +195,13 @@ def score_model(
     trivial: set[Ngram],
     max_order: int = DEFAULT_MAX_ORDER,
     model_id: str | None = None,
-    target_tokens: dict[str, list[str]] | None = None,
+    target_tokens: dict[str, tuple[list[str], list[Counter]]] | None = None,
 ) -> ModelReport:
     """Score one model's predictions against the test set targets.
 
-    ``target_tokens`` maps target texts to their `token_texts`; targets
-    missing from it are tokenized and added.
+    ``target_tokens`` maps target texts to their `token_texts` and
+    per-order n-gram counts; targets missing from it are tokenized,
+    counted and added.
     """
     if target_tokens is None:
         target_tokens = {}
@@ -230,17 +225,16 @@ def score_model(
             missing += 1
             rows.append(ScoreRow(inst.instance_id, False, 0.0, 0.0, missing=True))
             continue
-        target = target_tokens.get(inst.target)
-        if target is None:
-            target = target_tokens[inst.target] = token_texts(inst.target)
+        if inst.target not in target_tokens:
+            tokens = token_texts(inst.target)
+            target_tokens[inst.target] = (tokens, count_ngrams(tokens, max_order))
+        target, target_counts = target_tokens[inst.target]
         pred_tokens = token_texts(pred.text)
-        em = pred_tokens == target
-        cb, degenerate = crystal_bleu_flagged(pred_tokens, target, trivial, max_order)
+        cb, bleu, degenerate = _score_pair(
+            count_ngrams(pred_tokens, max_order), target_counts, len(pred_tokens), len(target), trivial
+        )
         degenerate_total += degenerate
-        rows.append(ScoreRow(
-            inst.instance_id, em, cb, plain_bleu(pred_tokens, target, max_order),
-            degenerate=degenerate,
-        ))
+        rows.append(ScoreRow(inst.instance_id, pred_tokens == target, cb, bleu, degenerate=degenerate))
 
     n = len(test_instances)
     em_count = sum(r.em for r in rows)
@@ -264,9 +258,9 @@ def corpus_report(
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> dict[str, ModelReport]:
     """Per-model EM% and mean CrystalBLEU over one test set; each
-    target is tokenized once for all models."""
+    target is tokenized and counted once for all models."""
     out = {}
-    target_tokens: dict[str, list[str]] = {}
+    target_tokens: dict[str, tuple[list[str], list[Counter]]] = {}
     for model_id in sorted(predictions_by_model):
         preds = predictions_by_model[model_id]
         for pred in preds:

@@ -13,11 +13,10 @@ with one byte per (d, k) of the search on what is left.
 from __future__ import annotations
 
 import os
+import statistics
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import BranchMissing, EmptyInput, RepoUnreadable
 from .javamethods import AddedLine
@@ -258,10 +257,11 @@ def filter_outliers(commits: list[CommitRecord]) -> tuple[list[CommitRecord], Ou
     """
     if not commits:
         raise EmptyInput("no commits to filter")
-    counts = np.array([c.files_changed_count for c in commits], dtype=float)
-    q1, q3 = np.quantile(counts, [0.25, 0.75])
-    iqr = float(q3 - q1)
-    threshold = OutlierThreshold(q3=float(q3), iqr=iqr, cutoff=float(q3) + 1.5 * iqr)
+    counts = [c.files_changed_count for c in commits]
+    # quantiles needs two points; a lone commit is its own quartiles
+    q1, _, q3 = statistics.quantiles(counts * 2 if len(counts) == 1 else counts, method="inclusive")
+    iqr = q3 - q1
+    threshold = OutlierThreshold(q3=q3, iqr=iqr, cutoff=q3 + 1.5 * iqr)
     kept = [c for c in commits if c.files_changed_count <= threshold.cutoff]
     return kept, threshold
 

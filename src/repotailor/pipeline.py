@@ -9,6 +9,7 @@ dataset in an output tree.
 from __future__ import annotations
 
 import csv
+import os
 from collections import defaultdict
 from itertools import groupby
 from operator import attrgetter
@@ -89,12 +90,19 @@ def _stage_up_to_date(cfg: RunConfig, stage: str, inputs: dict[str, str]) -> boo
 
 
 def _write_stamp(cfg: RunConfig, stage: str, inputs: dict[str, str], outputs: dict[str, str]) -> None:
-    write_json(_stamp_path(cfg, stage), {
-        "stage": stage,
-        "config_hash": cfg.config_hash(),
-        "inputs": inputs,
-        "outputs": outputs,
-    })
+    """The commit point: each stage unlinks its stamp before its first output write."""
+    path = _stamp_path(cfg, stage)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write_json(tmp, {
+            "stage": stage,
+            "config_hash": cfg.config_hash(),
+            "inputs": inputs,
+            "outputs": outputs,
+        })
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _method_record(commit: CommitRecord, file: str, method: MethodUnit) -> dict:
@@ -262,6 +270,7 @@ def run_mine(cfg: RunConfig) -> dict:
             )
     generic_methods.sort(key=lambda r: (r["repo"], r["ts"], r["sha"], r["file"], r["signature"]))
 
+    _stamp_path(cfg, STAGE_MINE).unlink(missing_ok=True)
     write_jsonl(out_dir / "commits.jsonl", (c.to_record() for c in commits))
     write_jsonl(out_dir / "identities.jsonl", (i.to_record() for i in identities))
     write_jsonl(out_dir / "instances.jsonl", (i.to_record() for i in instances))
@@ -391,6 +400,7 @@ def run_assemble(cfg: RunConfig) -> dict:
         except TargetTooLarge:
             notes.append(f"orgsub-{author}: org train smaller than developer train, skipped")
 
+    _stamp_path(cfg, STAGE_ASSEMBLE).unlink(missing_ok=True)
     if inputs["generic_methods"]:
         generic_datasets, generic_notes = _generic_datasets(cfg, out_dir, splits, org_sets)
         datasets += generic_datasets
@@ -543,14 +553,7 @@ def _rows_from_report(report: dict, model: str | None) -> tuple[str, list[metric
         model = models[0]
     if model not in report["rows"]:
         raise DataError(f"model {model!r} not in report (has {models})")
-    rows = [
-        metrics.ScoreRow(
-            instance_id=r["id"], em=r["em"], crystal_bleu=r["crystal_bleu"],
-            bleu=r["bleu"], degenerate=r["degenerate"], missing=r["missing"],
-        )
-        for r in report["rows"][model]
-    ]
-    return model, rows
+    return model, [metrics.ScoreRow.from_record(r) for r in report["rows"][model]]
 
 
 def run_compare(

@@ -50,11 +50,8 @@ def read_json(path: str | Path) -> Any:
 
 
 def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
     with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def sha256_text(text: str) -> str:

@@ -2,13 +2,15 @@
 production code. Deliberately brute-force: positional n-gram scans,
 explicit subset-sum enumeration, direct binomial tail sums, a
 character-walking lossless Java lexer, and a greedy Myers diff that
-keeps a copy of its V array for every round.
+keeps a copy of its V array for every round, and a BLEU scorer that
+counts every order into one Counter and filters it by n-gram length.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,7 @@ from repotailor.javalex import (
     SEPARATOR,
     STRING_LITERAL,
 )
+from repotailor.metrics import _EPSILON, DEFAULT_MAX_ORDER, DEFAULT_TRIVIAL_K, Ngram
 
 
 def bleu_oracle(candidate: list[str], reference: list[str], max_order: int = 4) -> float:
@@ -365,3 +368,103 @@ def reference_inserted(a: list[str], b: list[str]) -> list[int]:
             x, y = prev_x, prev_y
     inserted.reverse()
     return inserted
+
+
+# The scorer before per-order counts: each call counts both sides into one
+# Counter of all orders, and crystal BLEU pops the excluded n-grams.
+
+
+def reference_count_ngrams(tokens: list[str], max_order: int) -> Counter:
+    counts: Counter = Counter()
+    for order in range(1, max_order + 1):
+        for i in range(len(tokens) - order + 1):
+            counts[tuple(tokens[i : i + order])] += 1
+    return counts
+
+
+def reference_trivially_shared_ngrams(
+    corpus: list[list[str]],
+    k: int = DEFAULT_TRIVIAL_K,
+    max_order: int = DEFAULT_MAX_ORDER,
+) -> set[Ngram]:
+    """The k most frequent n-grams of the corpus (orders 1..max_order).
+
+    Frequency ties break lexicographically so the set is reproducible.
+    """
+    if k <= 0:
+        return set()
+    totals: Counter = Counter()
+    for tokens in corpus:
+        totals.update(reference_count_ngrams(tokens, max_order))
+    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+    return {ngram for ngram, _ in ranked[:k]}
+
+
+def _reference_bleu_from_counts(
+    cand_counts: Counter,
+    ref_counts: Counter,
+    cand_len: int,
+    ref_len: int,
+    max_order: int,
+) -> float | None:
+    """BLEU over pre-filtered n-gram counts; None when every order is empty."""
+    log_sum = 0.0
+    included = 0
+    for order in range(1, max_order + 1):
+        ref_total = sum(c for g, c in ref_counts.items() if len(g) == order)
+        if ref_total == 0:
+            continue
+        included += 1
+        cand_total = sum(c for g, c in cand_counts.items() if len(g) == order)
+        matched = sum(
+            min(c, ref_counts[g])
+            for g, c in cand_counts.items()
+            if len(g) == order and g in ref_counts
+        )
+        precision = matched / cand_total if cand_total > 0 else 0.0
+        if precision <= 0.0:
+            precision = _EPSILON
+        log_sum += math.log(precision)
+    if included == 0:
+        return None
+    geo_mean = math.exp(log_sum / included)
+    if cand_len > ref_len:
+        brevity = 1.0
+    else:
+        brevity = math.exp(1.0 - ref_len / cand_len)
+    return brevity * geo_mean
+
+
+def reference_plain_bleu(candidate: list[str], reference: list[str], max_order: int = DEFAULT_MAX_ORDER) -> float:
+    """Sentence BLEU with epsilon smoothing on zero precisions."""
+    if not candidate:
+        return 0.0
+    score = _reference_bleu_from_counts(
+        reference_count_ngrams(candidate, max_order),
+        reference_count_ngrams(reference, max_order),
+        len(candidate),
+        len(reference),
+        max_order,
+    )
+    return 0.0 if score is None else score
+
+
+def reference_crystal_bleu_flagged(
+    candidate: list[str],
+    reference: list[str],
+    trivial: set[Ngram],
+    max_order: int = DEFAULT_MAX_ORDER,
+) -> tuple[float, bool]:
+    """CrystalBLEU plus a flag marking degenerate (fully excluded) pairs."""
+    if not candidate:
+        return 0.0, False
+    cand_counts = reference_count_ngrams(candidate, max_order)
+    ref_counts = reference_count_ngrams(reference, max_order)
+    for ngram in trivial:
+        cand_counts.pop(ngram, None)
+        ref_counts.pop(ngram, None)
+    score = _reference_bleu_from_counts(cand_counts, ref_counts, len(candidate), len(reference), max_order)
+    if score is None:
+        # reference n-grams were all excluded: score the raw pair instead
+        return reference_plain_bleu(candidate, reference, max_order), True
+    return score, False

@@ -8,7 +8,9 @@ from repotailor.errors import DatasetMismatch
 from repotailor.javalex import token_texts
 from repotailor.metrics import (
     PredictionRecord,
+    ScoreRow,
     corpus_report,
+    count_ngrams,
     crystal_bleu,
     crystal_bleu_flagged,
     exact_match,
@@ -18,7 +20,13 @@ from repotailor.metrics import (
 )
 
 from conftest import make_instance
-from oracles import bleu_oracle
+from oracles import (
+    bleu_oracle,
+    reference_count_ngrams,
+    reference_crystal_bleu_flagged,
+    reference_plain_bleu,
+    reference_trivially_shared_ngrams,
+)
 
 
 def test_exact_match_ignores_whitespace():
@@ -213,3 +221,99 @@ def test_corpus_report_tokenizes_each_target_once(monkeypatch):
     targets = [i.target for i in test_set]
     assert sorted(t for t in calls if t in targets) == sorted(targets)
     assert len(calls) == len(targets) + 3 * len(texts)
+
+
+def test_count_ngrams_splits_the_reference_counter_by_order():
+    rng = random.Random(11)
+    for _ in range(300):
+        tokens = [rng.choice("abc") for _ in range(rng.randint(0, 12))]
+        max_order = rng.randint(1, 5)
+        per_order = count_ngrams(tokens, max_order)
+        assert len(per_order) == max_order
+        assert all(len(g) == order for order, counts in enumerate(per_order, 1) for g in counts)
+        merged = {g: c for counts in per_order for g, c in counts.items()}
+        assert merged == reference_count_ngrams(tokens, max_order)
+
+
+def _assert_scores_equal_reference(cand, ref, trivial, max_order):
+    """Bit-for-bit equality with the reference scorer, floats by ``==``."""
+    assert plain_bleu(cand, ref, max_order) == reference_plain_bleu(cand, ref, max_order)
+    flagged = crystal_bleu_flagged(cand, ref, trivial, max_order)
+    assert flagged == reference_crystal_bleu_flagged(cand, ref, trivial, max_order)
+    assert crystal_bleu(cand, ref, trivial, max_order) == flagged[0]
+
+
+def test_scorer_matches_reference_on_random_pairs():
+    rng = random.Random(1209)
+    degenerate = 0
+    for _ in range(3000):
+        max_order = rng.randint(1, 5)
+        vocab = [f"t{i}" for i in range(rng.randint(1, 8))]
+        cand, ref = ([rng.choice(vocab) for _ in range(rng.randint(0, 15))] for _ in range(2))
+        corpus = [[rng.choice(vocab) for _ in range(rng.randint(0, 12))] for _ in range(rng.randint(0, 5))]
+        k = rng.randint(0, 40)
+        trivial_order = rng.randint(max_order, 6)  # may be built with a larger max_order
+        trivial = trivially_shared_ngrams(corpus, k, trivial_order)
+        assert trivial == reference_trivially_shared_ngrams(corpus, k, trivial_order)
+        if rng.random() < 0.2:  # every reference n-gram excluded
+            trivial |= set(reference_count_ngrams(ref, max_order))
+        degenerate += reference_crystal_bleu_flagged(cand, ref, trivial, max_order)[1]
+        _assert_scores_equal_reference(cand, ref, trivial, max_order)
+    assert degenerate > 300  # the fallback path is exercised
+
+
+@pytest.mark.parametrize("max_order", [1, 2, 3, 4, 5])
+def test_scorer_matches_reference_on_edge_cases(max_order):
+    toks = ["if", "(", "x", "==", "null", ")", "return", ";"]
+    corpus = [toks, toks[:5], ["return", ";"]]
+    for cand, ref in [([], toks), (toks, []), ([], []), (toks, toks), (toks[:2], toks), (toks, toks[:1])]:
+        for trivial in (
+            set(),
+            trivially_shared_ngrams(corpus, 0, max_order),
+            trivially_shared_ngrams(corpus, 10, max_order + 2),
+            set(reference_count_ngrams(ref, max_order)),  # reference fully excluded
+        ):
+            _assert_scores_equal_reference(cand, ref, trivial, max_order)
+    for k in (0, 1, 7, 1000):
+        for order in (max_order, max_order + 1):
+            assert trivially_shared_ngrams(corpus, k, order) == reference_trivially_shared_ngrams(corpus, k, order)
+
+
+def test_score_model_matches_reference_per_row():
+    rng = random.Random(3)
+    test_set = make_test_set()
+    trivial = trivially_shared_ngrams([token_texts(i.target) for i in test_set], k=3, max_order=4)
+    words = ["x", "=", "y", ";", "return", "(", ")", "+", "1"]
+    texts = {str(i): " ".join(rng.choice(words) for _ in range(rng.randint(0, 9))) for i in range(4)}
+    texts["0"] = test_set[0].target
+    report = score_model(test_set, predictions("m", texts), trivial, max_order=4)
+    targets = {i.instance_id: i.target for i in test_set}
+    for row in report.rows:
+        cand = token_texts(texts[row.instance_id.removeprefix("d-")])
+        ref = token_texts(targets[row.instance_id])
+        assert (row.crystal_bleu, row.degenerate) == reference_crystal_bleu_flagged(cand, ref, trivial, 4)
+        assert row.bleu == reference_plain_bleu(cand, ref, 4)
+
+
+def test_corpus_report_counts_each_target_text_once(monkeypatch):
+    import repotailor.metrics as metrics_module
+
+    test_set = make_test_set()
+    texts = {"0": "a-b;", "1": "return y;", "2": "y=f(w);", "3": "count--;"}  # no tokens of a target
+    preds = {m: predictions(m, texts) for m in ("m1", "m2")}
+    counted = []
+
+    def counting(tokens, max_order):
+        counted.append(tuple(tokens))
+        return count_ngrams(tokens, max_order)
+
+    monkeypatch.setattr(metrics_module, "count_ngrams", counting)
+    corpus_report(test_set, preds, set())
+    targets = [tuple(token_texts(i.target)) for i in test_set]
+    assert sorted(t for t in counted if t in targets) == sorted(targets)
+    assert len(counted) == len(targets) + 2 * len(texts)
+
+
+def test_score_row_record_roundtrip():
+    for row in (ScoreRow("a", True, 1.0, 1.0), ScoreRow("b", False, 0.25, 0.5, degenerate=True, missing=True)):
+        assert ScoreRow.from_record(row.to_record()) == row

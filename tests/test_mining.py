@@ -16,6 +16,7 @@ from repotailor.errors import BranchMissing, EmptyInput, RepoUnreadable
 from repotailor.mining import (
     BlobReader,
     CommitRecord,
+    OutlierThreshold,
     added_lines,
     filter_bots,
     filter_outliers,
@@ -144,6 +145,38 @@ def test_filter_outliers_single_commit():
     kept, threshold = filter_outliers([make_commit(files=7)])
     assert len(kept) == 1
     assert threshold.cutoff == 7.0
+
+
+def test_filter_outliers_quartiles_equal_numpy():
+    import numpy as np
+
+    rng = random.Random(1209)
+    cases = [[3, 9], [5, 5], [4] * 17, [1, 1000]]
+    cases += [[rng.randint(1, rng.choice([5, 60, 5000])) for _ in range(rng.randint(2, 300))] for _ in range(300)]
+    for counts in cases:
+        commits = [make_commit(files=c, sha=f"{i:040x}") for i, c in enumerate(counts)]
+        _, threshold = filter_outliers(commits)
+        q1, q3 = np.quantile(np.array(counts, dtype=float), [0.25, 0.75])
+        iqr = float(q3 - q1)
+        assert threshold == OutlierThreshold(q3=float(q3), iqr=iqr, cutoff=float(q3) + 1.5 * iqr), counts
+
+
+_NUMPY_PROBE = """
+import sys
+import repotailor
+from repotailor.mining import CommitRecord, filter_outliers
+commits = [CommitRecord("r", f"{i:040x}", "a", "a@x", i, None, (), c, 0) for i, c in enumerate([1, 2, 9, 40])]
+filter_outliers(commits)
+print("numpy" in sys.modules)
+"""
+
+
+def test_import_and_filter_outliers_leave_numpy_unloaded():
+    src = str(Path(repotailor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_filter_outliers_empty_raises():

@@ -28,7 +28,13 @@ from repotailor.pipeline import (
 )
 from repotailor.storage import read_json, read_jsonl
 
-from conftest import build_generic_repo, build_org_repo, write_fixture_config
+from conftest import (
+    BASE_TS,
+    build_generic_repo,
+    build_org_repo,
+    commit_files,
+    write_fixture_config,
+)
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +264,76 @@ def test_stale_datasets_are_flagged_and_not_scored(fixture_repos, tmp_path):
     assert code == 3
 
 
+def _fail_writing(real, hit, keep_chars: int):
+    """A writer that, for each path ``hit`` accepts, leaves the first
+    ``keep_chars`` characters of the file on disk and raises."""
+
+    def write(path, payload):
+        if not hit(Path(path)):
+            return real(path, payload)
+        real(path, payload)
+        Path(path).write_text(Path(path).read_text(encoding="utf-8")[:keep_chars], encoding="utf-8")
+        raise OSError("disk full")
+
+    return write
+
+
+def test_assemble_crash_mid_part_unstamps_the_tree(fixture_repos, tmp_path, monkeypatch, capsys):
+    """Mine's outputs change, so assemble rebuilds under the same config
+    and dies writing a part: the stale stamp must not vouch for the
+    half-written tree, and the next assemble rebuilds it."""
+    org, _ = fixture_repos
+    repos = [shutil.copytree(r, tmp_path / r.name) for r in org]
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", repos)
+    cfg = load_config(config_path)
+    run_mine(cfg)
+    index = run_assemble(cfg)
+    dev = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    main_java = repos[0] / "src" / "Main.java"
+    grown = main_java.read_text().replace("        return", "        int late = seed + scale * 7;\n        return")
+    commit_files(
+        repos[0], {"src/Main.java": grown}, "late change", "Alice Dev", "alice.dev@example.com", BASE_TS + 10**6
+    )
+    mine_stamp = tmp_path / "out" / "stamps" / "mine.json"
+    instances_before = read_json(mine_stamp)["outputs"]["instances.jsonl"]
+    run_mine(cfg)
+    assert read_json(mine_stamp)["outputs"]["instances.jsonl"] != instances_before
+
+    with monkeypatch.context() as m:
+        part = _fail_writing(pipeline.write_jsonl, lambda p: p.name == "train.jsonl", 40)
+        m.setattr(pipeline, "write_jsonl", part)
+        with pytest.raises(OSError, match="disk full"):
+            run_assemble(cfg)
+    assert not (tmp_path / "out" / "stamps" / "assemble.json").exists()
+    capsys.readouterr()
+    preds = tmp_path / "preds.jsonl"
+    for argv in (
+        ["verify"], ["insight"], ["score", "--dataset", dev, "--predictions", str(preds)],
+    ):
+        assert main([argv[0], "--config", str(config_path), *argv[1:]]) == 3
+        assert "stage 'assemble' has not produced outputs" in capsys.readouterr().err
+
+    assert main(["assemble", "--config", str(config_path)]) == 0
+    assert main(["verify", "--config", str(config_path)]) == 0
+
+
+@pytest.mark.parametrize("stage", ["mine", "assemble"])
+def test_crash_while_stamping_leaves_no_partial_stamp(fixture_repos, tmp_path, monkeypatch, stage):
+    org, _ = fixture_repos
+    cfg = load_config(write_fixture_config(tmp_path, tmp_path / "out", org))
+    if stage == "assemble":
+        run_mine(cfg)
+    run = run_mine if stage == "mine" else run_assemble
+    stamps = tmp_path / "out" / "stamps"
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "write_json", _fail_writing(pipeline.write_json, lambda p: p.parent == stamps, 20))
+        with pytest.raises(OSError, match="disk full"):
+            run(cfg)
+    assert sorted(p.name for p in stamps.iterdir()) == (["mine.json"] if stage == "assemble" else [])
+    run(cfg)
+    assert read_json(stamps / f"{stage}.json")["stage"] == stage
+
+
 def test_config_hash_mismatch_refuses_stale_stages(mined, tmp_path):
     cfg, config_path, _, _ = mined
     data = json.loads(Path(config_path).read_text())
@@ -483,3 +559,4 @@ def test_config_hash_is_pinned(tmp_path):
     del data["caps"], data["crystal_bleu"]  # every cap and knob at its default
     config_path.write_text(json.dumps(data), encoding="utf-8")
     assert load_config(config_path).config_hash() == "15465abd2d7463d0"
+
