@@ -18,6 +18,13 @@ A number starts with a `str.isdigit` character, an identifier with a
 about 1,300 code points (`²` is a digit, `½` and `Ⅷ` are neither
 digits nor letters). ASCII text uses ASCII classes, which are exact
 there; the Unicode pattern is built on first use of non-ASCII text.
+
+`lex` takes a range of its source, so a caller can lex only the parts it
+reads. `SCAN_BLOCKS` and `SCAN_BRACES` step from one significant brace
+(or ";") to the next without making tokens, and are built from the
+master pattern's comment, string and char pieces. A range that starts
+and ends at such a stop lexes to the same tokens as the whole source
+has there.
 """
 
 from __future__ import annotations
@@ -66,8 +73,14 @@ class SourceToken(NamedTuple):
     col: int   # 0-based column of the token's first character
 
 
+_COMMENT = r"//[^\n]*+|/\*[\s\S]*?(?:\*/|\Z)"
 # Whitespace is " \t\f\r\n" only; any other character starts a token.
-_TRIVIA = r"(?:[ \t\f\r\n]++|//[^\n]*+|/\*[\s\S]*?(?:\*/|\Z))*+"
+_TRIVIA = rf"(?:[ \t\f\r\n]++|{_COMMENT})*+"
+# An unterminated string or char closes at end of line, a text block at
+# end of input; an escaped newline continues a string.
+_QUOTED = r"{q}(?:[^{q}\\\n]++|\\[\s\S])*+(?:{q}|\\)?"
+_STRING = r'"""[\s\S]*?(?:"""|\Z)|' + _QUOTED.format(q='"')
+_CHAR = _QUOTED.format(q="'")
 
 
 def _pattern(digit: str, ident_start: str, ident_part: str) -> re.Pattern:
@@ -82,13 +95,12 @@ def _pattern(digit: str, ident_start: str, ident_part: str) -> re.Pattern:
         f"|{digits}(?:\\.{digits}|\\.(?!{ident_start}))?{exponent}"
         f"|\\.{digits}{exponent})[lLfFdD]?"
     )
-    quoted = r"{q}(?:[^{q}\\\n]++|\\[\s\S])*+(?:{q}|\\)?"
     groups = (
         ("number", number),
         ("word", f"{ident_start}[{ident_part}]*+"),
         ("separator", "|".join(map(re.escape, _SEPARATORS))),
-        ("string", r'"""[\s\S]*?(?:"""|\Z)|' + quoted.format(q='"')),
-        ("char", quoted.format(q="'")),
+        ("string", _STRING),
+        ("char", _CHAR),
         ("operator", "|".join(map(re.escape, _OPERATORS)) + r"|[\s\S]"),
         ("end", r"\Z"),
     )
@@ -122,34 +134,58 @@ def _unicode_pattern() -> re.Pattern:
     return _pattern(digit, f"(?:(?![{_escaped(other)}])[^\\W\\d]|\\$)", r"\w$")
 
 
-def lex(source: str) -> list[SourceToken]:
-    """Significant tokens of Java source; total over arbitrary input."""
+def _skip_to(stops: str) -> re.Pattern:
+    """One anchored step of a scan for the significant characters in
+    ``stops``: group 1 is the next one, or empty at end of input.
+
+    Comments, strings, chars and text blocks are skipped whole with the
+    master pattern's own pieces, and nothing else in a token can hold a
+    brace, a ";", a quote or a "/", so the scan stops exactly where `lex`
+    yields those separators.
+    """
+    return re.compile(rf"""(?:[^{stops}"'/]++|{_COMMENT}|{_STRING}|{_CHAR}|/)*+([{stops}]|\Z)""")
+
+
+SCAN_BLOCKS = _skip_to("{};")  # braces and the ";" that ends a declaration
+SCAN_BRACES = _skip_to("{}")
+
+
+def lex(source: str, start: int = 0, end: int | None = None, line: int = 1) -> list[SourceToken]:
+    """Significant tokens of ``source[start:end]``; total over arbitrary input.
+
+    ``line`` is the line number at ``start``, which a caller walking the
+    source keeps; columns count from the start of that line in
+    ``source``. A range that starts and ends where the whole source's
+    tokens do (such as at a significant brace) yields exactly the whole
+    source's tokens there.
+    """
+    if end is None:
+        end = len(source)
+    # `str.isascii` reads a flag CPython keeps on the string: O(1)
     pattern = _ASCII_PATTERN if source.isascii() else _unicode_pattern()
     tokens: list[SourceToken] = []
     append = tokens.append
     new = tuple.__new__
-    n = len(source)
-    line = 1
-    line_start = 0  # offset of the current line's first character
-    next_nl = source.find("\n")
+    line_start = source.rfind("\n", 0, start) + 1  # offset of the current line's first character
+    next_nl = source.find("\n", start, end)
     if next_nl < 0:
-        next_nl = n
-    for m in pattern.finditer(source):
+        next_nl = end
+    for m in pattern.finditer(source, start, end):
         group = m.lastindex
         if group == _END:
             break
         text = m[group]
-        start = m.end() - len(text)
-        if next_nl < start:
-            line += source.count("\n", line_start, start)
-            line_start = source.rfind("\n", 0, start) + 1
-            next_nl = source.find("\n", start)
+        at = m.end() - len(text)
+        if next_nl < at:
+            line += source.count("\n", line_start, at)
+            line_start = source.rfind("\n", 0, at) + 1
+            next_nl = source.find("\n", at, end)
             if next_nl < 0:
-                next_nl = n
+                next_nl = end
         kind = _KINDS[group]
         if group == _WORD:
             kind = KEYWORD if text in KEYWORDS else IDENTIFIER
-        append(new(SourceToken, (kind, text, line, start - line_start)))
+        append(new(SourceToken, (kind, text, line, at - line_start)))
     return tokens
 
 

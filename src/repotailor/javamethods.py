@@ -6,7 +6,9 @@ parenthesized parameter list, optional throws clause) followed by a
 brace-balanced body, recognized only at class-body nesting level.
 Sources whose significant braces do not balance are unparsable:
 `parse_methods` returns None for them, so a caller learns that and the
-methods from one lex.
+methods from one call. It lexes only what it reads: the header before
+a brace and each method's span. A regex scan for braces steps over the
+rest, such as large table initializers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .javalex import IDENTIFIER, KEYWORD, SourceToken, lex
+from .javalex import IDENTIFIER, KEYWORD, SCAN_BLOCKS, SCAN_BRACES, SourceToken, lex
 
 REASON_OK = "ok"
 REASON_TEST_NAME = "test-name"
@@ -33,6 +35,9 @@ _MODIFIERS = frozenset({
 })
 
 _TYPE_DECL_KEYWORDS = frozenset({"class", "interface", "enum"})
+
+# A '{' opens a type only after one of these words (see `_classify_header`).
+_TYPE_WORD = re.compile(r"class|interface|enum|record|new")
 
 _WORD_RE = re.compile(r"[0-9]+|[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+")
 
@@ -232,26 +237,37 @@ def _classify_header(header: list[SourceToken], parent_decl: str | None) -> tupl
     return "block", "", None
 
 
-def parse_methods(source: str) -> list[MethodUnit] | None:
-    """Method declarations (constructors included) in Java source, or
-    None when its significant braces do not balance; lexes once."""
-    sig = lex(source)
-    if not _braces_balanced(sig):
-        return None
-    lines = source.split("\n")
+def _method_unit(toks: tuple[SourceToken, ...], name: str, signature: str, lines: list[str]) -> MethodUnit:
+    open_pos = next(i for i, t in enumerate(toks) if t.text == "{")
+    start_line = toks[0].line
+    end_line = toks[-1].line
+    return MethodUnit(
+        name=name,
+        signature=signature,
+        start_line=start_line,
+        end_line=end_line,
+        tokens=toks,
+        body_token_count=len(toks) - open_pos - 2,
+        text="\n".join(lines[start_line - 1 : end_line]),
+    )
 
-    methods: list[MethodUnit] = []
+
+def _walk_method(
+    sig: list[SourceToken], open_idx: int, name: str, signature: str,
+    lines: list[str], methods: list[MethodUnit],
+) -> None:
+    """Record the method whose tokens are ``sig`` (its '{' at ``open_idx``,
+    its closing '}' last) and, innermost first, every method declared in
+    a type inside it, such as an anonymous or local class."""
     # stack entries: (kind, decl, header_start_idx, name, signature)
-    stack: list[tuple[str, str, int, str, str]] = []
-    seg_start = 0
-
-    for idx, tok in enumerate(sig):
+    stack: list[tuple[str, str, int, str, str]] = [("method", "", 0, name, signature)]
+    seg_start = open_idx + 1
+    for idx in range(seg_start, len(sig)):
+        tok = sig[idx]
         text = tok.text
         if text == "{":
-            parent_decl = None
-            if stack and stack[-1][0] == "type":
-                parent_decl = stack[-1][1]
-            kind, decl, info = _classify_header(sig[seg_start:idx], parent_decl)
+            top = stack[-1]
+            kind, decl, info = _classify_header(sig[seg_start:idx], top[1] if top[0] == "type" else None)
             if kind == "method" and info is not None:
                 stack.append(("method", "", seg_start, info[0], info[1]))
             else:
@@ -260,25 +276,89 @@ def parse_methods(source: str) -> list[MethodUnit] | None:
         elif text == "}":
             kind, _, start_idx, name, signature = stack.pop()
             if kind == "method":
-                start_tok = sig[start_idx]
-                toks = tuple(sig[start_idx : idx + 1])
-                open_pos = next(i for i, t in enumerate(toks) if t.text == "{")
-                body_count = len(toks) - open_pos - 2
-                start_line = start_tok.line
-                end_line = tok.line
-                methods.append(MethodUnit(
-                    name=name,
-                    signature=signature,
-                    start_line=start_line,
-                    end_line=end_line,
-                    tokens=toks,
-                    body_token_count=body_count,
-                    text="\n".join(lines[start_line - 1 : end_line]),
-                ))
+                methods.append(_method_unit(tuple(sig[start_idx : idx + 1]), name, signature, lines))
             seg_start = idx + 1
         elif text == ";":
             seg_start = idx + 1
 
+
+def _close_of(source: str, pos: int) -> tuple[int, bool] | None:
+    """Offset just past the '}' that closes the '{' ending at ``pos``, and
+    whether a brace nests between them; None when the source ends first."""
+    depth = 1
+    nested = False
+    for m in SCAN_BRACES.finditer(source, pos):
+        stop = m[1]
+        if stop == "{":
+            depth += 1
+            nested = True
+        elif stop == "}":
+            depth -= 1
+            if depth == 0:
+                return m.end(), nested
+        else:
+            return None
+    return None
+
+
+def parse_methods(source: str) -> list[MethodUnit] | None:
+    """Method declarations (constructors included) in Java source, or
+    None when its significant braces do not balance.
+
+    Outside methods, one anchored step at a time jumps to the next
+    significant '{', '}' or ';'. Only the header before a '{' is lexed
+    and classified, and only where it may open a type or a method: in a
+    block outside any type body, a header without a type-declaring word
+    opens a block, so table rows are never lexed. A method is lexed once,
+    header through closing brace, and `_walk_method` finds what nests in
+    it.
+    """
+    lines = source.split("\n")
+    methods: list[MethodUnit] = []
+    # per open brace outside methods: the decl of a type body, or None
+    stack: list[str | None] = []
+    seg = 0  # start of the current header: past the last '{', '}' or ';'
+    line, counted = 1, 0  # the line number at offset `counted`
+    pos = 0
+    while True:
+        m = SCAN_BLOCKS.match(source, pos)
+        stop = m[1]
+        pos = m.end()
+        if stop == "{":
+            parent = stack[-1] if stack else None
+            brace = pos - 1
+            if parent is None and not _TYPE_WORD.search(source, seg, brace):
+                stack.append(None)
+            else:
+                line += source.count("\n", counted, seg)
+                counted = seg
+                header = lex(source, seg, brace, line)
+                kind, decl, info = _classify_header(header, parent)
+                if kind == "method" and info is not None:
+                    found = _close_of(source, pos)
+                    if found is None:
+                        return None
+                    close, nested = found
+                    line += source.count("\n", counted, brace)
+                    counted = brace
+                    sig = header + lex(source, brace, close, line)
+                    if nested:  # a method can only be declared in a nested type body
+                        _walk_method(sig, len(header), info[0], info[1], lines, methods)
+                    else:
+                        methods.append(_method_unit(tuple(sig), info[0], info[1], lines))
+                    pos = close
+                else:
+                    stack.append(decl if kind == "type" else None)
+        elif stop == "}":
+            if not stack:
+                return None
+            stack.pop()
+        elif not stop:
+            break
+        seg = pos
+
+    if stack:
+        return None
     methods.sort(key=lambda m: (m.start_line, -m.end_line))
     return methods
 
@@ -296,17 +376,12 @@ def name_words(name: str) -> list[str]:
     return words
 
 
+# Latin-1 printable characters plus the whitespace controls
+_NON_LATIN = re.compile(r"[^\t\n\r\f\x0b\x20-\x7e\xa0-\xff]")
+
+
 def _latin_only(text: str) -> bool:
-    for c in text:
-        o = ord(c)
-        if o > 0xFF:
-            return False
-        if c in "\t\n\r\f\x0b":
-            continue
-        if 0x20 <= o <= 0x7E or 0xA0 <= o <= 0xFF:
-            continue
-        return False
-    return True
+    return _NON_LATIN.search(text) is None
 
 
 def apply_method_filters(m: MethodUnit) -> FilterVerdict:

@@ -89,20 +89,25 @@ def _stage_up_to_date(cfg: RunConfig, stage: str, inputs: dict[str, str]) -> boo
     return stamp.get("config_hash") == cfg.config_hash() and stamp.get("inputs") == inputs
 
 
-def _write_stamp(cfg: RunConfig, stage: str, inputs: dict[str, str], outputs: dict[str, str]) -> None:
-    """The commit point: each stage unlinks its stamp before its first output write."""
-    path = _stamp_path(cfg, stage)
+def _replace_json(path: Path, obj) -> None:
+    """Write ``obj`` to a temp file beside ``path``, then move it into
+    place: a reader sees the old file or the new one, never part of one."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        write_json(tmp, {
-            "stage": stage,
-            "config_hash": cfg.config_hash(),
-            "inputs": inputs,
-            "outputs": outputs,
-        })
+        write_json(tmp, obj)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_stamp(cfg: RunConfig, stage: str, inputs: dict[str, str], outputs: dict[str, str]) -> None:
+    """The commit point: each stage unlinks its stamp before its first output write."""
+    _replace_json(_stamp_path(cfg, stage), {
+        "stage": stage,
+        "config_hash": cfg.config_hash(),
+        "inputs": inputs,
+        "outputs": outputs,
+    })
 
 
 def _method_record(commit: CommitRecord, file: str, method: MethodUnit) -> dict:
@@ -530,7 +535,7 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
         "rows": {m: [row.to_record() for row in r.rows] for m, r in reports.items()},
     }
     reports_dir = Path(cfg.out_dir) / "reports"
-    write_json(reports_dir / f"{dataset_id}.score.json", out)
+    _replace_json(reports_dir / f"{dataset_id}.score.json", out)
     csv_path = reports_dir / f"{dataset_id}.rows.csv"
     with csv_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -545,15 +550,27 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     return out
 
 
-def _rows_from_report(report: dict, model: str | None) -> tuple[str, list[metrics.ScoreRow]]:
-    models = sorted(report["rows"])
+def _score_rows(path: str | Path, model: str | None) -> tuple[dict, str, list[metrics.ScoreRow]]:
+    """A score report, the model picked from it and that model's rows; a
+    missing, unreadable or malformed report is a DataError naming ``path``."""
+    try:
+        report = read_json(path)
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
+        raise DataError(f"cannot read score report {path}: {exc}") from exc
+    rows = report.get("rows") if isinstance(report, dict) else None
+    if not isinstance(rows, dict):
+        raise DataError(f"{path} is not a score report")
+    models = sorted(rows)
     if model is None:
         if len(models) != 1:
-            raise DataError(f"report has models {models}; pick one explicitly")
+            raise DataError(f"{path} has models {models}; pick one explicitly")
         model = models[0]
-    if model not in report["rows"]:
-        raise DataError(f"model {model!r} not in report (has {models})")
-    return model, [metrics.ScoreRow.from_record(r) for r in report["rows"][model]]
+    if model not in rows:
+        raise DataError(f"model {model!r} not in {path} (has {models})")
+    try:
+        return report, model, [metrics.ScoreRow.from_record(r) for r in rows[model]]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: model {model!r} has a malformed score row ({exc!r})") from exc
 
 
 def run_compare(
@@ -564,10 +581,8 @@ def run_compare(
     model_b: str | None = None,
 ) -> dict:
     """Statistically compare two scored models on the same test set."""
-    rep_a = read_json(report_a_path)
-    rep_b = read_json(report_b_path)
-    name_a, rows_a = _rows_from_report(rep_a, model_a)
-    name_b, rows_b = _rows_from_report(rep_b, model_b)
+    rep_a, name_a, rows_a = _score_rows(report_a_path, model_a)
+    _, name_b, rows_b = _score_rows(report_b_path, model_b)
 
     em_result, cb_result = stats.compare_models(rows_a, rows_b)
     outcome = stats.paired_outcome_from_rows(rows_a, rows_b)

@@ -2,8 +2,10 @@
 production code. Deliberately brute-force: positional n-gram scans,
 explicit subset-sum enumeration, direct binomial tail sums, a
 character-walking lossless Java lexer, and a greedy Myers diff that
-keeps a copy of its V array for every round, and a BLEU scorer that
-counts every order into one Counter and filters it by n-gram length.
+keeps a copy of its V array for every round, a BLEU scorer that
+counts every order into one Counter and filters it by n-gram length,
+a method extractor that lexes the whole source and walks every token,
+and a Latin-1 check that tests one character at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from repotailor.javalex import (
     OPERATOR,
     SEPARATOR,
     STRING_LITERAL,
+    lex,
 )
+from repotailor.javamethods import MethodUnit, _braces_balanced, _classify_header
 from repotailor.metrics import _EPSILON, DEFAULT_MAX_ORDER, DEFAULT_TRIVIAL_K, Ngram
 
 
@@ -468,3 +472,67 @@ def reference_crystal_bleu_flagged(
         # reference n-grams were all excluded: score the raw pair instead
         return reference_plain_bleu(candidate, reference, max_order), True
     return score, False
+
+
+def reference_parse_methods(source: str) -> list[MethodUnit] | None:
+    """Method declarations (constructors included) in Java source, or
+    None when its significant braces do not balance; lexes once."""
+    sig = lex(source)
+    if not _braces_balanced(sig):
+        return None
+    lines = source.split("\n")
+
+    methods: list[MethodUnit] = []
+    # stack entries: (kind, decl, header_start_idx, name, signature)
+    stack: list[tuple[str, str, int, str, str]] = []
+    seg_start = 0
+
+    for idx, tok in enumerate(sig):
+        text = tok.text
+        if text == "{":
+            parent_decl = None
+            if stack and stack[-1][0] == "type":
+                parent_decl = stack[-1][1]
+            kind, decl, info = _classify_header(sig[seg_start:idx], parent_decl)
+            if kind == "method" and info is not None:
+                stack.append(("method", "", seg_start, info[0], info[1]))
+            else:
+                stack.append((kind, decl, seg_start, "", ""))
+            seg_start = idx + 1
+        elif text == "}":
+            kind, _, start_idx, name, signature = stack.pop()
+            if kind == "method":
+                start_tok = sig[start_idx]
+                toks = tuple(sig[start_idx : idx + 1])
+                open_pos = next(i for i, t in enumerate(toks) if t.text == "{")
+                body_count = len(toks) - open_pos - 2
+                start_line = start_tok.line
+                end_line = tok.line
+                methods.append(MethodUnit(
+                    name=name,
+                    signature=signature,
+                    start_line=start_line,
+                    end_line=end_line,
+                    tokens=toks,
+                    body_token_count=body_count,
+                    text="\n".join(lines[start_line - 1 : end_line]),
+                ))
+            seg_start = idx + 1
+        elif text == ";":
+            seg_start = idx + 1
+
+    methods.sort(key=lambda m: (m.start_line, -m.end_line))
+    return methods
+
+
+def reference_latin_only(text: str) -> bool:
+    for c in text:
+        o = ord(c)
+        if o > 0xFF:
+            return False
+        if c in "\t\n\r\f\x0b":
+            continue
+        if 0x20 <= o <= 0x7E or 0xA0 <= o <= 0xFF:
+            continue
+        return False
+    return True

@@ -15,6 +15,8 @@ from repotailor.javalex import (
     NUMBER_LITERAL,
     OPERATOR,
     SEPARATOR,
+    SCAN_BLOCKS,
+    SCAN_BRACES,
     STRING_LITERAL,
     lex,
     token_texts,
@@ -172,6 +174,30 @@ def test_lex_matches_reference_lexer():
     for src in inputs:
         want = [(t.kind, t.text, t.line, t.col) for t in reference_lex(src) if t.significant]
         assert [(t.kind, t.text, t.line, t.col) for t in lex(src)] == want, src
+
+
+def test_scan_stops_and_ranges_agree_with_the_whole_lex():
+    """`SCAN_BLOCKS` and `SCAN_BRACES` stop exactly at the '{', '}' (and
+    ';') tokens of the whole lex, and a range between two stops lexes
+    to the whole lex's tokens there."""
+    inputs = _fixture_corpus() + _test_string_literals() + _fuzz(31, 3000, EDGE_PIECES, 30)
+    for src in inputs:
+        starts = [0]
+        for nl, ch in enumerate(src):
+            if ch == "\n":
+                starts.append(nl + 1)
+        whole = lex(src)
+        offsets = [starts[t.line - 1] + t.col for t in whole]
+        for scan, stops in ((SCAN_BRACES, "{}"), (SCAN_BLOCKS, "{};")):
+            found, pos = [], 0
+            while (m := scan.match(src, pos))[1]:
+                pos = m.end()
+                found.append(pos)
+            assert found == [o + 1 for o, t in zip(offsets, whole) if t.text in stops], src
+        cuts = [0, *found, len(src)]  # the stops of SCAN_BLOCKS
+        for a, b in zip(cuts, cuts[1:]):
+            line = src.count("\n", 0, a) + 1
+            assert lex(src, a, b, line) == [t for o, t in zip(offsets, whole) if a <= o < b], (src, a, b)
 
 
 def test_unicode_classes_follow_str_predicates():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repotailor import javamethods
+from repotailor.javalex import lex
 from repotailor.javamethods import (
     REASON_EMPTY_BODY,
     REASON_NON_LATIN,
@@ -10,6 +12,7 @@ from repotailor.javamethods import (
     REASON_TOO_LONG,
     REASON_TOO_SHORT,
     AddedLine,
+    _latin_only,
     apply_method_filters,
     extract_methods,
     is_parsable,
@@ -19,7 +22,7 @@ from repotailor.javamethods import (
 )
 
 from conftest import _method_source, method_of
-from oracles import assert_tokens_cover
+from oracles import assert_tokens_cover, reference_latin_only, reference_parse_methods
 
 SIMPLE_CLASS = """class Greeter {
     String greet(String name) {
@@ -426,11 +429,11 @@ def _fixture_sources() -> list[str]:
     return sources
 
 
-def test_parse_methods_agrees_with_is_parsable_and_extract_methods():
+def _fragments(sources: list[str]) -> list[str]:
+    """Balanced and unbalanced fragments of ``sources``."""
     import random
 
     rng = random.Random(7)
-    sources = _fixture_sources()
     fragments = ["", "class A {}", "class A { { }", "}{", "class A { void m() { } } }"]
     for src in sources:
         lines = src.split("\n")
@@ -440,6 +443,12 @@ def test_parse_methods_agrees_with_is_parsable_and_extract_methods():
         fragments += [src.replace("}", "", 1), src + "}", "{" + src]
         cut = rng.randrange(len(src) + 1)
         fragments.append(src[:cut] + src[cut:].replace("{", "", 1))
+    return fragments
+
+
+def test_parse_methods_agrees_with_is_parsable_and_extract_methods():
+    sources = _fixture_sources()
+    fragments = _fragments(sources)
     seen = {True: 0, False: 0}
     for src in sources + fragments:
         parsed = parse_methods(src)
@@ -448,3 +457,209 @@ def test_parse_methods_agrees_with_is_parsable_and_extract_methods():
         seen[parsed is not None] += 1
     assert len(sources) >= 25 and min(seen.values()) >= 100, seen
     assert parse_methods("class A {}") == []  # parsable, no methods: not None
+
+
+def test_parse_methods_equals_reference_on_fixtures_and_fragments():
+    sources = _fixture_sources()
+    found = 0
+    for src in sources + _fragments(sources):
+        parsed = parse_methods(src)
+        assert parsed == reference_parse_methods(src), src
+        found += len(parsed or ())
+    assert found >= 50
+
+
+def _table_class(rows: int, row_of=lambda i: f"{{{i}, {i * 7 % 100}, -{i}}},") -> str:
+    """A class with a ``rows``-row table initializer and three methods."""
+    table = "\n".join(f"        {row_of(i)}" for i in range(rows))
+    return f"""package p;
+
+public class Table {{
+    static final int[][] TABLE = {{
+{table}
+    }};
+
+    public int lookup(int row, int col) {{
+        int[] r = TABLE[row];
+        return r[col] / 2;
+    }}
+
+    int width() {{
+        return TABLE.length == 0 ? 0 : TABLE[0].length;
+    }}
+
+    static int sum(int[][] t) {{
+        int s = 0;
+        for (int[] r : t) {{ for (int v : r) {{ s += v; }} }}
+        return s;
+    }}
+}}
+"""
+
+
+TABLE_HEAVY = [
+    _table_class(300),
+    _table_class(200, lambda i: f'{{"{{", "}}", ";", "/*", "{i}"}}, // row {{ {i} }}'),
+    _table_class(200, lambda i: f"{{'{{', '}}', ';', '/'}}, /* {{ }} ; */"),
+    _table_class(100, lambda i: f"{{{{{i}}}, {{{i}, {i}}}}},"),
+    _table_class(60, lambda i: f"{{new int[] {{{i}}}, new Object() {{ public String toString() {{ return \"{i}\"; }} }}}},"),
+    _table_class(60, lambda i: f"{{x -> {{ return {i}; }}, () -> {{ }}}},"),
+    """class Init {
+    static int[][] t;
+    static {
+        t = new int[][] { {1, 2}, {3, 4} };
+        Runnable r = new Runnable() { public void run() { t[0][0] = 5; } };
+        class Local { int get() { return t[1][1]; } }
+    }
+    enum Level { LOW { int rank() { return 1; } }, HIGH(new int[][] { {2} }) { int rank() { return 2; } };
+        Level() { }
+        Level(int[][] x) { }
+        int rank() { return 0; }
+    }
+    interface Shape { int[][] UNIT = { {0, 0}, {1, 1} }; default int area() { return UNIT.length; } }
+    record Point(int x, int y) { static final int[] ORIGIN = {0, 0}; int dist() { return x / y; } }
+}
+""",
+]
+
+
+def test_parse_methods_equals_reference_on_table_heavy_classes():
+    for src in TABLE_HEAVY:
+        parsed = parse_methods(src)
+        assert parsed == reference_parse_methods(src), src[:200]
+        assert parsed, src[:200]
+
+
+_FUZZ_TRIVIA = [
+    '"{"', '"}"', '";"', '"a/b"', "'{'", "'}'", "';'", "'/'", "'\\''", '"\\"{"',
+    '"""\n  { } ; " \n  """', "// { } ; /* \n", "/* { } ; // */", "/** } { */",
+    '"{ ; unterminated\n', "'{\n", '"ends with a backslash \\\n} still a string"',
+]
+_FUZZ_TAILS = ["/* { never closed", '"""{ never closed', "// {"]
+_FUZZ_NAMES = ["a", "run", "größe", "名前", "$x", "_y", "value1", "record", "Über"]
+
+
+def _fuzz_expr(rng) -> str:
+    n = rng.choice(_FUZZ_NAMES)
+    return rng.choice([
+        f"{n} / 2", f"{n} /= 3", f"{n} + {rng.choice(_FUZZ_TRIVIA)}", "new int[] {1, 2}",
+        f"x -> {{ return {n}; }}", "() -> { }", f"new Object() {{ int h() {{ return {n}; }} }}",
+        "new Runnable() { public void run() { } }", f"{n}.apply((a, b) -> a)", "1 / 2.0 /* / */",
+    ])
+
+
+def _fuzz_body(rng, depth: int) -> str:
+    out = []
+    for _ in range(rng.randint(0, 4)):
+        pick = rng.random()
+        if pick < 0.45:
+            out.append(f"int {rng.choice(_FUZZ_NAMES)} = {_fuzz_expr(rng)};")
+        elif pick < 0.6:
+            out.append(rng.choice(_FUZZ_TRIVIA))
+        elif pick < 0.75 and depth < 2:
+            out.append(f"if (a > 0) {{ {_fuzz_body(rng, depth + 1)} }}")
+        elif pick < 0.85 and depth < 2:
+            out.append(f"class L{depth} {{ {_fuzz_member(rng, depth + 1)} }}")
+        else:
+            out.append(f"Runnable r = () -> {{ {_fuzz_body(rng, depth + 1) if depth < 2 else ''} }};")
+    return rng.choice([" ", "\n        "]).join(out)
+
+
+def _fuzz_member(rng, depth: int) -> str:
+    n = rng.choice(_FUZZ_NAMES)
+    pick = rng.randrange(10)
+    if pick == 0:
+        rows = ", ".join(f"{{{rng.randrange(9)}, {rng.choice(_FUZZ_TRIVIA)}}}" for _ in range(rng.randint(0, 4)))
+        return f"static final Object[][] T{depth} = {{{rows}}};"
+    if pick == 1:
+        return f"Runnable {n} = new Runnable() {{ public void run() {{ {_fuzz_body(rng, depth + 1)} }} }};"
+    if pick == 2 and depth < 2:
+        return f"enum E{depth} {{ A {{ void f() {{ {_fuzz_body(rng, depth + 1)} }} }}, B(1) {{ }}, C; E{depth}() {{ }} E{depth}(int x) {{ }} }}"
+    if pick == 3 and depth < 2:
+        return f"record R{depth}(int x, int y) {{ R{depth} {{ }} int sum() {{ return x / y; }} }}"
+    if pick == 4:
+        return f"@A({{1, 2}}) @B(x = {{\"}}\"}}) void {n}() {{ {_fuzz_body(rng, depth + 1)} }}"
+    if pick == 5 and depth < 2:
+        return f"static class N{depth} {{ {_fuzz_member(rng, depth + 1)} }}"
+    if pick == 6:
+        return f"static {{ {_fuzz_body(rng, depth + 1)} }}"
+    if pick == 7:
+        return f"abstract int {n}(int a); int f{depth} = {_fuzz_expr(rng)};"
+    throws = rng.choice(["", " throws java.io.IOException"])
+    return f"public <T> int {n}(int a, Map<String, List<T>> m){throws} {{ {_fuzz_body(rng, depth + 1)} }}"
+
+
+def _fuzz_source(rng) -> str:
+    members = "\n    ".join(_fuzz_member(rng, 0) for _ in range(rng.randint(1, 5)))
+    kind = rng.choice(["class", "interface", "enum", "record"])
+    header = {"enum": "enum K { X, Y;", "record": "record K(int v) {"}.get(kind, f"{kind} K {{")
+    src = f"package p;\n\n{header}\n    {members}\n}}\n"
+    mutation = rng.random()
+    if mutation < 0.15:
+        cut = rng.randrange(len(src) + 1)
+        src = src[:cut] + rng.choice(_FUZZ_TRIVIA + _FUZZ_TAILS) + src[cut:]
+    elif mutation < 0.25:
+        src = src[: rng.randrange(len(src) + 1)]
+    elif mutation < 0.3:
+        src = src.replace(rng.choice("{}"), "", 1)
+    elif mutation < 0.35:
+        src += rng.choice(_FUZZ_TAILS)
+    return src
+
+
+def test_parse_methods_equals_reference_on_fuzzed_sources():
+    import random
+
+    rng = random.Random(4242)
+    seen = {True: 0, False: 0}
+    methods = 0
+    for _ in range(1500):
+        src = _fuzz_source(rng)
+        parsed = parse_methods(src)
+        assert parsed == reference_parse_methods(src), src
+        seen[parsed is not None] += 1
+        methods += len(parsed or ())
+    assert min(seen.values()) >= 50 and methods >= 2000, (seen, methods)
+
+
+def test_parse_methods_lexes_only_headers_and_methods(monkeypatch):
+    """The tokens lexed are at most the methods' tokens plus the header
+    tokens before each '{' outside them; a table row is never lexed."""
+    src = _table_class(2000, lambda i: f"{{{i}, {i + 1}, {i + 2}, {i + 3}, {i + 4}, {i + 5}}},")
+    lexed = []
+
+    def counting(*args, **kwargs):
+        tokens = lex(*args, **kwargs)
+        lexed.append(len(tokens))
+        return tokens
+
+    monkeypatch.setattr(javamethods, "lex", counting)
+    methods = parse_methods(src)
+    monkeypatch.undo()
+    assert methods == reference_parse_methods(src) and len(methods) == 3
+    inside = {(t.line, t.col) for m in methods for t in m.tokens}
+    headers = 0
+    seg_start = 0
+    whole = lex(src)
+    for idx, tok in enumerate(whole):
+        if tok.text == "{" and (tok.line, tok.col) not in inside:
+            headers += idx - seg_start
+        if tok.text in ("{", "}", ";"):
+            seg_start = idx + 1
+    assert len(whole) > 2000 * 13
+    assert 0 < sum(lexed) <= sum(m.token_count for m in methods) + headers
+
+
+def test_latin_only_equals_reference():
+    import random
+
+    for c in range(0x300):
+        assert _latin_only(chr(c)) == reference_latin_only(chr(c)), hex(c)
+    assert _latin_only("") and reference_latin_only("")
+    rng = random.Random(11)
+    alphabet = [chr(c) for c in (*range(0x00, 0x120), 0x2028, 0x3000, 0x4E16, 0xFEFF, 0x1F600)]
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+        if rng.random() < 0.5:
+            text = "".join(c for c in text if c <= "\xff") or text
+        assert _latin_only(text) == reference_latin_only(text), repr(text)

@@ -375,6 +375,40 @@ def test_score_and_compare_roundtrip(mined, tmp_path):
     assert same["em"]["p_value"] == 1.0
 
 
+def test_compare_reports_a_bad_report_as_a_data_error(mined, tmp_path, capsys):
+    cfg, config_path, _, index = mined
+    dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    run_score(cfg, dataset_id, predictions_for(cfg, dataset_id, tmp_path / "preds.jsonl"))
+    good = Path(cfg.out_dir) / "reports" / f"{dataset_id}.score.json"
+    truncated = tmp_path / "truncated.score.json"
+    truncated.write_text(good.read_text(encoding="utf-8")[:100], encoding="utf-8")
+    undecodable = tmp_path / "undecodable.score.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    capsys.readouterr()
+    for bad in (truncated, tmp_path / "missing.score.json", undecodable, Path(config_path)):
+        argv = ["compare", "--config", str(config_path), "--report-a", str(good), "--report-b", str(bad),
+                "--model-a", "echo", "--model-b", "echo"]
+        assert main(argv) == 3, bad
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err, err
+
+
+def test_score_crash_mid_write_keeps_the_previous_report(mined, tmp_path, monkeypatch):
+    cfg, _, _, index = mined
+    dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    preds = predictions_for(cfg, dataset_id, tmp_path / "preds.jsonl")
+    run_score(cfg, dataset_id, preds)
+    reports = Path(cfg.out_dir) / "reports"
+    report = reports / f"{dataset_id}.score.json"
+    before = report.read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "write_json", _fail_writing(pipeline.write_json, lambda p: dataset_id in p.name, 100))
+        with pytest.raises(OSError, match="disk full"):
+            run_score(cfg, dataset_id, preds)
+    assert report.read_bytes() == before
+    assert [p.name for p in reports.iterdir() if p.name.startswith(".")] == []
+
+
 def test_insight_outputs(mined):
     cfg, _, _, _ = mined
     out = run_insight(cfg)
