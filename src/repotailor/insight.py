@@ -209,8 +209,10 @@ def cost_curve(scenario: CostScenario, max_inferences: int, points: int = 101) -
 
 
 def load_scenarios(path: str | Path | None = None) -> dict[str, CostScenario]:
-    """Best/worst cost scenarios from a JSON file (shipped defaults); an
-    unreadable file or a missing or non-numeric value is a ConfigError."""
+    """Best/worst cost scenarios from a JSON file (shipped defaults). An
+    unreadable file, a missing, non-numeric or non-finite value, a
+    negative cost, or a developer count or weekly rate that is not
+    positive is a ConfigError that names the key."""
     try:
         if path is None:
             raw = resources.files("repotailor").joinpath("data/scenario.json").read_text("utf-8")
@@ -224,6 +226,9 @@ def load_scenarios(path: str | Path | None = None) -> dict[str, CostScenario]:
         training = {name: data[f"training_cost_{name}"] for name in ("best", "worst")}
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc!r}") from exc
-    if not all(type(v) in (int, float) for v in (*common.values(), *training.values())):
-        raise ConfigError(f"scenario file {path}: every cost, count and rate must be a number")
+    for key, value in (*common.items(), *((f"training_cost_{n}", v) for n, v in training.items())):
+        positive = key in ("developers", "weekly_rate")  # they divide the weeks to breakeven
+        if type(value) not in (int, float) or not math.isfinite(value) or value < 0 or positive and value == 0:
+            kind = "positive" if positive else "non-negative"
+            raise ConfigError(f"scenario file {path}: {key} must be a finite {kind} number, not {value!r}")
     return {name: CostScenario(name=name, training_cost=cost, **common) for name, cost in training.items()}

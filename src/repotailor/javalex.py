@@ -20,11 +20,12 @@ digits nor letters). ASCII text uses ASCII classes, which are exact
 there; the Unicode pattern is built on first use of non-ASCII text.
 
 `lex` takes a range of its source, so a caller can lex only the parts it
-reads. `SCAN_BLOCKS` and `SCAN_BRACES` step from one significant brace
-(or ";") to the next without making tokens, and are built from the
-master pattern's comment, string and char pieces. A range that starts
-and ends at such a stop lexes to the same tokens as the whole source
-has there.
+reads. `SCAN_BLOCKS` steps from one significant brace or ";" to the
+next without making tokens; `SCAN_BRACES` is one step to the next brace,
+which tells whether a method body holds a block. Both are built from
+the master pattern's comment, string and char pieces. A range that
+starts and ends at such a stop lexes to the same tokens as the whole
+source has there.
 """
 
 from __future__ import annotations

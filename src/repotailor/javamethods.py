@@ -3,12 +3,14 @@
 Methods are located by a signature/brace heuristic rather than a full
 grammar: a declaration header (modifiers, type tokens, identifier,
 parenthesized parameter list, optional throws clause) followed by a
-brace-balanced body, recognized only at class-body nesting level.
+brace-balanced body, recognized only directly inside a type body (which
+may itself sit in a method, as an anonymous or local class does).
 Sources whose significant braces do not balance are unparsable:
 `parse_methods` returns None for them, so a caller learns that and the
 methods from one call. It lexes only what it reads: the header before
-a brace and each method's span. A regex scan for braces steps over the
-rest, such as large table initializers.
+a brace and each method's span. One regex scan for braces steps over
+the rest at every depth, such as large table initializers and the
+blocks inside a method.
 """
 
 from __future__ import annotations
@@ -70,21 +72,9 @@ class AddedLine:
     text: str
 
 
-def _braces_balanced(sig: list[SourceToken]) -> bool:
-    depth = 0
-    for tok in sig:
-        if tok.text == "{":
-            depth += 1
-        elif tok.text == "}":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
-
-
 def is_parsable(source: str) -> bool:
     """Whether method recovery can work on this source (braces balance)."""
-    return _braces_balanced(lex(source))
+    return parse_methods(source) is not None
 
 
 def _strip_annotations(tokens: list[SourceToken]) -> list[SourceToken]:
@@ -237,8 +227,14 @@ def _classify_header(header: list[SourceToken], parent_decl: str | None) -> tupl
     return "block", "", None
 
 
+def _body_token_count(toks: tuple[SourceToken, ...]) -> int:
+    """Tokens after the first '{' and before the last, which closes it;
+    0 without a '{'."""
+    open_pos = next((i for i, t in enumerate(toks) if t.text == "{"), None)
+    return 0 if open_pos is None else max(0, len(toks) - open_pos - 2)
+
+
 def _method_unit(toks: tuple[SourceToken, ...], name: str, signature: str, lines: list[str]) -> MethodUnit:
-    open_pos = next(i for i, t in enumerate(toks) if t.text == "{")
     start_line = toks[0].line
     end_line = toks[-1].line
     return MethodUnit(
@@ -247,76 +243,47 @@ def _method_unit(toks: tuple[SourceToken, ...], name: str, signature: str, lines
         start_line=start_line,
         end_line=end_line,
         tokens=toks,
-        body_token_count=len(toks) - open_pos - 2,
+        body_token_count=_body_token_count(toks),
         text="\n".join(lines[start_line - 1 : end_line]),
     )
 
 
-def _walk_method(
-    sig: list[SourceToken], open_idx: int, name: str, signature: str,
-    lines: list[str], methods: list[MethodUnit],
-) -> None:
-    """Record the method whose tokens are ``sig`` (its '{' at ``open_idx``,
-    its closing '}' last) and, innermost first, every method declared in
-    a type inside it, such as an anonymous or local class."""
-    # stack entries: (kind, decl, header_start_idx, name, signature)
-    stack: list[tuple[str, str, int, str, str]] = [("method", "", 0, name, signature)]
-    seg_start = open_idx + 1
-    for idx in range(seg_start, len(sig)):
-        tok = sig[idx]
-        text = tok.text
-        if text == "{":
-            top = stack[-1]
-            kind, decl, info = _classify_header(sig[seg_start:idx], top[1] if top[0] == "type" else None)
-            if kind == "method" and info is not None:
-                stack.append(("method", "", seg_start, info[0], info[1]))
-            else:
-                stack.append((kind, decl, seg_start, "", ""))
-            seg_start = idx + 1
-        elif text == "}":
-            kind, _, start_idx, name, signature = stack.pop()
-            if kind == "method":
-                methods.append(_method_unit(tuple(sig[start_idx : idx + 1]), name, signature, lines))
-            seg_start = idx + 1
-        elif text == ";":
-            seg_start = idx + 1
-
-
-def _close_of(source: str, pos: int) -> tuple[int, bool] | None:
-    """Offset just past the '}' that closes the '{' ending at ``pos``, and
-    whether a brace nests between them; None when the source ends first."""
-    depth = 1
-    nested = False
-    for m in SCAN_BRACES.finditer(source, pos):
-        stop = m[1]
-        if stop == "{":
-            depth += 1
-            nested = True
-        elif stop == "}":
-            depth -= 1
-            if depth == 0:
-                return m.end(), nested
-        else:
-            return None
-    return None
+def method_from_text(text: str, name: str, signature: str) -> MethodUnit:
+    """Rebuild a maskable MethodUnit from the stored `text` of a method,
+    its lines numbered from 1. The text holds whole lines, so it need not
+    lex to the method's own tokens alone (or hold a '{' at all)."""
+    toks = tuple(lex(text))
+    return MethodUnit(
+        name=name,
+        signature=signature,
+        start_line=1,
+        end_line=text.count("\n") + 1,
+        tokens=toks,
+        body_token_count=_body_token_count(toks),
+        text=text,
+    )
 
 
 def parse_methods(source: str) -> list[MethodUnit] | None:
     """Method declarations (constructors included) in Java source, or
     None when its significant braces do not balance.
 
-    Outside methods, one anchored step at a time jumps to the next
-    significant '{', '}' or ';'. Only the header before a '{' is lexed
-    and classified, and only where it may open a type or a method: in a
-    block outside any type body, a header without a type-declaring word
-    opens a block, so table rows are never lexed. A method is lexed once,
-    header through closing brace, and `_walk_method` finds what nests in
-    it.
+    One anchored step at a time jumps to the next significant '{', '}'
+    or ';', at every depth. Only the header before a '{' is lexed and
+    classified, and only where it may open a type or a method: in a
+    block or a method body, a header without a type-declaring word opens
+    a block, so table rows are never lexed. At a method's '{', one step
+    finds the next brace: if it is the method's '}', the walk jumps to it,
+    so a body without blocks costs no step per statement; otherwise the
+    walk goes on inside the body. The '}' that pops a method lexes it
+    from its '{' and joins the header tokens, so innermost methods come
+    first.
     """
     lines = source.split("\n")
     methods: list[MethodUnit] = []
-    # per open brace outside methods: the decl of a type body, or None
-    stack: list[str | None] = []
+    # per open brace: the decl of a type body, None for a block, or an
+    # open method's (header tokens, '{' offset, line at '{', name, signature)
+    stack: list[str | tuple | None] = []
     seg = 0  # start of the current header: past the last '{', '}' or ';'
     line, counted = 1, 0  # the line number at offset `counted`
     pos = 0
@@ -325,7 +292,7 @@ def parse_methods(source: str) -> list[MethodUnit] | None:
         stop = m[1]
         pos = m.end()
         if stop == "{":
-            parent = stack[-1] if stack else None
+            parent = stack[-1] if stack and stack[-1].__class__ is str else None  # a type body's decl
             brace = pos - 1
             if parent is None and not _TYPE_WORD.search(source, seg, brace):
                 stack.append(None)
@@ -335,24 +302,22 @@ def parse_methods(source: str) -> list[MethodUnit] | None:
                 header = lex(source, seg, brace, line)
                 kind, decl, info = _classify_header(header, parent)
                 if kind == "method" and info is not None:
-                    found = _close_of(source, pos)
-                    if found is None:
-                        return None
-                    close, nested = found
                     line += source.count("\n", counted, brace)
                     counted = brace
-                    sig = header + lex(source, brace, close, line)
-                    if nested:  # a method can only be declared in a nested type body
-                        _walk_method(sig, len(header), info[0], info[1], lines, methods)
-                    else:
-                        methods.append(_method_unit(tuple(sig), info[0], info[1], lines))
-                    pos = close
+                    stack.append((header, brace, line, info[0], info[1]))
+                    m = SCAN_BRACES.match(source, pos)
+                    if m[1] == "}":  # no block inside: step straight to the '}'
+                        pos = m.start(1)
                 else:
                     stack.append(decl if kind == "type" else None)
         elif stop == "}":
             if not stack:
                 return None
-            stack.pop()
+            top = stack.pop()
+            if top.__class__ is tuple:  # a method: lex its body and join its header
+                header, brace, brace_line, name, signature = top
+                toks = header + lex(source, brace, pos, brace_line)
+                methods.append(_method_unit(tuple(toks), name, signature, lines))
         elif not stop:
             break
         seg = pos

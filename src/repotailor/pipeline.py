@@ -26,11 +26,11 @@ from .errors import (
     TooFewInstances,
 )
 from .identity import load_overrides, resolve_identities, top_contributors
-from .javalex import lex
 from .javamethods import (
     MethodUnit,
     apply_method_filters,
     map_added_lines,
+    method_from_text,
     parse_methods,
 )
 from .masking import CompletionInstance, MaskLengthDistribution, Provenance
@@ -120,22 +120,6 @@ def _method_record(commit: CommitRecord, file: str, method: MethodUnit) -> dict:
         "signature": method.signature,
         "text": method.text,
     }
-
-
-def method_from_text(text: str, name: str, signature: str) -> MethodUnit:
-    """Rebuild a maskable MethodUnit from stored method source."""
-    tokens = tuple(lex(text))
-    open_idx = next((i for i, t in enumerate(tokens) if t.text == "{"), None)
-    body = max(0, len(tokens) - open_idx - 2) if open_idx is not None else 0
-    return MethodUnit(
-        name=name,
-        signature=signature,
-        start_line=1,
-        end_line=text.count("\n") + 1,
-        tokens=tokens,
-        body_token_count=body,
-        text=text,
-    )
 
 
 def _ingest(specs: tuple[RepoSpec, ...]) -> tuple[list[CommitRecord], dict, OutlierThreshold | None]:

@@ -5,7 +5,9 @@ character-walking lossless Java lexer, and a greedy Myers diff that
 keeps a copy of its V array for every round, a BLEU scorer that
 counts every order into one Counter and filters it by n-gram length,
 a method extractor that lexes the whole source and walks every token,
-and a Latin-1 check that tests one character at a time.
+a brace-balance check over a whole lex, a method rebuilder with its
+own body-token count, and a Latin-1 check that tests one character
+at a time.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from repotailor.javalex import (
     OPERATOR,
     SEPARATOR,
     STRING_LITERAL,
+    SourceToken,
     lex,
 )
-from repotailor.javamethods import MethodUnit, _braces_balanced, _classify_header
+from repotailor.javamethods import MethodUnit, _classify_header
 from repotailor.metrics import _EPSILON, DEFAULT_MAX_ORDER, DEFAULT_TRIVIAL_K, Ngram
 
 
@@ -474,6 +477,18 @@ def reference_crystal_bleu_flagged(
     return score, False
 
 
+def _braces_balanced(sig: list[SourceToken]) -> bool:
+    depth = 0
+    for tok in sig:
+        if tok.text == "{":
+            depth += 1
+        elif tok.text == "}":
+            depth -= 1
+            if depth < 0:
+                return False
+    return depth == 0
+
+
 def reference_parse_methods(source: str) -> list[MethodUnit] | None:
     """Method declarations (constructors included) in Java source, or
     None when its significant braces do not balance; lexes once."""
@@ -523,6 +538,22 @@ def reference_parse_methods(source: str) -> list[MethodUnit] | None:
 
     methods.sort(key=lambda m: (m.start_line, -m.end_line))
     return methods
+
+
+def reference_method_from_text(text: str, name: str, signature: str) -> MethodUnit:
+    """Rebuild a maskable MethodUnit from stored method source."""
+    tokens = tuple(lex(text))
+    open_idx = next((i for i, t in enumerate(tokens) if t.text == "{"), None)
+    body = max(0, len(tokens) - open_idx - 2) if open_idx is not None else 0
+    return MethodUnit(
+        name=name,
+        signature=signature,
+        start_line=1,
+        end_line=text.count("\n") + 1,
+        tokens=tokens,
+        body_token_count=body,
+        text=text,
+    )
 
 
 def reference_latin_only(text: str) -> bool:

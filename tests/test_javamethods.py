@@ -17,12 +17,19 @@ from repotailor.javamethods import (
     extract_methods,
     is_parsable,
     map_added_lines,
+    method_from_text,
     name_words,
     parse_methods,
 )
 
 from conftest import _method_source, method_of
-from oracles import assert_tokens_cover, reference_latin_only, reference_parse_methods
+from oracles import (
+    _braces_balanced,
+    assert_tokens_cover,
+    reference_latin_only,
+    reference_method_from_text,
+    reference_parse_methods,
+)
 
 SIMPLE_CLASS = """class Greeter {
     String greet(String name) {
@@ -452,7 +459,7 @@ def test_parse_methods_agrees_with_is_parsable_and_extract_methods():
     seen = {True: 0, False: 0}
     for src in sources + fragments:
         parsed = parse_methods(src)
-        assert (parsed is not None) == is_parsable(src), src
+        assert is_parsable(src) == (parsed is not None) == _braces_balanced(lex(src)), src
         assert (parsed or []) == extract_methods(src), src
         seen[parsed is not None] += 1
     assert len(sources) >= 25 and min(seen.values()) >= 100, seen
@@ -528,6 +535,123 @@ def test_parse_methods_equals_reference_on_table_heavy_classes():
         parsed = parse_methods(src)
         assert parsed == reference_parse_methods(src), src[:200]
         assert parsed, src[:200]
+
+
+# Blocks and types nested inside methods; as string constants of this
+# module they are fixture sources too (see `_fixture_sources`).
+NESTED_BLOCKS = """class Deep {
+    int depth(int[] xs, Object lock) {
+        int total = 0;
+        if (xs != null) {
+            for (int x : xs) {
+                try {
+                    switch (x) {
+                        case 1: { total += 1; break; }
+                        default: synchronized (lock) { total += x; }
+                    }
+                } catch (RuntimeException e) {
+                    total = -1;
+                } finally {
+                    Runnable r = () -> { if (x > 0) { log(x); } };
+                }
+            }
+        } else {
+            while (total < 3) { total++; }
+        }
+        return total;
+    }
+
+    int flat(int a) {
+        return a + 1;
+    }
+
+    String pick(int k) {
+        return switch (k) {
+            case 0 -> { yield "zero"; }
+            default -> { synchronized (this) { yield "many"; } }
+        };
+    }
+}
+"""
+
+NESTED_ANONYMOUS = """class Anon {
+    Runnable outer() {
+        return new Runnable() {
+            public void run() {
+                Supplier<Object> s = () -> new Object() {
+                    @Override
+                    public String toString() {
+                        Runnable inner = new Runnable() {
+                            public void run() { if (done) { count++; } }
+                        };
+                        return "x";
+                    }
+                };
+                s.get();
+            }
+        };
+    }
+}
+"""
+
+NESTED_LOCAL_TYPES = """class Locals {
+    int work(int n) {
+        class Helper {
+            int twice(int v) { return v * 2; }
+        }
+        record Pair(int a, int b) {
+            int sum() { return a + b; }
+        }
+        enum Mode {
+            ON, OFF;
+            boolean on() { return this == ON; }
+        }
+        interface Op {
+            int apply(int v);
+            default int again(int v) { return apply(apply(v)); }
+        }
+        for (int i = 0; i < n; i++) {
+            n += new Helper().twice(i);
+        }
+        return n;
+    }
+}
+"""
+
+NESTED_LEFT_OPEN = """class Open {
+    void m() {
+        if (ready) {
+            go();
+        }
+        while (true) {
+            spin();
+"""
+
+NESTED_STRAY_CLOSE = """class Stray {
+    void m() {
+        if (ready) { go(); } }
+        done();
+    }
+}
+"""
+
+
+def test_parse_methods_walks_into_method_bodies():
+    expected = {
+        NESTED_BLOCKS: [("depth", 2, 21), ("flat", 23, 25), ("pick", 27, 32)],
+        NESTED_ANONYMOUS: [
+            ("outer", 2, 17), ("run", 4, 15), ("toString", 6, 12), ("run", 9, 9),
+        ],
+        NESTED_LOCAL_TYPES: [
+            ("work", 2, 21), ("twice", 4, 4), ("sum", 7, 7), ("on", 11, 11), ("again", 15, 15),
+        ],
+    }
+    for src, spans in expected.items():
+        parsed = parse_methods(src)
+        assert parsed == reference_parse_methods(src), src
+        assert [(m.name, m.start_line, m.end_line) for m in parsed] == spans
+    for src in (NESTED_LEFT_OPEN, NESTED_STRAY_CLOSE, NESTED_BLOCKS + "}", "}" + NESTED_ANONYMOUS):
+        assert parse_methods(src) is None and reference_parse_methods(src) is None, src
 
 
 _FUZZ_TRIVIA = [
@@ -648,6 +772,47 @@ def test_parse_methods_lexes_only_headers_and_methods(monkeypatch):
             seg_start = idx + 1
     assert len(whole) > 2000 * 13
     assert 0 < sum(lexed) <= sum(m.token_count for m in methods) + headers
+
+
+def test_parse_methods_lexes_no_range_twice_in_type_free_methods(monkeypatch):
+    """Blocks inside a method are stepped over, not lexed as headers, so
+    no text is lexed twice when no method declares a type."""
+    for src in (NESTED_BLOCKS, _table_class(200)):
+        ranges = []
+
+        def recording(source, start=0, end=None, line=1):
+            ranges.append((start, len(source) if end is None else end))
+            return lex(source, start, end, line)
+
+        monkeypatch.setattr(javamethods, "lex", recording)
+        methods = parse_methods(src)
+        monkeypatch.undo()
+        assert methods == reference_parse_methods(src) and len(methods) == 3
+        ranges.sort()
+        assert all(end <= start for (_, end), (start, _) in zip(ranges, ranges[1:])), ranges
+
+
+EDGE_METHOD_TEXTS = [
+    # the text's first line may open a char, string or text block that
+    # the whole source closed earlier, so it need not lex to a '{'
+    "     * Don't do this. */ int m(int a) { return a + a + a + a + a + a + a; }",
+    '    """; int m(int a) {\n        return a;\n    }',
+    "int m() {",
+    "",
+]
+
+
+def test_method_from_text_equals_reference():
+    import random
+
+    sources = _fixture_sources()
+    rng = random.Random(4242)
+    texts = [(t, "m", "m()") for t in EDGE_METHOD_TEXTS]
+    for src in sources + _fragments(sources) + [_fuzz_source(rng) for _ in range(500)]:
+        texts += [(m.text, m.name, m.signature) for m in parse_methods(src) or ()]
+    assert len(texts) >= 1000
+    for text, name, signature in texts:
+        assert method_from_text(text, name, signature) == reference_method_from_text(text, name, signature), text
 
 
 def test_latin_only_equals_reference():

@@ -581,6 +581,26 @@ def test_bad_override_and_scenario_files_exit_2(fixture_repos, tmp_path, capsys,
     assert "config error" in err and data[key] in err
 
 
+@pytest.mark.parametrize("key", ["developers", "weekly_rate", "training_cost_best", "inference_cost_small"])
+@pytest.mark.parametrize("value", [0, -1, float("nan"), float("inf")])
+def test_out_of_range_scenario_values_exit_2(fixture_repos, tmp_path, capsys, key, value):
+    scenario = json.loads((Path(repotailor.__file__).parent / "data" / "scenario.json").read_text())
+    scenario[key] = value
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")  # NaN and Infinity as JSON reads them
+    org, _ = fixture_repos
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", org)
+    data = json.loads(config_path.read_text())
+    data["scenario_file"] = str(scenario_path)
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["mine", "--config", str(config_path)]) == 0
+    assert main(["assemble", "--config", str(config_path)]) == 0
+    rejected = value != 0 or key in ("developers", "weekly_rate")  # a cost may be 0
+    assert main(["insight", "--config", str(config_path)]) == (2 if rejected else 0)
+    err = capsys.readouterr().err
+    assert ("config error" in err and key in err) == rejected, err
+
+
 def test_config_hash_is_pinned(tmp_path):
     # the hash keys every stage stamp; moving it invalidates existing outputs
     config_path = write_fixture_config(
