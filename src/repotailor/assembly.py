@@ -12,19 +12,31 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from .errors import AnchorIneligible, TargetTooLarge, TooFewInstances
-from .javamethods import MethodUnit
-from .masking import CompletionInstance, offset_in_text
+from .javamethods import MethodUnit, method_from_text
+from .masking import (
+    APACHE_MASK_DISTRIBUTION,
+    CompletionInstance,
+    MaskLengthDistribution,
+    Provenance,
+    generate_generic,
+    offset_in_text,
+)
 from .seeding import derive_seed, rng_for
+
+if TYPE_CHECKING:  # config imports this module's defaults
+    from .config import Caps
 
 DEFAULT_TEST_SIZE = 500
 DEFAULT_MIN_TRAIN = 1000
 TRAIN_FRACTION = 0.9
 DEFAULT_METHODS_PER_REPO = 1500
 MLM_MASK_RATE = 0.15
+PRETRAIN_REPO_FRACTION = 0.4
 
 ROLE_DEVELOPER = "developer"
 ROLE_ORGANIZATION = "organization"
@@ -338,6 +350,127 @@ def mlm_pretrain_instances(method: MethodUnit, rng: random.Random) -> MlmInstanc
         h.update(b"\x00")
         h.update(t.encode("utf-8"))
     return MlmInstance(h.hexdigest()[:20], masked_text, tuple(targets), method.signature)
+
+
+@dataclass(frozen=True, slots=True)
+class Assembled:
+    """What ``assemble`` writes: the datasets in index order, notes on
+    skipped datasets, and the generic pool (None without generic methods)."""
+
+    datasets: list[Dataset]
+    notes: list[str]
+    eligible_developers: int
+    selected_developers: list[str]
+    generic_pool: list[CompletionInstance] | None
+
+
+def build_datasets(
+    instances: list[CompletionInstance],
+    generic_methods: list[dict] | None,
+    caps: Caps,
+    seed: int,
+) -> Assembled:
+    """Every dataset family from the mined instances and, unless
+    ``generic_methods`` is None, the mined generic method records.
+
+    Eligible developers are ranked by instance count, then author id;
+    the first ``caps.top_developers`` each get a developer, organization
+    and org-subset dataset, in that order. The generic, pre-training and
+    baseline+ datasets follow. Reads and writes no file.
+    """
+    by_author: dict[str, list[CompletionInstance]] = defaultdict(list)
+    for inst in instances:
+        by_author[inst.author_id].append(inst)
+
+    splits: dict[str, SplitAssignment] = {}
+    for author in sorted(by_author):
+        try:
+            split = split_developer(by_author[author], caps.test_size)
+        except TooFewInstances:
+            continue
+        if eligible(split, caps.min_train, caps.test_size):
+            splits[author] = split
+
+    ranked = sorted(splits, key=lambda a: (-len(by_author[a]), a))
+    selected = ranked[: caps.top_developers]
+    selected_instances = {a: by_author[a] for a in selected}
+
+    datasets: list[Dataset] = []
+    notes: list[str] = []
+    org_train: dict[str, int] = {}
+    for author in selected:
+        split = splits[author]
+        datasets.append(developer_dataset(author, split, seed))
+        org = build_org_dataset(
+            selected_instances, author, split,
+            seed=derive_seed(seed, "org", author),
+            test_size=caps.test_size,
+            min_train=caps.min_train,
+        )
+        org_train[author] = len(org.train)
+        datasets.append(org)
+        try:
+            datasets.append(build_org_subset(org, len(split.train), derive_seed(seed, "orgsub", author)))
+        except TargetTooLarge:
+            notes.append(f"orgsub-{author}: org train smaller than developer train, skipped")
+    if generic_methods is None:
+        return Assembled(datasets, notes, len(splits), selected, None)
+
+    generic_pool, pretrain = _generic_instances(generic_methods, caps.methods_per_repo, seed, splits)
+    if generic_pool:
+        datasets.append(build_unanchored(ROLE_GENERIC_FINETUNE, generic_pool, seed))
+    if pretrain:
+        datasets.append(build_unanchored(ROLE_PRETRAIN, pretrain, seed))
+    for author in sorted(selected):
+        first_test_ts = min(i.timestamp for i in splits[author].test)
+        try:
+            datasets.append(build_baseline_plus(
+                generic_pool, author, org_train[author], first_test_ts, derive_seed(seed, "bplus", author)
+            ))
+        except TargetTooLarge as exc:
+            notes.append(f"bplus-{author}: {exc}")
+    return Assembled(datasets, notes, len(splits), selected, generic_pool)
+
+
+def _generic_instances(
+    generic_methods: list[dict], methods_per_repo: int, seed: int, splits: dict[str, SplitAssignment]
+) -> tuple[list[CompletionInstance], list[MlmInstance]]:
+    """The generic pool, without duplicates of any eligible developer's
+    held-out data, and the MLM instances of the pre-training repositories."""
+    by_repo: dict[str, list[dict]] = defaultdict(list)
+    for rec in generic_methods:
+        by_repo[rec["repo"]].append(rec)
+    capped = cap_methods_per_repo(dict(by_repo), methods_per_repo, seed)
+
+    repos = sorted(capped)
+    shuffled = list(repos)
+    rng_for(seed, "pretrain-split").shuffle(shuffled)
+    pretrain_repos = set(shuffled[: round(PRETRAIN_REPO_FRACTION * len(shuffled))])
+
+    # generic mask lengths follow the eligible developers' when there are any
+    dev_ns = [i.n for split in splits.values() for part in (split.train, split.val, split.test) for i in part]
+    dist = MaskLengthDistribution.from_samples(dev_ns) if dev_ns else APACHE_MASK_DISTRIBUTION
+
+    generic_pool: list[CompletionInstance] = []
+    pretrain: list[MlmInstance] = []
+    for repo in repos:
+        for rec in capped[repo]:
+            method = method_from_text(rec["text"], rec["name"], rec["signature"])
+            if repo in pretrain_repos:
+                rng = rng_for(seed, "mlm", repo, rec["sha"], rec["file"], rec["signature"])
+                pretrain.append(mlm_pretrain_instances(method, rng))
+            else:
+                rng = rng_for(seed, "generic", repo, rec["sha"], rec["file"], rec["signature"])
+                provenance = Provenance(
+                    repo_id=repo, commit_sha=rec["sha"], author_id="generic",
+                    timestamp=rec["ts"], file=rec["file"],
+                )
+                generic_pool.extend(generate_generic(method, dist, rng, provenance))
+
+    holdout = [i for split in splits.values() for i in split.val + split.test]
+    generic_pool = dedup(generic_pool, holdout)
+    generic_pool.sort(key=order_key)
+    return generic_pool, pretrain
 
 
 def audit_temporal_leak(

@@ -35,9 +35,6 @@ class PredictionRecord:
     def from_record(cls, rec: dict) -> "PredictionRecord":
         return cls(instance_id=rec["id"], model_id=rec["model"], text=rec["text"])
 
-    def to_record(self) -> dict:
-        return {"id": self.instance_id, "model": self.model_id, "text": self.text}
-
 
 @dataclass(frozen=True, slots=True)
 class ScoreRow:

@@ -50,20 +50,6 @@ class CommitRecord:
             "java_added": self.java_added_lines,
         }
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "CommitRecord":
-        return cls(
-            repo_id=rec["repo"],
-            sha=rec["sha"],
-            author_name=rec["author_name"],
-            author_email=rec["author_email"],
-            timestamp=rec["ts"],
-            first_parent_sha=rec["parent"],
-            changed_java_files=tuple(rec["java_files"]),
-            files_changed_count=rec["files_changed"],
-            java_added_lines=rec["java_added"],
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class OutlierThreshold:
@@ -131,43 +117,24 @@ def stream_commits(repo_path: str | Path, branch: str, repo_id: str | None = Non
         raise
 
     commits: list[CommitRecord] = []
-    header: list[str] | None = None
-    files: list[tuple[str, int]] = []
-    total = 0
-
-    def flush() -> None:
-        nonlocal header, files, total
-        if header is None:
-            return
-        sha, name, email, ts, parents = header
-        first_parent = parents.split()[0] if parents.strip() else None
-        java = [(p, a) for p, a in files if p.endswith(".java")]
+    # a record starts at a line that begins with the header mark: its
+    # first line is the header, its numstat lines are the changed files
+    for record in ("\n" + out).split("\n" + _LOG_HEADER)[1:]:
+        header, *lines = record.split("\n")
+        sha, name, email, ts, parents = header.split(_FIELD_SEP)
+        files = [parts for parts in (line.split("\t") for line in lines) if len(parts) >= 3]
+        java = [(f[2], 0 if f[0] == "-" else int(f[0])) for f in files if f[2].endswith(".java")]
         commits.append(CommitRecord(
             repo_id=repo_id,
             sha=sha,
             author_name=name,
             author_email=email,
             timestamp=int(ts),
-            first_parent_sha=first_parent,
+            first_parent_sha=parents.split()[0] if parents.strip() else None,
             changed_java_files=tuple(p for p, _ in java),
-            files_changed_count=total,
+            files_changed_count=len(files),
             java_added_lines=sum(a for _, a in java),
         ))
-        header = None
-        files = []
-        total = 0
-
-    for line in out.split("\n"):
-        if line.startswith(_LOG_HEADER):
-            flush()
-            header = line[1:].split(_FIELD_SEP)
-        elif line.strip():
-            parts = line.split("\t")
-            if len(parts) >= 3:
-                added = 0 if parts[0] == "-" else int(parts[0])
-                files.append((parts[2], added))
-                total += 1
-    flush()
     return commits
 
 

@@ -17,23 +17,17 @@ from pathlib import Path
 
 from . import assembly, insight, masking, metrics, stats
 from .config import RepoSpec, RunConfig
-from .errors import (
-    ConfigHashMismatch,
-    DataError,
-    EmptyInput,
-    MissingStage,
-    TargetTooLarge,
-    TooFewInstances,
-)
+from .errors import ConfigHashMismatch, DataError, EmptyInput, MissingStage
 from .identity import load_overrides, resolve_identities, top_contributors
 from .javamethods import (
     MethodUnit,
     apply_method_filters,
     map_added_lines,
+    # not called here: perfbench traces `assemble`'s re-lex under this name
     method_from_text,
     parse_methods,
 )
-from .masking import CompletionInstance, MaskLengthDistribution, Provenance
+from .masking import CompletionInstance, Provenance
 from .mining import (
     BlobReader,
     CommitRecord,
@@ -45,7 +39,7 @@ from .mining import (
     read_blob,
     stream_commits,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import rng_for
 from .storage import (
     read_json,
     read_jsonl,
@@ -56,8 +50,6 @@ from .storage import (
 
 STAGE_MINE = "mine"
 STAGE_ASSEMBLE = "assemble"
-
-PRETRAIN_REPO_FRACTION = 0.4
 
 
 def _stamp_path(cfg: RunConfig, stage: str) -> Path:
@@ -82,11 +74,17 @@ def _check_stage_stamp(cfg: RunConfig, stage: str) -> dict:
 
 
 def _stage_up_to_date(cfg: RunConfig, stage: str, inputs: dict[str, str]) -> bool:
+    """True when the stamp matches the config and inputs and every output
+    it lists still exists."""
     path = _stamp_path(cfg, stage)
     if not path.exists():
         return False
     stamp = read_json(path)
-    return stamp.get("config_hash") == cfg.config_hash() and stamp.get("inputs") == inputs
+    return (
+        stamp.get("config_hash") == cfg.config_hash()
+        and stamp.get("inputs") == inputs
+        and all((Path(cfg.out_dir) / name).exists() for name in stamp.get("outputs", {}))
+    )
 
 
 def _replace_json(path: Path, obj) -> None:
@@ -345,137 +343,34 @@ def run_assemble(cfg: RunConfig) -> dict:
         "instances": mine_stamp["outputs"].get("instances.jsonl", ""),
         "generic_methods": mine_stamp["outputs"].get("generic_methods.jsonl", ""),
     }
-    if _stage_up_to_date(cfg, STAGE_ASSEMBLE, inputs) and (out_dir / "index.json").exists():
+    if _stage_up_to_date(cfg, STAGE_ASSEMBLE, inputs):
         return read_json(out_dir / "index.json")
 
-    instances = _load_instances(out_dir / "instances.jsonl")
-    by_author: dict[str, list[CompletionInstance]] = defaultdict(list)
-    for inst in instances:
-        by_author[inst.author_id].append(inst)
-
-    caps = cfg.caps
-    splits: dict[str, assembly.SplitAssignment] = {}
-    for author in sorted(by_author):
-        try:
-            split = assembly.split_developer(by_author[author], caps.test_size)
-        except TooFewInstances:
-            continue
-        if assembly.eligible(split, caps.min_train, caps.test_size):
-            splits[author] = split
-
-    ranked = sorted(splits, key=lambda a: (-len(by_author[a]), a))
-    selected = ranked[: caps.top_developers]
-    selected_instances = {a: by_author[a] for a in selected}
-
-    datasets: list[assembly.Dataset] = []
-    notes: list[str] = []
-    org_sets: dict[str, assembly.Dataset] = {}
-
-    for author in selected:
-        split = splits[author]
-        datasets.append(assembly.developer_dataset(author, split, cfg.seed))
-        org = assembly.build_org_dataset(
-            selected_instances, author, split,
-            seed=derive_seed(cfg.seed, "org", author),
-            test_size=caps.test_size,
-            min_train=caps.min_train,
-        )
-        org_sets[author] = org
-        datasets.append(org)
-        try:
-            datasets.append(assembly.build_org_subset(
-                org, len(split.train), derive_seed(cfg.seed, "orgsub", author)
-            ))
-        except TargetTooLarge:
-            notes.append(f"orgsub-{author}: org train smaller than developer train, skipped")
+    generic_path = out_dir / "generic_methods.jsonl"
+    generic_methods = list(read_jsonl(generic_path)) if inputs["generic_methods"] else None
+    built = assembly.build_datasets(
+        _load_instances(out_dir / "instances.jsonl"), generic_methods, cfg.caps, cfg.seed
+    )
 
     _stamp_path(cfg, STAGE_ASSEMBLE).unlink(missing_ok=True)
-    if inputs["generic_methods"]:
-        generic_datasets, generic_notes = _generic_datasets(cfg, out_dir, splits, org_sets)
-        datasets += generic_datasets
-        notes += generic_notes
-    else:  # a leftover from an earlier config must not feed insight
-        (out_dir / "generic_pool.jsonl").unlink(missing_ok=True)
+    pool_path = out_dir / "generic_pool.jsonl"
+    if built.generic_pool is None:  # a leftover from an earlier config must not feed insight
+        pool_path.unlink(missing_ok=True)
+    else:
+        write_jsonl(pool_path, (i.to_record() for i in built.generic_pool))
 
     index = {
         "config_hash": cfg.config_hash(),
         "organization": cfg.organization,
-        "eligible_developers": len(splits),
-        "selected_developers": selected,
-        "manifests": [_write_dataset(out_dir, d) for d in datasets],
-        "notes": notes,
+        "eligible_developers": built.eligible_developers,
+        "selected_developers": built.selected_developers,
+        "manifests": [_write_dataset(out_dir, d) for d in built.datasets],
+        "notes": built.notes,
     }
     write_json(out_dir / "index.json", index)
     outputs = {"index.json": sha256_file(out_dir / "index.json")}
     _write_stamp(cfg, STAGE_ASSEMBLE, inputs, outputs)
     return index
-
-
-def _generic_datasets(
-    cfg: RunConfig,
-    out_dir: Path,
-    splits: dict[str, assembly.SplitAssignment],
-    org_sets: dict[str, assembly.Dataset],
-) -> tuple[list[assembly.Dataset], list[str]]:
-    """The generic, pre-training and baseline+ datasets from the mined
-    generic methods, plus notes on skipped baseline+ datasets; writes
-    the generic pool that ``insight`` reads."""
-    records = list(read_jsonl(out_dir / "generic_methods.jsonl"))
-    by_repo: dict[str, list[dict]] = defaultdict(list)
-    for rec in records:
-        by_repo[rec["repo"]].append(rec)
-    capped = assembly.cap_methods_per_repo(dict(by_repo), cfg.caps.methods_per_repo, cfg.seed)
-
-    repos = sorted(capped)
-    shuffled = list(repos)
-    rng_for(cfg.seed, "pretrain-split").shuffle(shuffled)
-    n_pretrain = round(PRETRAIN_REPO_FRACTION * len(shuffled))
-    pretrain_repos = set(shuffled[:n_pretrain])
-
-    dev_ns = [i.n for split in splits.values() for part in (split.train, split.val, split.test) for i in part]
-    if dev_ns:
-        dist = MaskLengthDistribution.from_samples(dev_ns)
-    else:
-        dist = masking.APACHE_MASK_DISTRIBUTION
-
-    holdout = [i for split in splits.values() for i in list(split.val) + list(split.test)]
-
-    generic_pool: list[CompletionInstance] = []
-    pretrain_instances: list[assembly.MlmInstance] = []
-    for repo in repos:
-        for rec in capped[repo]:
-            method = method_from_text(rec["text"], rec["name"], rec["signature"])
-            if repo in pretrain_repos:
-                rng = rng_for(cfg.seed, "mlm", repo, rec["sha"], rec["file"], rec["signature"])
-                pretrain_instances.append(assembly.mlm_pretrain_instances(method, rng))
-            else:
-                rng = rng_for(cfg.seed, "generic", repo, rec["sha"], rec["file"], rec["signature"])
-                provenance = Provenance(
-                    repo_id=repo, commit_sha=rec["sha"], author_id="generic",
-                    timestamp=rec["ts"], file=rec["file"],
-                )
-                generic_pool.extend(masking.generate_generic(method, dist, rng, provenance))
-
-    generic_pool = assembly.dedup(generic_pool, holdout)
-    generic_pool.sort(key=assembly.order_key)
-    write_jsonl(out_dir / "generic_pool.jsonl", (i.to_record() for i in generic_pool))
-
-    datasets = []
-    if generic_pool:
-        datasets.append(assembly.build_unanchored(assembly.ROLE_GENERIC_FINETUNE, generic_pool, cfg.seed))
-    if pretrain_instances:
-        datasets.append(assembly.build_unanchored(assembly.ROLE_PRETRAIN, pretrain_instances, cfg.seed))
-    notes = []
-    for author in sorted(org_sets):
-        first_test_ts = min(i.timestamp for i in splits[author].test)
-        bplus_seed = derive_seed(cfg.seed, "bplus", author)
-        try:
-            datasets.append(assembly.build_baseline_plus(
-                generic_pool, author, len(org_sets[author].train), first_test_ts, bplus_seed
-            ))
-        except TargetTooLarge as exc:
-            notes.append(f"bplus-{author}: {exc}")
-    return datasets, notes
 
 
 def _exclusion_for_dataset(cfg: RunConfig, manifests: dict[str, dict], dataset_id: str) -> set:
@@ -542,7 +437,7 @@ def _score_rows(path: str | Path, model: str | None) -> tuple[dict, str, list[me
     except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
         raise DataError(f"cannot read score report {path}: {exc}") from exc
     rows = report.get("rows") if isinstance(report, dict) else None
-    if not isinstance(rows, dict):
+    if not isinstance(rows, dict) or not isinstance(report.get("dataset_id"), str):
         raise DataError(f"{path} is not a score report")
     models = sorted(rows)
     if model is None:
@@ -580,7 +475,7 @@ def run_compare(
 
     comparison = {
         "config_hash": cfg.config_hash(),
-        "dataset_id": rep_a.get("dataset_id"),
+        "dataset_id": rep_a["dataset_id"],
         "model_a": name_a,
         "model_b": name_b,
         "em": {
@@ -600,7 +495,7 @@ def run_compare(
             **cb_result.to_record(),
         },
     }
-    out_path = Path(cfg.out_dir) / "reports" / f"compare-{name_a}-vs-{name_b}.json"
+    out_path = Path(cfg.out_dir) / "reports" / f"{rep_a['dataset_id']}.compare-{name_a}-vs-{name_b}.json"
     write_json(out_path, comparison)
     return comparison
 
@@ -628,17 +523,13 @@ def run_insight(cfg: RunConfig) -> dict:
     for author, man in sorted(by_role[assembly.ROLE_DEVELOPER].items()):
         test = _load_part(out_dir, man, "test")
         test_vocab = insight.vocabulary_elements(test, memo)
-        trains = [("developer", _load_part(out_dir, man, "train"), None)]
-        for role, key in (
-            (assembly.ROLE_ORGANIZATION, "organization"),
-            (assembly.ROLE_ORG_SUBSET, "org-subset"),
-            (assembly.ROLE_BASELINE_PLUS, "baseline-plus"),
-        ):
+        trains = [(assembly.ROLE_DEVELOPER, _load_part(out_dir, man, "train"), None)]
+        for role in (assembly.ROLE_ORGANIZATION, assembly.ROLE_ORG_SUBSET, assembly.ROLE_BASELINE_PLUS):
             other = by_role[role].get(author)
             if other:
                 train = _load_part(out_dir, other, "train")
                 if train:
-                    trains.append((key, train, None))
+                    trains.append((role, train, None))
         if generic_pool:
             trains.append(("generic-pool", generic_pool, generic_vocab))
         coverage[author] = {

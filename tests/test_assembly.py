@@ -15,6 +15,7 @@ from repotailor.assembly import (
     DatasetManifest,
     audit_temporal_leak,
     build_baseline_plus,
+    build_datasets,
     build_org_dataset,
     build_org_subset,
     build_unanchored,
@@ -25,9 +26,10 @@ from repotailor.assembly import (
     mlm_pretrain_instances,
     split_developer,
 )
+from repotailor.config import Caps
 from repotailor.errors import AnchorIneligible, TargetTooLarge, TooFewInstances
 
-from conftest import BASE_TS, make_instance, method_of
+from conftest import BASE_TS, _method_source, make_instance, method_of
 
 
 def series(author: str, count: int, start: int = 0, step: int = 10):
@@ -335,3 +337,72 @@ def test_temporal_leak_fuzz_small():
             continue
         org = build_org_dataset(devs, anchor, split, seed=7, test_size=5, min_train=10)
         assert audit_temporal_leak([developer_dataset(anchor, split, 7), org], 5, 10) == []
+
+
+FAMILY_CAPS = Caps(top_developers=2, test_size=3, min_train=5)
+
+
+def generic_record(repo: str = "gen") -> dict:
+    """One mined generic method record, as ``mine`` writes them, older
+    than every instance of ``series``."""
+    m = method_of(_method_source("G", [f"int v{i} = seed * {i} + scale;" for i in range(6)]))
+    return {"repo": repo, "sha": "1" * 40, "ts": BASE_TS - 100, "file": "G.java",
+            "name": m.name, "signature": m.signature, "text": m.text}
+
+
+def dataset_ids(built) -> list[str]:
+    return [d.manifest.dataset_id for d in built.datasets]
+
+
+def org_train_sizes(built) -> dict[str, int]:
+    return {d.manifest.anchor_developer: len(d.train)
+            for d in built.datasets if d.manifest.role == ROLE_ORGANIZATION}
+
+
+def test_build_datasets_ranks_by_count_then_author_and_cuts_at_top_developers():
+    # c, a and b are eligible; d has too little train, e too few instances
+    instances = (
+        series("b", 12, 3) + series("d", 8, 4) + series("c", 15, 1) + series("e", 2, 5) + series("a", 12, 2)
+    )
+    built = build_datasets(instances, None, FAMILY_CAPS, seed=7)
+    assert built.selected_developers == ["c", "a"]
+    assert built.eligible_developers == 3
+    assert dataset_ids(built) == ["dev-c", "org-c", "orgsub-c", "dev-a", "org-a", "orgsub-a"]
+    assert built.notes == []
+
+
+def test_build_datasets_notes_a_skipped_org_subset():
+    # a lone developer's organization train set is 90% of their own train set
+    built = build_datasets(series("a", 15), None, FAMILY_CAPS, seed=7)
+    assert dataset_ids(built) == ["dev-a", "org-a"]
+    assert built.notes == ["orgsub-a: org train smaller than developer train, skipped"]
+
+
+def test_build_datasets_notes_a_baseline_plus_larger_than_the_generic_pool():
+    built = build_datasets(series("a", 15) + series("b", 12, 1), [generic_record()], FAMILY_CAPS, seed=7)
+    org_train = org_train_sizes(built)
+    pool = len(built.generic_pool)
+    assert 0 < pool < min(org_train.values())
+    assert dataset_ids(built)[-1] == "generic"
+    assert built.notes == [
+        f"bplus-{a}: target {org_train[a]} > eligible pool {pool}" for a in ("a", "b")
+    ]
+
+
+def test_build_datasets_without_generic_methods_has_no_generic_pool():
+    instances = series("a", 15) + series("b", 12, 1)
+    without = build_datasets(instances, None, FAMILY_CAPS, seed=7)
+    empty = build_datasets(instances, [], FAMILY_CAPS, seed=7)
+    assert without.generic_pool is None
+    assert {d.manifest.role for d in without.datasets} == {ROLE_DEVELOPER, ROLE_ORGANIZATION, ROLE_ORG_SUBSET}
+    assert empty.generic_pool == []
+    assert empty.datasets == without.datasets
+    assert empty.notes == [f"bplus-{a}: target {n} > eligible pool 0" for a, n in org_train_sizes(empty).items()]
+
+
+def test_build_datasets_builds_every_family_from_an_ample_generic_pool():
+    records = [generic_record(f"gen{i}") for i in range(5)]
+    built = build_datasets(series("a", 15), records, FAMILY_CAPS, seed=7)
+    roles = [d.manifest.role for d in built.datasets]
+    assert roles == [ROLE_DEVELOPER, ROLE_ORGANIZATION, ROLE_GENERIC_FINETUNE, ROLE_PRETRAIN, ROLE_BASELINE_PLUS]
+    assert all(i.author_id == "generic" for i in built.generic_pool)

@@ -65,6 +65,21 @@ def test_stream_linear_history(tmp_path):
     assert commits[0].java_added_lines == 1
 
 
+def test_stream_counts_empty_binary_and_non_java_changes(tmp_path):
+    repo = init_repo(tmp_path / "kinds")
+    commit_files(repo, {"A.java": "class A {}\nclass B {}\n", "README.md": "a\n"}, "mixed", "Alice", "a@x.com", BASE_TS)
+    commit_files(repo, {}, "empty", "Alice", "a@x.com", BASE_TS + 60)
+    (repo / "Blob.java").write_bytes(b"\x00\x01not text\x00")  # numstat reports "-" added lines
+    commit_files(repo, {"notes.txt": "x\ny\n"}, "binary", "Bob", "b@y.com", BASE_TS + 120)
+    commits = stream_commits(repo, "main")
+    assert [(c.files_changed_count, c.changed_java_files, c.java_added_lines) for c in commits] == [
+        (2, ("A.java",), 2),
+        (0, (), 0),
+        (2, ("Blob.java",), 0),
+    ]
+    assert [c.first_parent_sha for c in commits[1:]] == [c.sha for c in commits[:-1]]
+
+
 def test_stream_merge_commit_follows_first_parent(tmp_path):
     repo = init_repo(tmp_path / "merge")
     commit_files(repo, {"A.java": "class A {}\n"}, "base", "Alice", "a@x.com", BASE_TS)

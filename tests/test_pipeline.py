@@ -17,7 +17,7 @@ from repotailor.assembly import (
 )
 from repotailor.cli import main
 from repotailor.config import load_config
-from repotailor.errors import ConfigError, ConfigHashMismatch, MissingStage
+from repotailor.errors import ConfigError, ConfigHashMismatch, DataError, MissingStage
 from repotailor.pipeline import (
     run_assemble,
     run_compare,
@@ -125,6 +125,20 @@ def test_mine_is_noop_when_heads_unchanged(mined):
     again = run_mine(cfg)
     assert again == report
     assert commits_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("deleted", ["run_report.json", "instances.jsonl", "index.json"])
+def test_a_stage_whose_output_was_deleted_runs_again(fixture_repos, tmp_path, deleted):
+    org, _ = fixture_repos
+    config_path = str(write_fixture_config(tmp_path, tmp_path / "out", org))
+    assert main(["mine", "--config", config_path]) == 0
+    assert main(["assemble", "--config", config_path]) == 0
+    path = tmp_path / "out" / deleted
+    before = path.read_bytes()
+    path.unlink()
+    assert main(["mine", "--config", config_path]) == 0
+    assert main(["assemble", "--config", config_path]) == 0
+    assert path.read_bytes() == before
 
 
 def _future(rows, holdout_row):
@@ -391,6 +405,24 @@ def test_compare_reports_a_bad_report_as_a_data_error(mined, tmp_path, capsys):
         assert main(argv) == 3, bad
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(bad) in err, err
+
+
+def test_compare_keeps_one_report_per_dataset(mined, tmp_path):
+    cfg, _, _, index = mined
+    dev_ids = [m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER]
+    assert len(dev_ids) == 2
+    reports = Path(cfg.out_dir) / "reports"
+    for ds in dev_ids:
+        run_score(cfg, ds, predictions_for(cfg, ds, tmp_path / f"{ds}.jsonl"))
+        run_compare(cfg, reports / f"{ds}.score.json", reports / f"{ds}.score.json", "echo", "mangle")
+    for ds in dev_ids:
+        assert read_json(reports / f"{ds}.compare-echo-vs-mangle.json")["dataset_id"] == ds
+
+    # a report without a string dataset id names no file to write
+    bad = tmp_path / "no-id.score.json"
+    bad.write_text(json.dumps({**read_json(reports / f"{dev_ids[0]}.score.json"), "dataset_id": 7}), encoding="utf-8")
+    with pytest.raises(DataError, match="not a score report"):
+        run_compare(cfg, bad, reports / f"{dev_ids[0]}.score.json", "echo", "mangle")
 
 
 def test_score_crash_mid_write_keeps_the_previous_report(mined, tmp_path, monkeypatch):
