@@ -65,13 +65,6 @@ class FilterVerdict:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class AddedLine:
-    file: str
-    line_number: int  # 1-based, in the child version
-    text: str
-
-
 def is_parsable(source: str) -> bool:
     """Whether method recovery can work on this source (braces balance)."""
     return parse_methods(source) is not None
@@ -365,18 +358,19 @@ def apply_method_filters(m: MethodUnit) -> FilterVerdict:
 
 
 def map_added_lines(
-    methods: list[MethodUnit], lines: list[AddedLine]
+    methods: list[MethodUnit], line_numbers: list[int]
 ) -> list[tuple[MethodUnit, list[int]]]:
-    """Assign each added line to its innermost enclosing method.
+    """Assign each added line (a 1-based line number) to its innermost
+    enclosing method.
 
     Methods that received no added line are omitted; line sets are
     sorted and deduplicated.
     """
     hits: dict[int, set[int]] = {}
-    for added in lines:
+    for line in line_numbers:
         best: int | None = None
         for i, m in enumerate(methods):
-            if m.start_line <= added.line_number <= m.end_line:
+            if m.start_line <= line <= m.end_line:
                 if best is None:
                     best = i
                 else:
@@ -384,5 +378,5 @@ def map_added_lines(
                     if (m.start_line, -m.end_line) > (b.start_line, -b.end_line):
                         best = i
         if best is not None:
-            hits.setdefault(best, set()).add(added.line_number)
+            hits.setdefault(best, set()).add(line)
     return [(methods[i], sorted(hits[i])) for i in sorted(hits)]

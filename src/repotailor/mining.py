@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BranchMissing, EmptyInput, RepoUnreadable
-from .javamethods import AddedLine
 
 _LOG_HEADER = "\x01"
 _FIELD_SEP = "\x00"
@@ -233,11 +232,12 @@ def filter_outliers(commits: list[CommitRecord]) -> tuple[list[CommitRecord], Ou
     return kept, threshold
 
 
-def added_lines(parent_text: str, child_text: str, file: str = "") -> list[AddedLine]:
-    """Lines classified as insertions by a minimal line diff.
+def added_lines(parent_text: str, child_text: str) -> list[int]:
+    """1-based child line numbers of the lines a minimal line diff
+    classifies as insertions, ascending.
 
     Modified lines surface as delete+insert; only the insert side is
-    reported. Line numbers refer to the child version.
+    reported.
 
     The result is the inserted set of the greedy forward Myers search
     over the whole texts, but the search sees less: the common prefix
@@ -263,11 +263,7 @@ def added_lines(parent_text: str, child_text: str, file: str = "") -> list[Added
     shared_a = [ids.setdefault(line, len(ids)) for line in a if line in in_b]
     shared_at = [j for j, line in enumerate(b) if line in in_a]
     searched = {shared_at[i] for i in _myers_inserted(shared_a, [ids[b[j]] for j in shared_at])}
-    return [
-        AddedLine(file=file, line_number=prefix + j + 1, text=line)
-        for j, line in enumerate(b)
-        if line not in in_a or j in searched
-    ]
+    return [prefix + j + 1 for j, line in enumerate(b) if line not in in_a or j in searched]
 
 
 def _myers_inserted(a: list[int], b: list[int]) -> list[int]:

@@ -8,12 +8,12 @@ dataset in an output tree.
 
 from __future__ import annotations
 
-import csv
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import assembly, insight, masking, metrics, stats
 from .config import RepoSpec, RunConfig
@@ -40,13 +40,7 @@ from .mining import (
     stream_commits,
 )
 from .seeding import rng_for
-from .storage import (
-    read_json,
-    read_jsonl,
-    sha256_file,
-    write_json,
-    write_jsonl,
-)
+from .storage import read_json, read_jsonl, write_csv, write_json, write_jsonl
 
 STAGE_MINE = "mine"
 STAGE_ASSEMBLE = "assemble"
@@ -61,6 +55,8 @@ def _head_shas(cfg: RunConfig) -> dict[str, str]:
 
 
 def _check_stage_stamp(cfg: RunConfig, stage: str) -> dict:
+    """The stage's stamp, once it matches the config and every output it
+    lists exists."""
     path = _stamp_path(cfg, stage)
     if not path.exists():
         raise MissingStage(f"stage {stage!r} has not produced outputs in {cfg.out_dir}")
@@ -70,21 +66,17 @@ def _check_stage_stamp(cfg: RunConfig, stage: str) -> dict:
             f"stage {stage!r} outputs were built under config {stamp.get('config_hash')}, "
             f"current config is {cfg.config_hash()}"
         )
+    for name in stamp.get("outputs", {}):
+        if not (Path(cfg.out_dir) / name).exists():
+            raise MissingStage(f"stage {stage!r} output {name} is missing from {cfg.out_dir}")
     return stamp
 
 
 def _stage_up_to_date(cfg: RunConfig, stage: str, inputs: dict[str, str]) -> bool:
-    """True when the stamp matches the config and inputs and every output
-    it lists still exists."""
-    path = _stamp_path(cfg, stage)
-    if not path.exists():
+    try:
+        return _check_stage_stamp(cfg, stage).get("inputs") == inputs
+    except (MissingStage, ConfigHashMismatch):
         return False
-    stamp = read_json(path)
-    return (
-        stamp.get("config_hash") == cfg.config_hash()
-        and stamp.get("inputs") == inputs
-        and all((Path(cfg.out_dir) / name).exists() for name in stamp.get("outputs", {}))
-    )
 
 
 def _replace_json(path: Path, obj) -> None:
@@ -137,48 +129,66 @@ def _ingest(specs: tuple[RepoSpec, ...]) -> tuple[list[CommitRecord], dict, Outl
     return commits, funnel, threshold
 
 
-def _mine_changed_methods(
-    commit: CommitRecord,
-    reader: BlobReader,
-    counters: dict,
-) -> list[tuple[str, MethodUnit, list[int]]]:
+ChangedMethods = list[tuple[str, MethodUnit, list[int]]]
+
+_DROPPED = "dropped:"  # a counts key: the prefix, then a method filter's reason
+
+
+def _mine_changed_methods(commit: CommitRecord, reader: BlobReader, counts: Counter) -> ChangedMethods:
     """(file, kept method, added line numbers) triples for one commit."""
-    out: list[tuple[str, MethodUnit, list[int]]] = []
-    reasons = counters["method_drop_reasons"]
+    out: ChangedMethods = []
     for file in sorted(commit.changed_java_files):
         child = read_blob(reader, commit.sha, file)
         if child is None:
-            counters["undecodable_files"] += 1
+            counts["undecodable_files"] += 1
             continue
         parent = ""
         if commit.first_parent_sha is not None:
             parent = read_blob(reader, commit.first_parent_sha, file) or ""
-        lines = added_lines(parent, child, file)
+        lines = added_lines(parent, child)
         if not lines:
             continue
         methods = parse_methods(child)
         if methods is None:
-            counters["unparsable_files"] += 1
+            counts["unparsable_files"] += 1
             continue
-        counters["methods_extracted"] += len(methods)
+        counts["methods_extracted"] += len(methods)
         kept = []
         for m in methods:
             verdict = apply_method_filters(m)
             if verdict.kept:
                 kept.append(m)
             else:
-                reasons[verdict.reason] = reasons.get(verdict.reason, 0) + 1
-        counters["methods_kept"] += len(kept)
-        for method, line_numbers in map_added_lines(kept, lines):
-            out.append((file, method, line_numbers))
+                counts[_DROPPED + verdict.reason] += 1
+        counts["methods_kept"] += len(kept)
+        out.extend((file, method, line_numbers) for method, line_numbers in map_added_lines(kept, lines))
     return out
 
 
+def _mine_commits(
+    commits: list[CommitRecord], repo_paths: dict[str, str], counts: Counter,
+    wanted: Callable[[CommitRecord], bool] = lambda commit: True,
+) -> Iterator[tuple[CommitRecord, ChangedMethods]]:
+    """Each commit that changes Java files and that ``wanted`` accepts,
+    with its changed methods. ``counts`` gains this pool's file and
+    method attrition, and ``unwanted_commits``.
+
+    Commits are sorted by repository: one blob reader per repository,
+    each closed and reaped before the next opens.
+    """
+    for repo_id, repo_commits in groupby(commits, key=attrgetter("repo_id")):
+        with BlobReader(repo_paths[repo_id]) as reader:
+            for commit in repo_commits:
+                if not commit.changed_java_files:
+                    continue
+                if not wanted(commit):
+                    counts["unwanted_commits"] += 1
+                    continue
+                yield commit, _mine_changed_methods(commit, reader, counts)
+
+
 def _mask_commit_methods(
-    cfg: RunConfig,
-    commit: CommitRecord,
-    author_id: str,
-    changed: list[tuple[str, MethodUnit, list[int]]],
+    cfg: RunConfig, commit: CommitRecord, author_id: str, changed: ChangedMethods
 ) -> list[CompletionInstance]:
     instances = []
     for file, method, line_numbers in changed:
@@ -209,14 +219,6 @@ def run_mine(cfg: RunConfig) -> dict:
     if _stage_up_to_date(cfg, STAGE_MINE, inputs):
         return read_json(out_dir / "run_report.json")
 
-    counters: dict = {
-        "undecodable_files": 0,
-        "unparsable_files": 0,
-        "methods_extracted": 0,
-        "methods_kept": 0,
-        "method_drop_reasons": {},
-    }
-
     overrides = load_overrides(cfg.identity_overrides) if cfg.identity_overrides else None
     repo_paths = {spec.resolved_id(): spec.path for spec in cfg.repos + cfg.generic_repos}
     commits, funnel, threshold = _ingest(cfg.repos)
@@ -224,45 +226,34 @@ def run_mine(cfg: RunConfig) -> dict:
     identities = resolve_identities(raw_authors, overrides)
     pool = top_contributors(identities, cfg.caps.contributor_pool) if identities else []
     pool_ids = {ident.author_id for ident in pool}
-    author_of: dict[tuple[str, str], str] = {}
-    for ident in identities:
-        for alias in ident.aliases:
-            author_of[alias] = ident.author_id
+    author_of = {alias: ident.author_id for ident in identities for alias in ident.aliases}
 
-    # commits are sorted by repository: one blob reader per repository,
-    # each closed and reaped before the next opens
+    def author(commit: CommitRecord) -> str:
+        return author_of[(commit.author_name, commit.author_email)]
+
+    counts: Counter = Counter()
     instances: list[CompletionInstance] = []
-    skipped_non_pool = 0
-    for repo_id, repo_commits in groupby(commits, key=attrgetter("repo_id")):
-        with BlobReader(repo_paths[repo_id]) as reader:
-            for commit in repo_commits:
-                if not commit.changed_java_files:
-                    continue
-                author_id = author_of[(commit.author_name, commit.author_email)]
-                if author_id not in pool_ids:
-                    skipped_non_pool += 1
-                    continue
-                changed = _mine_changed_methods(commit, reader, counters)
-                instances.extend(_mask_commit_methods(cfg, commit, author_id, changed))
+    for commit, changed in _mine_commits(commits, repo_paths, counts, lambda c: author(c) in pool_ids):
+        instances.extend(_mask_commit_methods(cfg, commit, author(commit), changed))
     instances.sort(key=lambda i: (i.repo_id, i.timestamp, i.commit_sha, i.file, i.instance_id))
 
     gen_commits, gen_funnel, _ = _ingest(cfg.generic_repos)
-    generic_methods = []
-    for repo_id, repo_commits in groupby(gen_commits, key=attrgetter("repo_id")):
-        with BlobReader(repo_paths[repo_id]) as reader:
-            generic_methods.extend(
-                _method_record(commit, file, method)
-                for commit in repo_commits
-                for file, method, _ in _mine_changed_methods(commit, reader, counters)
-            )
+    gen_counts: Counter = Counter()
+    generic_methods = [
+        _method_record(commit, file, method)
+        for commit, changed in _mine_commits(gen_commits, repo_paths, gen_counts)
+        for file, method, _ in changed
+    ]
     generic_methods.sort(key=lambda r: (r["repo"], r["ts"], r["sha"], r["file"], r["signature"]))
 
     _stamp_path(cfg, STAGE_MINE).unlink(missing_ok=True)
-    write_jsonl(out_dir / "commits.jsonl", (c.to_record() for c in commits))
-    write_jsonl(out_dir / "identities.jsonl", (i.to_record() for i in identities))
-    write_jsonl(out_dir / "instances.jsonl", (i.to_record() for i in instances))
+    outputs = {
+        "commits.jsonl": write_jsonl(out_dir / "commits.jsonl", (c.to_record() for c in commits)),
+        "identities.jsonl": write_jsonl(out_dir / "identities.jsonl", (i.to_record() for i in identities)),
+        "instances.jsonl": write_jsonl(out_dir / "instances.jsonl", (i.to_record() for i in instances)),
+    }
     if cfg.generic_repos:
-        write_jsonl(out_dir / "generic_methods.jsonl", generic_methods)
+        outputs["generic_methods.jsonl"] = write_jsonl(out_dir / "generic_methods.jsonl", generic_methods)
     else:  # a leftover from an earlier config must not feed assemble
         (out_dir / "generic_methods.jsonl").unlink(missing_ok=True)
 
@@ -278,32 +269,30 @@ def run_mine(cfg: RunConfig) -> dict:
             "raw_author_rows": len(raw_authors),
             "resolved": len(identities),
             "contributor_pool": len(pool),
-            "commits_outside_pool": skipped_non_pool,
+            "commits_outside_pool": counts["unwanted_commits"],
         },
         "files": {
-            "undecodable": counters["undecodable_files"],
-            "unparsable": counters["unparsable_files"],
+            "undecodable": counts["undecodable_files"],
+            "unparsable": counts["unparsable_files"],
         },
         "methods": {
-            "extracted": counters["methods_extracted"],
-            "kept": counters["methods_kept"],
-            "dropped_by_reason": dict(sorted(counters["method_drop_reasons"].items())),
+            "extracted": counts["methods_extracted"],
+            "kept": counts["methods_kept"],
+            "dropped_by_reason": {
+                key.removeprefix(_DROPPED): n for key, n in sorted(counts.items()) if key.startswith(_DROPPED)
+            },
         },
         "instances": {"emitted": len(instances)},
         "generic": {
             "total": gen_funnel["total"],
             "kept": gen_funnel["after_outlier_filter"],
             "methods": len(generic_methods),
+            "methods_extracted": gen_counts["methods_extracted"],
+            "undecodable_files": gen_counts["undecodable_files"],
+            "unparsable_files": gen_counts["unparsable_files"],
         },
     }
-    write_json(out_dir / "run_report.json", report)
-
-    outputs = {
-        name: sha256_file(out_dir / name)
-        for name in ("commits.jsonl", "identities.jsonl", "instances.jsonl", "run_report.json")
-    }
-    if cfg.generic_repos:
-        outputs["generic_methods.jsonl"] = sha256_file(out_dir / "generic_methods.jsonl")
+    outputs["run_report.json"] = write_json(out_dir / "run_report.json", report)
     _write_stamp(cfg, STAGE_MINE, inputs, outputs)
     return report
 
@@ -323,13 +312,11 @@ def _write_dataset(out_dir: Path, dataset: assembly.Dataset) -> dict:
     dataset's directory; returns its ``index.json`` entry."""
     manifest = dataset.manifest
     dataset_dir = out_dir / "datasets" / manifest.dataset_id
-    files = {}
-    for name, part in dataset.parts().items():
-        path = dataset_dir / f"{name}.jsonl"
-        write_jsonl(path, (i.to_record() for i in part))
-        files[path.name] = sha256_file(path)
-    write_json(dataset_dir / "manifest.json", manifest.to_record())
-    files["manifest.json"] = sha256_file(dataset_dir / "manifest.json")
+    files = {
+        f"{name}.jsonl": write_jsonl(dataset_dir / f"{name}.jsonl", (i.to_record() for i in part))
+        for name, part in dataset.parts().items()
+    }
+    files["manifest.json"] = write_json(dataset_dir / "manifest.json", manifest.to_record())
     return {"path": str(dataset_dir.relative_to(out_dir)), "files": files, **manifest.to_record()}
 
 
@@ -367,8 +354,7 @@ def run_assemble(cfg: RunConfig) -> dict:
         "manifests": [_write_dataset(out_dir, d) for d in built.datasets],
         "notes": built.notes,
     }
-    write_json(out_dir / "index.json", index)
-    outputs = {"index.json": sha256_file(out_dir / "index.json")}
+    outputs = {"index.json": write_json(out_dir / "index.json", index)}
     _write_stamp(cfg, STAGE_ASSEMBLE, inputs, outputs)
     return index
 
@@ -385,6 +371,23 @@ def _exclusion_for_dataset(cfg: RunConfig, manifests: dict[str, dict], dataset_i
     )
 
 
+def _load_predictions(path: str | Path) -> dict[str, list[metrics.PredictionRecord]]:
+    """Predictions by model; a missing, unreadable or malformed
+    predictions file is a DataError naming ``path``."""
+    by_model: dict[str, list[metrics.PredictionRecord]] = defaultdict(list)
+    try:
+        for rec in read_jsonl(path):
+            pred = metrics.PredictionRecord.from_record(rec)
+            if not all(isinstance(v, str) for v in (pred.instance_id, pred.model_id, pred.text)):
+                raise TypeError(f"a field of {rec!r} is not a string")
+            by_model[pred.model_id].append(pred)
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
+        raise DataError(f"cannot read predictions {path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed prediction row ({exc!r})") from exc
+    return dict(by_model)
+
+
 def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> dict:
     """Score prediction files against one dataset's test split."""
     _check_stage_stamp(cfg, STAGE_ASSEMBLE)
@@ -396,15 +399,12 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     if not test:
         raise DataError(f"dataset {dataset_id!r} has no test split to score against")
 
-    by_model: dict[str, list[metrics.PredictionRecord]] = defaultdict(list)
-    for rec in read_jsonl(predictions_path):
-        pred = metrics.PredictionRecord.from_record(rec)
-        by_model[pred.model_id].append(pred)
+    by_model = _load_predictions(predictions_path)
     if not by_model:
         raise EmptyInput(f"no predictions in {predictions_path}")
 
     trivial = _exclusion_for_dataset(cfg, manifests, dataset_id)
-    reports = metrics.corpus_report(test, dict(by_model), trivial, cfg.crystal_bleu.max_order)
+    reports = metrics.corpus_report(test, by_model, trivial, cfg.crystal_bleu.max_order)
 
     out = {
         "config_hash": cfg.config_hash(),
@@ -415,17 +415,16 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     }
     reports_dir = Path(cfg.out_dir) / "reports"
     _replace_json(reports_dir / f"{dataset_id}.score.json", out)
-    csv_path = reports_dir / f"{dataset_id}.rows.csv"
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "id", "em", "crystal_bleu", "bleu", "degenerate", "missing"])
-        for model in sorted(reports):
-            for row in reports[model].rows:
-                writer.writerow([
-                    model, row.instance_id, int(row.em),
-                    repr(row.crystal_bleu), repr(row.bleu),
-                    int(row.degenerate), int(row.missing),
-                ])
+    write_csv(
+        reports_dir / f"{dataset_id}.rows.csv",
+        ["model", "id", "em", "crystal_bleu", "bleu", "degenerate", "missing"],
+        (
+            [model, row.instance_id, int(row.em), repr(row.crystal_bleu), repr(row.bleu),
+             int(row.degenerate), int(row.missing)]
+            for model in sorted(reports)
+            for row in reports[model].rows
+        ),
+    )
     return out
 
 
@@ -555,16 +554,15 @@ def run_insight(cfg: RunConfig) -> dict:
     insight_dir = out_dir / "insight"
     write_json(insight_dir / "coverage.json", coverage)
     write_json(insight_dir / "cost.json", cost)
-    curve_path = insight_dir / "cost_curve.csv"
-    with curve_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "inferences", "personalized_small", "generic_large"])
-        for name, scenario in sorted(scenarios.items()):
-            for point in insight.cost_curve(scenario, max_x):
-                writer.writerow([
-                    name, point.inferences,
-                    repr(point.personalized_small), repr(point.generic_large),
-                ])
+    write_csv(
+        insight_dir / "cost_curve.csv",
+        ["scenario", "inferences", "personalized_small", "generic_large"],
+        (
+            [name, point.inferences, repr(point.personalized_small), repr(point.generic_large)]
+            for name, scenario in sorted(scenarios.items())
+            for point in insight.cost_curve(scenario, max_x)
+        ),
+    )
     return {"coverage": coverage, "cost": cost}
 
 

@@ -1,11 +1,14 @@
-"""Deterministic on-disk formats: JSONL stores, JSON documents, hashes.
+"""Deterministic on-disk formats: JSONL stores, JSON documents, CSV
+tables, hashes.
 
 Serialization is byte-stable (sorted keys, fixed separators, ASCII
-escapes) so identical runs produce identical files.
+escapes) so identical runs produce identical files. Each writer writes
+its file in place and returns the sha256 of what it wrote.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -16,16 +19,14 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> str:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
             fh.write(dumps_canonical(rec))
             fh.write("\n")
-            count += 1
-    return count
+    return sha256_file(path)
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
@@ -36,13 +37,22 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                 yield json.loads(line)
 
 
-def write_json(path: str | Path, obj: Any) -> None:
+def write_json(path: str | Path, obj: Any) -> str:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n",
         encoding="utf-8",
     )
+    return sha256_file(path)
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> str:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return sha256_file(path)
 
 
 def read_json(path: str | Path) -> Any:

@@ -11,7 +11,6 @@ from repotailor.javamethods import (
     REASON_TEST_NAME,
     REASON_TOO_LONG,
     REASON_TOO_SHORT,
-    AddedLine,
     _latin_only,
     apply_method_filters,
     extract_methods,
@@ -209,7 +208,7 @@ def test_filter_non_latin():
 
 def test_map_added_lines_outside_method():
     methods = extract_methods(SIMPLE_CLASS)
-    assert map_added_lines(methods, [AddedLine("f", 1, "class Greeter {")]) == []
+    assert map_added_lines(methods, [1]) == []
 
 
 def test_map_added_lines_running_example():
@@ -217,8 +216,7 @@ def test_map_added_lines_running_example():
         f"        int v{i} = {i} + {i};" for i in range(12)
     ) + "\n    }\n}"
     methods = extract_methods(source)
-    lines = [AddedLine("f", n, "") for n in (4, 5, 6, 7, 8, 14)]
-    mapped = map_added_lines(methods, lines)
+    mapped = map_added_lines(methods, [4, 5, 6, 7, 8, 14])
     assert len(mapped) == 1
     method, line_numbers = mapped[0]
     assert method.name == "build"
@@ -236,7 +234,7 @@ def test_map_added_lines_innermost_wins():
     }
 }"""
     methods = extract_methods(source)
-    mapped = map_added_lines(methods, [AddedLine("f", 5, "int inner = 1;")])
+    mapped = map_added_lines(methods, [5])
     assert len(mapped) == 1
     assert mapped[0][0].name == "run"
 
@@ -386,8 +384,7 @@ def test_method_spans_nest_or_disjoint():
 
 def test_map_added_lines_dedupes_and_sorts():
     methods = extract_methods(SIMPLE_CLASS)
-    lines = [AddedLine("f", n, "") for n in (5, 3, 5, 4)]
-    [(m, line_numbers)] = map_added_lines(methods, lines)
+    [(m, line_numbers)] = map_added_lines(methods, [5, 3, 5, 4])
     assert line_numbers == [3, 4, 5]
 
 
@@ -410,10 +407,7 @@ def test_full_path_total_on_token_soup():
         methods = extract_methods(src)
         for m in methods:
             apply_method_filters(m)
-            lines = [
-                AddedLine("f", n, "")
-                for n in rng.sample(range(1, m.end_line + 2), min(3, m.end_line))
-            ]
+            lines = rng.sample(range(1, m.end_line + 2), min(3, m.end_line))
             for mm, line_numbers in map_added_lines(methods, lines):
                 for seg in segment(line_numbers, mm):
                     inst = mask(seg, mm, rng)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -70,6 +71,16 @@ def test_mine_filters_and_funnel(mined):
     assert "dependabot[bot]" not in kept_authors
 
 
+def test_organization_counts_leave_out_the_generic_repositories(mined, fixture_repos, tmp_path):
+    _, _, with_generic, _ = mined
+    org, _ = fixture_repos
+    alone = run_mine(load_config(write_fixture_config(tmp_path, tmp_path / "out", org)))
+    assert with_generic["methods"] == alone["methods"]
+    assert with_generic["files"] == alone["files"]
+    assert with_generic["generic"]["methods_extracted"] >= with_generic["generic"]["methods"] > 0
+    assert alone["generic"]["methods_extracted"] == 0
+
+
 def test_mine_instances_are_well_formed(mined):
     cfg, _, _, _ = mined
     rows = list(read_jsonl(Path(cfg.out_dir) / "instances.jsonl"))
@@ -128,7 +139,9 @@ def test_mine_is_noop_when_heads_unchanged(mined):
 
 
 @pytest.mark.parametrize("deleted", ["run_report.json", "instances.jsonl", "index.json"])
-def test_a_stage_whose_output_was_deleted_runs_again(fixture_repos, tmp_path, deleted):
+def test_a_stage_whose_output_was_deleted_runs_again(fixture_repos, tmp_path, capsys, deleted):
+    """Until its stage runs again, the stages that read a deleted output
+    exit 3 and name it."""
     org, _ = fixture_repos
     config_path = str(write_fixture_config(tmp_path, tmp_path / "out", org))
     assert main(["mine", "--config", config_path]) == 0
@@ -136,6 +149,11 @@ def test_a_stage_whose_output_was_deleted_runs_again(fixture_repos, tmp_path, de
     path = tmp_path / "out" / deleted
     before = path.read_bytes()
     path.unlink()
+    readers = [["verify"], ["insight"], ["score", "--dataset", "dev-any", "--predictions", str(tmp_path / "p.jsonl")]]
+    capsys.readouterr()
+    for argv in readers if deleted == "index.json" else [["assemble"]]:
+        assert main([argv[0], "--config", config_path, *argv[1:]]) == 3, argv
+        assert f"output {deleted} is missing" in capsys.readouterr().err, argv
     assert main(["mine", "--config", config_path]) == 0
     assert main(["assemble", "--config", config_path]) == 0
     assert path.read_bytes() == before
@@ -405,6 +423,32 @@ def test_compare_reports_a_bad_report_as_a_data_error(mined, tmp_path, capsys):
         assert main(argv) == 3, bad
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(bad) in err, err
+
+
+def test_score_reports_bad_predictions_as_a_data_error(mined, tmp_path, capsys):
+    cfg, config_path, _, index = mined
+    dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    bad = {
+        "missing": None,
+        "not-json": b'{"id": "x", "model": "m", "text": "t"}\n{"id": ',
+        "not-utf8": b"\xff\xfe{",
+        "no-id": b'{"model": "m", "text": "t"}\n',
+        "no-model": b'{"id": "x", "text": "t"}\n',
+        "no-text": b'{"id": "x", "model": "m"}\n',
+        "not-an-object": b'["x", "m", "t"]\n',
+        "text-not-a-string": b'{"id": "x", "model": "m", "text": 7}\n',
+    }
+    capsys.readouterr()
+    for name, content in bad.items():
+        path = tmp_path / f"{name}.jsonl"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            run_score(cfg, dataset_id, path)
+        argv = ["score", "--config", str(config_path), "--dataset", dataset_id, "--predictions", str(path)]
+        assert main(argv) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(path) in err, err
 
 
 def test_compare_keeps_one_report_per_dataset(mined, tmp_path):
