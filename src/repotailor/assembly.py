@@ -354,14 +354,13 @@ def mlm_pretrain_instances(method: MethodUnit, rng: random.Random) -> MlmInstanc
 
 @dataclass(frozen=True, slots=True)
 class Assembled:
-    """What ``assemble`` writes: the datasets in index order, notes on
-    skipped datasets, and the generic pool (None without generic methods)."""
+    """What ``assemble`` writes: the datasets in index order and notes on
+    skipped datasets."""
 
     datasets: list[Dataset]
     notes: list[str]
     eligible_developers: int
     selected_developers: list[str]
-    generic_pool: list[CompletionInstance] | None
 
 
 def build_datasets(
@@ -414,7 +413,7 @@ def build_datasets(
         except TargetTooLarge:
             notes.append(f"orgsub-{author}: org train smaller than developer train, skipped")
     if generic_methods is None:
-        return Assembled(datasets, notes, len(splits), selected, None)
+        return Assembled(datasets, notes, len(splits), selected)
 
     generic_pool, pretrain = _generic_instances(generic_methods, caps.methods_per_repo, seed, splits)
     if generic_pool:
@@ -429,7 +428,7 @@ def build_datasets(
             ))
         except TargetTooLarge as exc:
             notes.append(f"bplus-{author}: {exc}")
-    return Assembled(datasets, notes, len(splits), selected, generic_pool)
+    return Assembled(datasets, notes, len(splits), selected)
 
 
 def _generic_instances(
@@ -468,9 +467,7 @@ def _generic_instances(
                 generic_pool.extend(generate_generic(method, dist, rng, provenance))
 
     holdout = [i for split in splits.values() for i in split.val + split.test]
-    generic_pool = dedup(generic_pool, holdout)
-    generic_pool.sort(key=order_key)
-    return generic_pool, pretrain
+    return dedup(generic_pool, holdout), pretrain
 
 
 def audit_temporal_leak(

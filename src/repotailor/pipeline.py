@@ -14,6 +14,7 @@ from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator
+from urllib.parse import quote
 
 from . import assembly, insight, masking, metrics, stats
 from .config import RepoSpec, RunConfig
@@ -297,14 +298,24 @@ def run_mine(cfg: RunConfig) -> dict:
     return report
 
 
-def _load_instances(path: Path) -> list[CompletionInstance]:
-    return [CompletionInstance.from_record(rec) for rec in read_jsonl(path)]
-
-
 def _load_part(out_dir: Path, manifest_record: dict, part: str) -> list[CompletionInstance]:
-    """One part (train, val or test) of the dataset an ``index.json``
-    entry lists."""
-    return _load_instances(out_dir / manifest_record["path"] / f"{part}.jsonl")
+    """One part (train, val or test) of a dataset ``index.json`` lists. A
+    missing part is a MissingStage, an unreadable or malformed one a DataError."""
+    path = out_dir / manifest_record["path"] / f"{part}.jsonl"
+    try:
+        return [CompletionInstance.from_record(rec) for rec in read_jsonl(path)]
+    except FileNotFoundError as exc:
+        raise MissingStage(f"dataset part {path} is missing; run assemble again") from exc
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # unreadable, not UTF-8, not JSONL
+        raise DataError(f"cannot read dataset part {path}: {exc!r}") from exc
+
+
+def _manifests_by_role(index: dict) -> dict[str, dict[str | None, dict]]:
+    """``index.json``'s manifests by role, then by anchor (None when unanchored)."""
+    by_role: dict[str, dict[str | None, dict]] = defaultdict(dict)
+    for man in index["manifests"]:
+        by_role[man["role"]][man["anchor_developer"]] = man
+    return by_role
 
 
 def _write_dataset(out_dir: Path, dataset: assembly.Dataset) -> dict:
@@ -333,19 +344,11 @@ def run_assemble(cfg: RunConfig) -> dict:
     if _stage_up_to_date(cfg, STAGE_ASSEMBLE, inputs):
         return read_json(out_dir / "index.json")
 
-    generic_path = out_dir / "generic_methods.jsonl"
-    generic_methods = list(read_jsonl(generic_path)) if inputs["generic_methods"] else None
-    built = assembly.build_datasets(
-        _load_instances(out_dir / "instances.jsonl"), generic_methods, cfg.caps, cfg.seed
-    )
+    instances = [CompletionInstance.from_record(rec) for rec in read_jsonl(out_dir / "instances.jsonl")]
+    generic_methods = list(read_jsonl(out_dir / "generic_methods.jsonl")) if inputs["generic_methods"] else None
+    built = assembly.build_datasets(instances, generic_methods, cfg.caps, cfg.seed)
 
     _stamp_path(cfg, STAGE_ASSEMBLE).unlink(missing_ok=True)
-    pool_path = out_dir / "generic_pool.jsonl"
-    if built.generic_pool is None:  # a leftover from an earlier config must not feed insight
-        pool_path.unlink(missing_ok=True)
-    else:
-        write_jsonl(pool_path, (i.to_record() for i in built.generic_pool))
-
     index = {
         "config_hash": cfg.config_hash(),
         "organization": cfg.organization,
@@ -359,16 +362,14 @@ def run_assemble(cfg: RunConfig) -> dict:
     return index
 
 
-def _exclusion_for_dataset(cfg: RunConfig, manifests: dict[str, dict], dataset_id: str) -> set:
-    """Trivially shared n-grams from the organization training targets
-    paired with this dataset's anchor (falling back to its own train).
-    """
-    anchor = manifests[dataset_id]["anchor_developer"]
-    source = f"org-{anchor}" if anchor and f"org-{anchor}" in manifests else dataset_id
-    train = _load_part(Path(cfg.out_dir), manifests[source], "train")
-    return metrics.exclusion_corpus_from_targets(
-        [i.target for i in train], cfg.crystal_bleu.k, cfg.crystal_bleu.max_order
-    )
+def _exclusion_for_dataset(cfg: RunConfig, by_role: dict[str, dict], man: dict) -> set:
+    """Trivially shared n-grams from the training targets of the
+    organization dataset on the same anchor as ``man``."""
+    org = by_role[assembly.ROLE_ORGANIZATION].get(man["anchor_developer"])
+    if org is None:
+        raise DataError(f"index.json lists no organization dataset on the anchor of {man['dataset_id']!r}")
+    targets = [i.target for i in _load_part(Path(cfg.out_dir), org, "train")]
+    return metrics.exclusion_corpus_from_targets(targets, cfg.crystal_bleu.k, cfg.crystal_bleu.max_order)
 
 
 def _load_predictions(path: str | Path) -> dict[str, list[metrics.PredictionRecord]]:
@@ -391,10 +392,10 @@ def _load_predictions(path: str | Path) -> dict[str, list[metrics.PredictionReco
 def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> dict:
     """Score prediction files against one dataset's test split."""
     _check_stage_stamp(cfg, STAGE_ASSEMBLE)
-    manifests = {m["dataset_id"]: m for m in read_json(Path(cfg.out_dir) / "index.json")["manifests"]}
-    if dataset_id not in manifests:
+    index = read_json(Path(cfg.out_dir) / "index.json")
+    man = next((m for m in index["manifests"] if m["dataset_id"] == dataset_id), None)
+    if man is None:
         raise MissingStage(f"dataset {dataset_id!r} is not in index.json; run assemble first")
-    man = manifests[dataset_id]
     test = _load_part(Path(cfg.out_dir), man, "test") if man["counts"]["test"] else []
     if not test:
         raise DataError(f"dataset {dataset_id!r} has no test split to score against")
@@ -403,7 +404,7 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     if not by_model:
         raise EmptyInput(f"no predictions in {predictions_path}")
 
-    trivial = _exclusion_for_dataset(cfg, manifests, dataset_id)
+    trivial = _exclusion_for_dataset(cfg, _manifests_by_role(index), man)
     reports = metrics.corpus_report(test, by_model, trivial, cfg.crystal_bleu.max_order)
 
     out = {
@@ -494,7 +495,9 @@ def run_compare(
             **cb_result.to_record(),
         },
     }
-    out_path = Path(cfg.out_dir) / "reports" / f"{rep_a['dataset_id']}.compare-{name_a}-vs-{name_b}.json"
+    # ids come from the reports, so a "/" in one must not name a directory
+    dataset, a, b = (quote(name, safe="") for name in (rep_a["dataset_id"], name_a, name_b))
+    out_path = Path(cfg.out_dir) / "reports" / f"{dataset}.compare-{a}-vs-{b}.json"
     write_json(out_path, comparison)
     return comparison
 
@@ -506,13 +509,10 @@ def run_insight(cfg: RunConfig) -> dict:
     scenarios = insight.load_scenarios(cfg.scenario_file)
     index = read_json(out_dir / "index.json")
 
-    by_role: dict[str, dict[str, dict]] = defaultdict(dict)
-    for man in index["manifests"]:
-        if man.get("anchor_developer"):
-            by_role[man["role"]][man["anchor_developer"]] = man
-
-    generic_pool_path = out_dir / "generic_pool.jsonl"
-    generic_pool = _load_instances(generic_pool_path) if generic_pool_path.exists() else []
+    by_role = _manifests_by_role(index)
+    # the generic dataset's train plus val is the whole generic pool
+    generic = by_role[assembly.ROLE_GENERIC_FINETUNE].get(None)
+    generic_pool = _load_part(out_dir, generic, "train") + _load_part(out_dir, generic, "val") if generic else []
 
     # each distinct method text is lexed once for the whole stage
     memo: dict[str, frozenset[str]] = {}
@@ -568,19 +568,21 @@ def run_insight(cfg: RunConfig) -> dict:
 
 def run_verify(cfg: RunConfig) -> list[str]:
     """Leak audit over an assembled output tree, plus a check that every
-    dataset directory on disk is listed in ``index.json``. A missing
-    part file is a violation, and the audit sees it as empty."""
+    dataset directory on disk is listed in ``index.json``. A missing or
+    unreadable part file is a violation, and the audit sees it as empty."""
     out_dir = Path(cfg.out_dir)
     _check_stage_stamp(cfg, STAGE_ASSEMBLE)
     index = read_json(out_dir / "index.json")
-    missing: list[str] = []
+    unread: list[str] = []
 
     def load(man: dict, part: str) -> tuple[CompletionInstance, ...]:
         try:
             return tuple(_load_part(out_dir, man, part))
-        except FileNotFoundError:
-            missing.append(f"{man['dataset_id']}: {part}.jsonl missing")
-            return ()
+        except MissingStage:
+            unread.append(f"{man['dataset_id']}: {part}.jsonl missing")
+        except DataError as exc:
+            unread.append(f"{man['dataset_id']}: {exc}")
+        return ()
 
     anchored = [
         assembly.Dataset(
@@ -590,7 +592,7 @@ def run_verify(cfg: RunConfig) -> list[str]:
         for man in index["manifests"]
         if man["anchor_developer"]
     ]
-    violations = missing + assembly.audit_temporal_leak(
+    violations = unread + assembly.audit_temporal_leak(
         anchored, cfg.caps.test_size, cfg.caps.min_train,
         {spec.resolved_id() for spec in cfg.generic_repos},
     )

@@ -354,6 +354,12 @@ def dataset_ids(built) -> list[str]:
     return [d.manifest.dataset_id for d in built.datasets]
 
 
+def generic_pool(built) -> list:
+    """The generic pool: the generic dataset's train plus val."""
+    generic = next(d for d in built.datasets if d.manifest.role == ROLE_GENERIC_FINETUNE)
+    return [*generic.train, *generic.val]
+
+
 def org_train_sizes(built) -> dict[str, int]:
     return {d.manifest.anchor_developer: len(d.train)
             for d in built.datasets if d.manifest.role == ROLE_ORGANIZATION}
@@ -381,7 +387,7 @@ def test_build_datasets_notes_a_skipped_org_subset():
 def test_build_datasets_notes_a_baseline_plus_larger_than_the_generic_pool():
     built = build_datasets(series("a", 15) + series("b", 12, 1), [generic_record()], FAMILY_CAPS, seed=7)
     org_train = org_train_sizes(built)
-    pool = len(built.generic_pool)
+    pool = len(generic_pool(built))
     assert 0 < pool < min(org_train.values())
     assert dataset_ids(built)[-1] == "generic"
     assert built.notes == [
@@ -393,9 +399,9 @@ def test_build_datasets_without_generic_methods_has_no_generic_pool():
     instances = series("a", 15) + series("b", 12, 1)
     without = build_datasets(instances, None, FAMILY_CAPS, seed=7)
     empty = build_datasets(instances, [], FAMILY_CAPS, seed=7)
-    assert without.generic_pool is None
+    # no generic methods: no baseline+ is attempted; an empty pool: each one is noted
+    assert without.notes == []
     assert {d.manifest.role for d in without.datasets} == {ROLE_DEVELOPER, ROLE_ORGANIZATION, ROLE_ORG_SUBSET}
-    assert empty.generic_pool == []
     assert empty.datasets == without.datasets
     assert empty.notes == [f"bplus-{a}: target {n} > eligible pool 0" for a, n in org_train_sizes(empty).items()]
 
@@ -405,4 +411,4 @@ def test_build_datasets_builds_every_family_from_an_ample_generic_pool():
     built = build_datasets(series("a", 15), records, FAMILY_CAPS, seed=7)
     roles = [d.manifest.role for d in built.datasets]
     assert roles == [ROLE_DEVELOPER, ROLE_ORGANIZATION, ROLE_GENERIC_FINETUNE, ROLE_PRETRAIN, ROLE_BASELINE_PLUS]
-    assert all(i.author_id == "generic" for i in built.generic_pool)
+    assert all(i.author_id == "generic" for i in generic_pool(built))

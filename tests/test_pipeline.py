@@ -13,12 +13,15 @@ from repotailor import pipeline
 from repotailor.assembly import (
     ROLE_BASELINE_PLUS,
     ROLE_DEVELOPER,
+    ROLE_GENERIC_FINETUNE,
     ROLE_ORG_SUBSET,
     ROLE_ORGANIZATION,
 )
 from repotailor.cli import main
 from repotailor.config import load_config
 from repotailor.errors import ConfigError, ConfigHashMismatch, DataError, MissingStage
+from repotailor.insight import coverage_report
+from repotailor.masking import CompletionInstance
 from repotailor.pipeline import (
     run_assemble,
     run_compare,
@@ -211,6 +214,52 @@ def test_verify_reports_a_missing_part(mined, tmp_path, capsys):
     assert f"{man['dataset_id']}: val.jsonl missing" in violations
     assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 3
     assert f"violation: {man['dataset_id']}: val.jsonl missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["missing", "not-jsonl"])
+def test_a_damaged_dataset_part_is_a_data_error_naming_it(mined, tmp_path, capsys, damage):
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    org = next(m for m in index["manifests"] if m["role"] == ROLE_ORGANIZATION)
+    dev = next(m for m in index["manifests"]
+               if m["role"] == ROLE_DEVELOPER and m["anchor_developer"] == org["anchor_developer"])
+    part = out / org["path"] / "train.jsonl"
+    if damage == "missing":
+        part.unlink()
+    else:
+        part.write_text('{"id": ', encoding="utf-8")
+    preds = predictions_for(cfg, dev["dataset_id"], tmp_path / "preds.jsonl")
+    capsys.readouterr()
+    for argv in (["insight"], ["score", "--dataset", dev["dataset_id"], "--predictions", str(preds)]):
+        assert main([argv[0], "--config", str(config_path), "--out", str(out), *argv[1:]]) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(part) in err, err
+    if damage == "not-jsonl":  # test_verify_reports_a_missing_part covers a missing one
+        assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"violation: {org['dataset_id']}: cannot read dataset part {part}" in err, err
+
+
+def test_score_needs_the_organization_dataset_of_its_anchor(mined, tmp_path, capsys):
+    """CrystalBLEU's exclusion set comes from the anchor's organization
+    dataset; without one in index.json, score refuses to run."""
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    org = next(m for m in index["manifests"] if m["role"] == ROLE_ORGANIZATION)
+    dev = next(m for m in index["manifests"]
+               if m["role"] == ROLE_DEVELOPER and m["anchor_developer"] == org["anchor_developer"])
+    manifests = [m for m in index["manifests"] if m["dataset_id"] != org["dataset_id"]]
+    (out / "index.json").write_text(json.dumps({**index, "manifests": manifests}), encoding="utf-8")
+    preds = predictions_for(cfg, dev["dataset_id"], tmp_path / "preds.jsonl")
+    capsys.readouterr()
+    argv = ["score", "--config", str(config_path), "--out", str(out),
+            "--dataset", dev["dataset_id"], "--predictions", str(preds)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and dev["dataset_id"] in err, err
+    assert not (out / "reports" / f"{dev['dataset_id']}.score.json").exists()
 
 
 GIT_PROCESSES_PER_REPO = 3  # log, cat-file, and the stamp's rev-parse
@@ -469,6 +518,31 @@ def test_compare_keeps_one_report_per_dataset(mined, tmp_path):
         run_compare(cfg, bad, reports / f"{dev_ids[0]}.score.json", "echo", "mangle")
 
 
+def test_compare_encodes_model_ids_in_the_file_name(mined, tmp_path):
+    """A model id comes from a predictions file: a "/" in it names no
+    directory, so every comparison lands directly in reports/."""
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    cfg = load_config(config_path, out_dir=str(out))
+    dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    models = ["codellama/CodeLlama-7b-hf", "../../escaped"]
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(
+        json.dumps({"id": rec["id"], "model": model, "text": rec["target"]}) + "\n"
+        for rec in read_jsonl(out / "datasets" / dataset_id / "test.jsonl") for model in models
+    ), encoding="utf-8")
+    run_score(cfg, dataset_id, preds)
+    report = out / "reports" / f"{dataset_id}.score.json"
+    before = set(tmp_path.rglob("*"))
+    for a, b in (models, models[::-1]):
+        assert run_compare(cfg, report, report, a, b)["model_a"] == a
+    assert set(tmp_path.rglob("*")) - before == {
+        out / "reports" / f"{dataset_id}.compare-codellama%2FCodeLlama-7b-hf-vs-..%2F..%2Fescaped.json",
+        out / "reports" / f"{dataset_id}.compare-..%2F..%2Fescaped-vs-codellama%2FCodeLlama-7b-hf.json",
+    }
+
+
 def test_score_crash_mid_write_keeps_the_previous_report(mined, tmp_path, monkeypatch):
     cfg, _, _, index = mined
     dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
@@ -502,17 +576,39 @@ def test_insight_outputs(mined):
         assert 0.0 <= role_report["vocab_coverage"] <= 1.0
 
 
+def _load(out: Path, man: dict, *parts: str) -> list[CompletionInstance]:
+    return [
+        CompletionInstance.from_record(rec) for part in parts for rec in read_jsonl(out / man["path"] / f"{part}.jsonl")
+    ]
+
+
+def test_insight_generic_pool_is_the_generic_datasets_train_and_val(mined):
+    cfg, _, _, index = mined
+    out = Path(cfg.out_dir)
+    devs = {m["anchor_developer"]: m for m in index["manifests"] if m["role"] == ROLE_DEVELOPER}
+    generic = next(m for m in index["manifests"] if m["role"] == ROLE_GENERIC_FINETUNE)
+    pool = _load(out, generic, "train", "val")
+    assert pool
+    coverage = run_insight(cfg)["coverage"]
+    assert coverage
+    for author, per_role in coverage.items():
+        test = _load(out, devs[author], "test")
+        assert per_role["generic-pool"] == coverage_report(test, pool).to_record()
+    assert not (out / "generic_pool.jsonl").exists()
+
+
 def test_insight_lexes_each_distinct_method_text_once(mined, monkeypatch):
     from repotailor import insight
     from repotailor.insight import reconstruct_method_text
-    from repotailor.masking import CompletionInstance
 
     cfg, _, _, index = mined
     out = Path(cfg.out_dir)
-    parts = [out / "generic_pool.jsonl"]
+    parts = []
     for man in index["manifests"]:
         if man["anchor_developer"]:
             parts += [out / man["path"] / "train.jsonl", out / man["path"] / "test.jsonl"]
+        elif man["role"] == ROLE_GENERIC_FINETUNE:
+            parts += [out / man["path"] / "train.jsonl", out / man["path"] / "val.jsonl"]
     texts = {
         reconstruct_method_text(CompletionInstance.from_record(rec))
         for path in parts for rec in read_jsonl(path)
@@ -532,7 +628,7 @@ def test_generic_inputs_from_an_earlier_config_are_not_reused(fixture_repos, tmp
     with_generic = load_config(write_fixture_config(tmp_path, out, org, generic[:1], name="gen.json"))
     run_mine(with_generic)
     before = run_assemble(with_generic)
-    assert (out / "generic_methods.jsonl").exists() and (out / "generic_pool.jsonl").exists()
+    assert (out / "generic_methods.jsonl").exists() and (out / "datasets" / "generic" / "train.jsonl").exists()
     generic_ids = {
         m["dataset_id"] for m in before["manifests"]
         if m["dataset_id"] in ("generic", "pretrain") or m["dataset_id"].startswith("bplus-")
@@ -543,7 +639,7 @@ def test_generic_inputs_from_an_earlier_config_are_not_reused(fixture_repos, tmp
     run_mine(without)
     after = run_assemble(without)
     assert not (out / "generic_methods.jsonl").exists()
-    assert not (out / "generic_pool.jsonl").exists()
+    assert "generic" not in {m["dataset_id"] for m in after["manifests"]}
     assert {m["role"] for m in after["manifests"]} == {ROLE_DEVELOPER, ROLE_ORGANIZATION, ROLE_ORG_SUBSET}
     for per_role in run_insight(without)["coverage"].values():
         assert "generic-pool" not in per_role and "baseline-plus" not in per_role
