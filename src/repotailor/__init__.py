@@ -1,130 +1,3 @@
 """repotailor: personalized code-completion datasets from repository
 histories, plus the evaluation and comparison tooling to go with them.
 """
-
-from .assembly import (
-    DatasetManifest,
-    SplitAssignment,
-    build_baseline_plus,
-    build_org_dataset,
-    build_org_subset,
-    cap_methods_per_repo,
-    dedup,
-    eligible,
-    mlm_pretrain_instances,
-    split_developer,
-)
-from .identity import AuthorIdentity, resolve_identities, top_contributors
-from .insight import (
-    CostScenario,
-    CoverageReport,
-    breakeven_inferences,
-    cost_curve,
-    coverage_report,
-    signature_coverage,
-    training_relevance,
-    vocab_coverage,
-    weeks_to_breakeven,
-)
-from .javalex import SourceToken, lex
-from .javamethods import (
-    FilterVerdict,
-    MethodUnit,
-    apply_method_filters,
-    extract_methods,
-    map_added_lines,
-)
-from .masking import (
-    CompletionInstance,
-    MaskLengthDistribution,
-    MaskSegment,
-    Provenance,
-    generate_generic,
-    mask,
-    segment,
-)
-from .metrics import (
-    PredictionRecord,
-    ScoreRow,
-    corpus_report,
-    crystal_bleu,
-    exact_match,
-    plain_bleu,
-    trivially_shared_ngrams,
-)
-from .mining import (
-    CommitRecord,
-    OutlierThreshold,
-    added_lines,
-    filter_bots,
-    filter_outliers,
-    stream_commits,
-)
-from .stats import (
-    PairedOutcome,
-    StatResult,
-    cliffs_delta_paired,
-    compare_models,
-    mcnemar,
-    wilcoxon_signed_rank,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AuthorIdentity",
-    "CommitRecord",
-    "CompletionInstance",
-    "CostScenario",
-    "CoverageReport",
-    "DatasetManifest",
-    "FilterVerdict",
-    "MaskLengthDistribution",
-    "MaskSegment",
-    "MethodUnit",
-    "OutlierThreshold",
-    "PairedOutcome",
-    "PredictionRecord",
-    "Provenance",
-    "ScoreRow",
-    "SourceToken",
-    "SplitAssignment",
-    "StatResult",
-    "added_lines",
-    "apply_method_filters",
-    "breakeven_inferences",
-    "build_baseline_plus",
-    "build_org_dataset",
-    "build_org_subset",
-    "cap_methods_per_repo",
-    "cliffs_delta_paired",
-    "compare_models",
-    "corpus_report",
-    "cost_curve",
-    "coverage_report",
-    "crystal_bleu",
-    "dedup",
-    "eligible",
-    "exact_match",
-    "extract_methods",
-    "filter_bots",
-    "filter_outliers",
-    "generate_generic",
-    "lex",
-    "map_added_lines",
-    "mask",
-    "mcnemar",
-    "mlm_pretrain_instances",
-    "plain_bleu",
-    "resolve_identities",
-    "segment",
-    "signature_coverage",
-    "split_developer",
-    "stream_commits",
-    "top_contributors",
-    "training_relevance",
-    "trivially_shared_ngrams",
-    "vocab_coverage",
-    "weeks_to_breakeven",
-    "wilcoxon_signed_rank",
-]

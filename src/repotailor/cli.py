@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Stages run as subcommands (``mine``, ``assemble``, ``score``,
-``compare``, ``insight``, ``verify``) or through ``run --stage``.
+Each stage is one subcommand: ``mine``, ``assemble``, ``score``,
+``compare``, ``insight`` or ``verify``.
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
 
@@ -51,27 +51,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="leak audit over an assembled output tree")
     _add_common(p)
-
-    p = sub.add_parser("run", help="run one stage selected by --stage")
-    _add_common(p)
-    p.add_argument("--stage", required=True, choices=("mine", "assemble", "insight", "verify"))
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
-    command = args.command
-    if command == "run":
-        command = args.stage
-
-    if command == "mine":
+    if args.command == "mine":
         report = pipeline.run_mine(cfg)
         counts = report["commits"]
         print(
             f"mined {counts['total']} commits -> {counts['after_outlier_filter']} kept, "
             f"{report['instances']['emitted']} instances"
         )
-    elif command == "assemble":
+    elif args.command == "assemble":
         index = pipeline.run_assemble(cfg)
         print(
             f"assembled {len(index['manifests'])} manifests "
@@ -79,7 +71,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         for note in index.get("notes", []):
             print(f"note: {note}")
-    elif command == "score":
+    elif args.command == "score":
         out = pipeline.run_score(cfg, args.dataset, args.predictions)
         for model, rec in sorted(out["models"].items()):
             print(
@@ -87,7 +79,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f"CrystalBLEU {rec['mean_crystal_bleu']:.4f} "
                 f"(missing {rec['missing']})"
             )
-    elif command == "compare":
+    elif args.command == "compare":
         out = pipeline.run_compare(cfg, args.report_a, args.report_b, args.model_a, args.model_b)
         em = out["em"]
         cb = out["crystal_bleu"]
@@ -101,14 +93,14 @@ def _dispatch(args: argparse.Namespace) -> int:
             f"(delta {cb['effect']:+.3f}, p {cb['p_value']:.4g}"
             f"{', significant' if cb['significant'] else ''})"
         )
-    elif command == "insight":
+    elif args.command == "insight":
         out = pipeline.run_insight(cfg)
         for name, rec in sorted(out["cost"].items()):
             print(
                 f"cost[{name}]: breakeven {rec['breakeven_inferences']:.0f} inferences, "
                 f"{rec['weeks']} weeks"
             )
-    elif command == "verify":
+    elif args.command == "verify":
         violations = pipeline.run_verify(cfg)
         if violations:
             for v in violations:

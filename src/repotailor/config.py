@@ -86,15 +86,19 @@ def _parse_repos(raw: object, what: str) -> tuple[RepoSpec, ...]:
     for item in raw:
         if not isinstance(item, dict) or not isinstance(item.get("path"), str):
             raise ConfigError(f"each {what} entry needs a 'path' string")
-        spec = RepoSpec(
-            path=item["path"],
-            branch=item.get("branch", "main"),
-            repo_id=item.get("repo_id", ""),
-        )
+        _reject_unknown(RepoSpec, item, f"{what} entry")
+        spec = RepoSpec(**item)
         if not isinstance(spec.branch, str) or not isinstance(spec.repo_id, str):
             raise ConfigError(f"{what} entry {spec.path!r}: 'branch' and 'repo_id' must be strings")
         specs.append(spec)
     return tuple(specs)
+
+
+def _reject_unknown(cls: type, raw: dict, what: str) -> None:
+    """A ConfigError naming every key of ``raw`` that is no field of ``cls``."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
 def _positive_ints(cls: type, raw: object, what: str):
@@ -103,9 +107,7 @@ def _positive_ints(cls: type, raw: object, what: str):
     fields keep their defaults."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be an object")
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    _reject_unknown(cls, raw, what)
     for name, value in raw.items():
         if type(value) is not int or value < 1:
             raise ConfigError(f"{what}.{name} must be a positive integer, got {value!r}")
@@ -120,6 +122,7 @@ def load_config(path: str | Path, out_dir: str | None = None, seed: int | None =
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    _reject_unknown(RunConfig, data, "config")
     for key in ("organization", "repos", "seed", "out_dir"):
         if key not in data and not (key == "out_dir" and out_dir) and not (key == "seed" and seed is not None):
             raise ConfigError(f"config missing required key {key!r}")
@@ -141,6 +144,9 @@ def load_config(path: str | Path, out_dir: str | None = None, seed: int | None =
         identity_overrides=data.get("identity_overrides"),
         scenario_file=data.get("scenario_file"),
     )
+    for key, value in (("organization", config.organization), ("out_dir", config.out_dir)):
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{key} must be a non-empty string, got {value!r}")
     if not config.repos:
         raise ConfigError("config lists no repositories")
     ids = [r.resolved_id() for r in config.repos + config.generic_repos]

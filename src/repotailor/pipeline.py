@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -55,13 +56,39 @@ def _head_shas(cfg: RunConfig) -> dict[str, str]:
     return {spec.resolved_id(): branch_head(spec.path, spec.branch) for spec in cfg.repos + cfg.generic_repos}
 
 
+@contextmanager
+def _reading(path: str | Path, what: str) -> Iterator[None]:
+    """Turn a failed read of ``path`` in the block into an error naming it:
+    a missing file is a MissingStage, an unreadable, undecodable or
+    malformed one a DataError."""
+    try:
+        yield
+    except FileNotFoundError as exc:
+        raise MissingStage(f"{what} {path} is missing") from exc
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, a row of the wrong shape
+        raise DataError(f"cannot read {what} {path}: {exc!r}") from exc
+
+
+def _read_output(cfg: RunConfig, name: str) -> dict:
+    path = Path(cfg.out_dir) / name
+    with _reading(path, "stage output"):
+        return read_json(path)
+
+
+def _assembled_index(cfg: RunConfig) -> dict:
+    """``index.json``, once the assemble stamp holds."""
+    _check_stage_stamp(cfg, STAGE_ASSEMBLE)
+    return _read_output(cfg, "index.json")
+
+
 def _check_stage_stamp(cfg: RunConfig, stage: str) -> dict:
     """The stage's stamp, once it matches the config and every output it
     lists exists."""
     path = _stamp_path(cfg, stage)
     if not path.exists():
         raise MissingStage(f"stage {stage!r} has not produced outputs in {cfg.out_dir}")
-    stamp = read_json(path)
+    with _reading(path, "stamp"):
+        stamp = read_json(path)
     if stamp.get("config_hash") != cfg.config_hash():
         raise ConfigHashMismatch(
             f"stage {stage!r} outputs were built under config {stamp.get('config_hash')}, "
@@ -76,7 +103,7 @@ def _check_stage_stamp(cfg: RunConfig, stage: str) -> dict:
 def _stage_up_to_date(cfg: RunConfig, stage: str, inputs: dict[str, str]) -> bool:
     try:
         return _check_stage_stamp(cfg, stage).get("inputs") == inputs
-    except (MissingStage, ConfigHashMismatch):
+    except (DataError, ConfigHashMismatch):  # also an unreadable stamp
         return False
 
 
@@ -218,7 +245,7 @@ def run_mine(cfg: RunConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     inputs = _head_shas(cfg)
     if _stage_up_to_date(cfg, STAGE_MINE, inputs):
-        return read_json(out_dir / "run_report.json")
+        return _read_output(cfg, "run_report.json")
 
     overrides = load_overrides(cfg.identity_overrides) if cfg.identity_overrides else None
     repo_paths = {spec.resolved_id(): spec.path for spec in cfg.repos + cfg.generic_repos}
@@ -298,16 +325,14 @@ def run_mine(cfg: RunConfig) -> dict:
     return report
 
 
-def _load_part(out_dir: Path, manifest_record: dict, part: str) -> list[CompletionInstance]:
-    """One part (train, val or test) of a dataset ``index.json`` lists. A
-    missing part is a MissingStage, an unreadable or malformed one a DataError."""
-    path = out_dir / manifest_record["path"] / f"{part}.jsonl"
-    try:
+def _load_instances(path: Path, what: str) -> list[CompletionInstance]:
+    with _reading(path, what):
         return [CompletionInstance.from_record(rec) for rec in read_jsonl(path)]
-    except FileNotFoundError as exc:
-        raise MissingStage(f"dataset part {path} is missing; run assemble again") from exc
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # unreadable, not UTF-8, not JSONL
-        raise DataError(f"cannot read dataset part {path}: {exc!r}") from exc
+
+
+def _load_part(out_dir: Path, manifest_record: dict, part: str) -> list[CompletionInstance]:
+    """One part (train, val or test) of a dataset ``index.json`` lists."""
+    return _load_instances(out_dir / manifest_record["path"] / f"{part}.jsonl", "dataset part")
 
 
 def _manifests_by_role(index: dict) -> dict[str, dict[str | None, dict]]:
@@ -342,10 +367,12 @@ def run_assemble(cfg: RunConfig) -> dict:
         "generic_methods": mine_stamp["outputs"].get("generic_methods.jsonl", ""),
     }
     if _stage_up_to_date(cfg, STAGE_ASSEMBLE, inputs):
-        return read_json(out_dir / "index.json")
+        return _read_output(cfg, "index.json")
 
-    instances = [CompletionInstance.from_record(rec) for rec in read_jsonl(out_dir / "instances.jsonl")]
-    generic_methods = list(read_jsonl(out_dir / "generic_methods.jsonl")) if inputs["generic_methods"] else None
+    instances = _load_instances(out_dir / "instances.jsonl", "stage output")
+    generic_path = out_dir / "generic_methods.jsonl"
+    with _reading(generic_path, "stage output"):
+        generic_methods = list(read_jsonl(generic_path)) if inputs["generic_methods"] else None
     built = assembly.build_datasets(instances, generic_methods, cfg.caps, cfg.seed)
 
     _stamp_path(cfg, STAGE_ASSEMBLE).unlink(missing_ok=True)
@@ -373,26 +400,20 @@ def _exclusion_for_dataset(cfg: RunConfig, by_role: dict[str, dict], man: dict) 
 
 
 def _load_predictions(path: str | Path) -> dict[str, list[metrics.PredictionRecord]]:
-    """Predictions by model; a missing, unreadable or malformed
-    predictions file is a DataError naming ``path``."""
+    """Predictions by model."""
     by_model: dict[str, list[metrics.PredictionRecord]] = defaultdict(list)
-    try:
+    with _reading(path, "predictions"):
         for rec in read_jsonl(path):
             pred = metrics.PredictionRecord.from_record(rec)
             if not all(isinstance(v, str) for v in (pred.instance_id, pred.model_id, pred.text)):
                 raise TypeError(f"a field of {rec!r} is not a string")
             by_model[pred.model_id].append(pred)
-    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
-        raise DataError(f"cannot read predictions {path}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: malformed prediction row ({exc!r})") from exc
     return dict(by_model)
 
 
 def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> dict:
     """Score prediction files against one dataset's test split."""
-    _check_stage_stamp(cfg, STAGE_ASSEMBLE)
-    index = read_json(Path(cfg.out_dir) / "index.json")
+    index = _assembled_index(cfg)
     man = next((m for m in index["manifests"] if m["dataset_id"] == dataset_id), None)
     if man is None:
         raise MissingStage(f"dataset {dataset_id!r} is not in index.json; run assemble first")
@@ -430,12 +451,9 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
 
 
 def _score_rows(path: str | Path, model: str | None) -> tuple[dict, str, list[metrics.ScoreRow]]:
-    """A score report, the model picked from it and that model's rows; a
-    missing, unreadable or malformed report is a DataError naming ``path``."""
-    try:
+    """A score report, the model picked from it and that model's rows."""
+    with _reading(path, "score report"):
         report = read_json(path)
-    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
-        raise DataError(f"cannot read score report {path}: {exc}") from exc
     rows = report.get("rows") if isinstance(report, dict) else None
     if not isinstance(rows, dict) or not isinstance(report.get("dataset_id"), str):
         raise DataError(f"{path} is not a score report")
@@ -446,10 +464,8 @@ def _score_rows(path: str | Path, model: str | None) -> tuple[dict, str, list[me
         model = models[0]
     if model not in rows:
         raise DataError(f"model {model!r} not in {path} (has {models})")
-    try:
+    with _reading(path, "score report"):
         return report, model, [metrics.ScoreRow.from_record(r) for r in rows[model]]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: model {model!r} has a malformed score row ({exc!r})") from exc
 
 
 def run_compare(
@@ -505,9 +521,8 @@ def run_compare(
 def run_insight(cfg: RunConfig) -> dict:
     """Coverage reports per developer/dataset role plus the cost model."""
     out_dir = Path(cfg.out_dir)
-    _check_stage_stamp(cfg, STAGE_ASSEMBLE)
+    index = _assembled_index(cfg)
     scenarios = insight.load_scenarios(cfg.scenario_file)
-    index = read_json(out_dir / "index.json")
 
     by_role = _manifests_by_role(index)
     # the generic dataset's train plus val is the whole generic pool
@@ -571,8 +586,7 @@ def run_verify(cfg: RunConfig) -> list[str]:
     dataset directory on disk is listed in ``index.json``. A missing or
     unreadable part file is a violation, and the audit sees it as empty."""
     out_dir = Path(cfg.out_dir)
-    _check_stage_stamp(cfg, STAGE_ASSEMBLE)
-    index = read_json(out_dir / "index.json")
+    index = _assembled_index(cfg)
     unread: list[str] = []
 
     def load(man: dict, part: str) -> tuple[CompletionInstance, ...]:

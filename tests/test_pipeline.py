@@ -241,6 +241,45 @@ def test_a_damaged_dataset_part_is_a_data_error_naming_it(mined, tmp_path, capsy
         assert f"violation: {org['dataset_id']}: cannot read dataset part {part}" in err, err
 
 
+def _truncate(path: Path, keep: int, tail: str = "") -> None:
+    path.write_bytes(path.read_bytes()[:keep] + tail.encode())
+
+
+@pytest.mark.parametrize("damaged, damage, stages", [
+    pytest.param("instances.jsonl", lambda p: _truncate(p, p.stat().st_size, '{"id": '), ["assemble"],
+                 id="instances-cut-mid-row"),
+    pytest.param("index.json", lambda p: _truncate(p, p.stat().st_size // 2), ["score", "insight", "verify"],
+                 id="index-half-written"),
+    pytest.param("stamps/mine.json", lambda p: _truncate(p, 10), ["assemble"], id="mine-stamp-cut"),
+])
+def test_an_unreadable_stage_output_is_a_data_error_naming_it(mined, tmp_path, capsys, damaged, damage, stages):
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    if damaged == "instances.jsonl":
+        (out / "stamps" / "assemble.json").unlink()  # or assemble would not read it again
+    damage(out / damaged)
+    dataset = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    extra = {"score": ["--dataset", dataset, "--predictions", str(tmp_path / "preds.jsonl")]}
+    capsys.readouterr()
+    for stage in stages:
+        assert main([stage, "--config", str(config_path), "--out", str(out), *extra.get(stage, [])]) == 3, stage
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(out / damaged) in err, err
+
+
+def test_a_stage_whose_own_stamp_is_unreadable_rebuilds(mined, tmp_path):
+    cfg, config_path, _, _ = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    for stage in ("mine", "assemble"):
+        stamp = out / "stamps" / f"{stage}.json"
+        before = stamp.read_bytes()
+        _truncate(stamp, 10)
+        assert main([stage, "--config", str(config_path), "--out", str(out)]) == 0, stage
+        assert stamp.read_bytes() == before, stage
+
+
 def test_score_needs_the_organization_dataset_of_its_anchor(mined, tmp_path, capsys):
     """CrystalBLEU's exclusion set comes from the anchor's organization
     dataset; without one in index.json, score refuses to run."""
@@ -678,14 +717,6 @@ def test_cli_exit_codes(fixture_repos, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_run_stage_alias(fixture_repos, tmp_path, capsys):
-    org, _ = fixture_repos
-    config_path = write_fixture_config(tmp_path, tmp_path / "alias-out", org, name="alias.json")
-    assert main(["run", "--config", str(config_path), "--stage", "mine"]) == 0
-    out = capsys.readouterr().out
-    assert "mined" in out
-
-
 def test_load_config_validation(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"organization": "x", "repos": [], "seed": 1, "out_dir": "o"}')
@@ -697,27 +728,36 @@ def test_load_config_validation(tmp_path):
         load_config(worse)
 
 
-@pytest.mark.parametrize("key, value", [
-    pytest.param("caps", {"test_size": "5"}, id="cap-not-int"),
-    pytest.param("caps", [1], id="caps-not-object"),
-    pytest.param("caps", {"test_sise": 5}, id="cap-key-misspelled"),
-    pytest.param("crystal_bleu", {"k": "a"}, id="knob-not-int"),
-    pytest.param("crystal_bleu", {"max_order": 0}, id="knob-not-positive"),
-    pytest.param("repos", [{"path": "/"}], id="repo-id-empty"),
-    pytest.param("seed", "abc", id="seed-not-int"),
-    pytest.param("seed", True, id="seed-bool"),
-    pytest.param("seed", 7.0, id="seed-float"),
-    pytest.param("repos", lambda repos: [{**repos[0], "repo_id": 7}], id="repo_id-not-str"),
-    pytest.param("repos", lambda repos: [{**repos[0], "branch": ["main"]}], id="branch-not-str"),
+@pytest.mark.parametrize("key, value, named", [
+    pytest.param("caps", {"test_size": "5"}, "caps.test_size", id="cap-not-int"),
+    pytest.param("caps", [1], "caps", id="caps-not-object"),
+    pytest.param("caps", {"test_sise": 5}, "test_sise", id="cap-key-misspelled"),
+    pytest.param("crystal_bleu", {"k": "a"}, "crystal_bleu.k", id="knob-not-int"),
+    pytest.param("crystal_bleu", {"max_order": 0}, "crystal_bleu.max_order", id="knob-not-positive"),
+    pytest.param("repos", [{"path": "/"}], "repo_id", id="repo-id-empty"),
+    pytest.param("seed", "abc", "seed", id="seed-not-int"),
+    pytest.param("seed", True, "seed", id="seed-bool"),
+    pytest.param("seed", 7.0, "seed", id="seed-float"),
+    pytest.param("repos", lambda repos: [{**repos[0], "repo_id": 7}], "repo_id", id="repo_id-not-str"),
+    pytest.param("repos", lambda repos: [{**repos[0], "branch": ["main"]}], "branch", id="branch-not-str"),
+    pytest.param("out_dir", "", "out_dir", id="out_dir-empty"),
+    pytest.param("out_dir", 123, "out_dir", id="out_dir-not-str"),
+    pytest.param("organization", "", "organization", id="organization-empty"),
+    pytest.param("organization", ["x"], "organization", id="organization-not-str"),
+    pytest.param("generic-repos", [], "generic-repos", id="key-misspelled"),
+    pytest.param("repos", lambda repos: [{**repos[0], "brnach": "dev"}], "brnach", id="repo-key-misspelled"),
 ])
-def test_bad_config_values_exit_2(fixture_repos, tmp_path, capsys, key, value):
+def test_bad_config_values_exit_2(fixture_repos, tmp_path, monkeypatch, capsys, key, value, named):
+    monkeypatch.chdir(tmp_path)  # where an empty out_dir would put the tree
     org, _ = fixture_repos
     config_path = write_fixture_config(tmp_path, tmp_path / "out", org)
     data = json.loads(config_path.read_text())
     data[key] = value(data[key]) if callable(value) else value
     config_path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["mine", "--config", str(config_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err, err
+    assert not (tmp_path / "commits.jsonl").exists()
 
 
 def _scenario_without_small_cost() -> str:
