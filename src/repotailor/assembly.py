@@ -27,6 +27,7 @@ from .masking import (
     offset_in_text,
 )
 from .seeding import derive_seed, rng_for
+from .storage import typed
 
 if TYPE_CHECKING:  # config imports this module's defaults
     from .config import Caps
@@ -81,7 +82,6 @@ class DatasetManifest:
     cutoff_ts: int | None
     counts: tuple[int, int, int]  # (train, val, test)
     seed: int
-    source_hashes: tuple[str, ...] = ()
 
     def to_record(self) -> dict:
         return {
@@ -91,20 +91,19 @@ class DatasetManifest:
             "cutoff_ts": self.cutoff_ts,
             "counts": {"train": self.counts[0], "val": self.counts[1], "test": self.counts[2]},
             "seed": self.seed,
-            "source_hashes": list(self.source_hashes),
         }
 
     @classmethod
     def from_record(cls, rec: dict) -> "DatasetManifest":
+        """A TypeError or KeyError when ``rec`` is not a manifest record."""
         counts = rec["counts"]
         return cls(
-            dataset_id=rec["dataset_id"],
-            role=rec["role"],
-            anchor_developer=rec["anchor_developer"],
-            cutoff_ts=rec["cutoff_ts"],
-            counts=(counts["train"], counts["val"], counts["test"]),
-            seed=rec["seed"],
-            source_hashes=tuple(rec["source_hashes"]),
+            dataset_id=typed(rec["dataset_id"], str),
+            role=typed(rec["role"], str),
+            anchor_developer=typed(rec["anchor_developer"], str, type(None)),
+            cutoff_ts=typed(rec["cutoff_ts"], int, type(None)),
+            counts=tuple(typed(counts[part], int) for part in ("train", "val", "test")),
+            seed=typed(rec["seed"], int),
         )
 
 
@@ -135,22 +134,11 @@ def _dataset(
     train: Sequence,
     val: Sequence = (),
     test: Sequence = (),
-    source_hashes: tuple[str, ...] = (),
 ) -> Dataset:
     """The one place a manifest is made: its counts are the parts' sizes."""
     train, val, test = tuple(train), tuple(val), tuple(test)
-    manifest = DatasetManifest(
-        dataset_id, role, anchor, cutoff_ts, (len(train), len(val), len(test)), seed, source_hashes
-    )
+    manifest = DatasetManifest(dataset_id, role, anchor, cutoff_ts, (len(train), len(val), len(test)), seed)
     return Dataset(manifest, train, val, test)
-
-
-def _instances_hash(instances: list[CompletionInstance]) -> str:
-    h = hashlib.sha256()
-    for inst in instances:
-        h.update(inst.instance_id.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()[:16]
 
 
 def split_developer(
@@ -231,10 +219,7 @@ def build_org_dataset(
 
     n_train = math.floor(TRAIN_FRACTION * len(unique))
     train, val = unique[:n_train], unique[n_train:]
-    return _dataset(
-        f"org-{anchor}", ROLE_ORGANIZATION, anchor, cutoff_ts, seed, train, val,
-        source_hashes=(_instances_hash(train), _instances_hash(val)),
-    )
+    return _dataset(f"org-{anchor}", ROLE_ORGANIZATION, anchor, cutoff_ts, seed, train, val)
 
 
 def _seeded_sample(

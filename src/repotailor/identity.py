@@ -10,12 +10,12 @@ review pass.
 from __future__ import annotations
 
 import hashlib
-import json
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .storage import read_jsonl, typed
 
 MIN_LOCAL_PART_LEN = 5
 
@@ -154,10 +154,6 @@ def load_overrides(path: str | Path) -> dict[tuple[str, str], str]:
     """Read a JSONL override file of {name, email, author_id} string rows;
     an unreadable file or a malformed row is a ConfigError."""
     try:
-        rows = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
-        overrides = {(row["name"], row["email"]): row["author_id"] for row in rows}
+        return {(typed(r["name"], str), typed(r["email"], str)): typed(r["author_id"], str) for r in read_jsonl(path)}
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read identity overrides {path}: {exc!r}") from exc
-    if not all(isinstance(s, str) for key, author in overrides.items() for s in (*key, author)):
-        raise ConfigError(f"identity overrides {path}: name, email and author_id must be strings")
-    return overrides

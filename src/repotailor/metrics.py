@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import DatasetMismatch
 from .javalex import token_texts
 from .masking import CompletionInstance
+from .storage import typed
 
 DEFAULT_TRIVIAL_K = 500
 DEFAULT_MAX_ORDER = 4
@@ -33,7 +34,7 @@ class PredictionRecord:
 
     @classmethod
     def from_record(cls, rec: dict) -> "PredictionRecord":
-        return cls(instance_id=rec["id"], model_id=rec["model"], text=rec["text"])
+        return cls(*(typed(rec[key], str) for key in ("id", "model", "text")))
 
 
 @dataclass(frozen=True, slots=True)

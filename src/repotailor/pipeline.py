@@ -8,13 +8,15 @@ dataset in an output tree.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 from urllib.parse import quote
 
 from . import assembly, insight, masking, metrics, stats
@@ -42,7 +44,7 @@ from .mining import (
     stream_commits,
 )
 from .seeding import rng_for
-from .storage import read_json, read_jsonl, write_csv, write_json, write_jsonl
+from .storage import read_json, read_jsonl, sha256_file, typed, write_csv, write_json, write_jsonl
 
 STAGE_MINE = "mine"
 STAGE_ASSEMBLE = "assemble"
@@ -69,42 +71,55 @@ def _reading(path: str | Path, what: str) -> Iterator[None]:
         raise DataError(f"cannot read {what} {path}: {exc!r}") from exc
 
 
-def _read_output(cfg: RunConfig, name: str) -> dict:
-    path = Path(cfg.out_dir) / name
-    with _reading(path, "stage output"):
-        return read_json(path)
+class _Stamp(NamedTuple):
+    inputs: dict
+    outputs: dict[str, str]  # file name -> the sha256 its writer returned
 
 
-def _assembled_index(cfg: RunConfig) -> dict:
-    """``index.json``, once the assemble stamp holds."""
+def _dataset_dir(out_dir: Path, dataset_id: str = "") -> Path:
+    """A dataset's directory; without an id, the directory of every dataset."""
+    return out_dir / "datasets" / dataset_id
+
+
+def _assembled_manifests(cfg: RunConfig) -> list[assembly.DatasetManifest]:
+    """``index.json``'s manifests, once the assemble stamp holds."""
     _check_stage_stamp(cfg, STAGE_ASSEMBLE)
-    return _read_output(cfg, "index.json")
+    path = Path(cfg.out_dir) / "index.json"
+    with _reading(path, "stage output"):
+        return [assembly.DatasetManifest.from_record(rec) for rec in typed(read_json(path)["manifests"], list)]
 
 
-def _check_stage_stamp(cfg: RunConfig, stage: str) -> dict:
-    """The stage's stamp, once it matches the config and every output it
-    lists exists."""
+def _check_stage_stamp(cfg: RunConfig, stage: str) -> _Stamp:
+    """The stage's stamp, once it matches the config and every output it lists exists."""
     path = _stamp_path(cfg, stage)
     if not path.exists():
         raise MissingStage(f"stage {stage!r} has not produced outputs in {cfg.out_dir}")
     with _reading(path, "stamp"):
-        stamp = read_json(path)
-    if stamp.get("config_hash") != cfg.config_hash():
-        raise ConfigHashMismatch(
-            f"stage {stage!r} outputs were built under config {stamp.get('config_hash')}, "
-            f"current config is {cfg.config_hash()}"
-        )
-    for name in stamp.get("outputs", {}):
+        rec = read_json(path)
+        if rec["config_hash"] != cfg.config_hash():
+            raise ConfigHashMismatch(
+                f"stage {stage!r} outputs were built under config {rec['config_hash']}, "
+                f"current config is {cfg.config_hash()}"
+            )
+        stamp = _Stamp(rec["inputs"], typed(rec["outputs"], dict))
+    for name in stamp.outputs:
         if not (Path(cfg.out_dir) / name).exists():
             raise MissingStage(f"stage {stage!r} output {name} is missing from {cfg.out_dir}")
     return stamp
 
 
-def _stage_up_to_date(cfg: RunConfig, stage: str, inputs: dict[str, str]) -> bool:
+def _unchanged_output(cfg: RunConfig, stage: str, inputs: dict, name: str) -> dict | None:
+    """The stage's own output ``name`` when the stamp holds, lists ``inputs``
+    and the file's sha256; None when the stage must rebuild."""
+    path = Path(cfg.out_dir) / name
     try:
-        return _check_stage_stamp(cfg, stage).get("inputs") == inputs
-    except (DataError, ConfigHashMismatch):  # also an unreadable stamp
-        return False
+        stamp = _check_stage_stamp(cfg, stage)
+        with _reading(path, "stage output"):
+            data = path.read_bytes()
+    except (DataError, ConfigHashMismatch):
+        return None
+    current = stamp.inputs == inputs and hashlib.sha256(data).hexdigest() == stamp.outputs.get(name)
+    return json.loads(data) if current else None
 
 
 def _replace_json(path: Path, obj) -> None:
@@ -243,11 +258,13 @@ def run_mine(cfg: RunConfig) -> dict:
     generic-method stores plus a filter-attrition run report.
     """
     out_dir = Path(cfg.out_dir)
-    inputs = _head_shas(cfg)
-    if _stage_up_to_date(cfg, STAGE_MINE, inputs):
-        return _read_output(cfg, "run_report.json")
-
     overrides = load_overrides(cfg.identity_overrides) if cfg.identity_overrides else None
+    # the config hash covers the overrides file's path; its content is an input
+    inputs = {"heads": _head_shas(cfg), "overrides": cfg.identity_overrides and sha256_file(cfg.identity_overrides)}
+    report = _unchanged_output(cfg, STAGE_MINE, inputs, "run_report.json")
+    if report is not None:
+        return report
+
     repo_paths = {spec.resolved_id(): spec.path for spec in cfg.repos + cfg.generic_repos}
     commits, funnel, threshold = _ingest(cfg.repos)
     raw_authors = [(c.author_name, c.author_email, c.java_added_lines) for c in commits]
@@ -330,16 +347,16 @@ def _load_instances(path: Path, what: str) -> list[CompletionInstance]:
         return [CompletionInstance.from_record(rec) for rec in read_jsonl(path)]
 
 
-def _load_part(out_dir: Path, manifest_record: dict, part: str) -> list[CompletionInstance]:
+def _load_part(out_dir: Path, manifest: assembly.DatasetManifest, part: str) -> list[CompletionInstance]:
     """One part (train, val or test) of a dataset ``index.json`` lists."""
-    return _load_instances(out_dir / manifest_record["path"] / f"{part}.jsonl", "dataset part")
+    return _load_instances(_dataset_dir(out_dir, manifest.dataset_id) / f"{part}.jsonl", "dataset part")
 
 
-def _manifests_by_role(index: dict) -> dict[str, dict[str | None, dict]]:
-    """``index.json``'s manifests by role, then by anchor (None when unanchored)."""
-    by_role: dict[str, dict[str | None, dict]] = defaultdict(dict)
-    for man in index["manifests"]:
-        by_role[man["role"]][man["anchor_developer"]] = man
+def _manifests_by_role(manifests: list[assembly.DatasetManifest]) -> dict[str, dict]:
+    """Manifests by role, then by anchor (None when unanchored)."""
+    by_role: dict[str, dict[str | None, assembly.DatasetManifest]] = defaultdict(dict)
+    for man in manifests:
+        by_role[man.role][man.anchor_developer] = man
     return by_role
 
 
@@ -347,13 +364,13 @@ def _write_dataset(out_dir: Path, dataset: assembly.Dataset) -> dict:
     """Write each part as ``<name>.jsonl`` and the manifest into the
     dataset's directory; returns its ``index.json`` entry."""
     manifest = dataset.manifest
-    dataset_dir = out_dir / "datasets" / manifest.dataset_id
+    dataset_dir = _dataset_dir(out_dir, manifest.dataset_id)
     files = {
         f"{name}.jsonl": write_jsonl(dataset_dir / f"{name}.jsonl", (i.to_record() for i in part))
         for name, part in dataset.parts().items()
     }
     files["manifest.json"] = write_json(dataset_dir / "manifest.json", manifest.to_record())
-    return {"path": str(dataset_dir.relative_to(out_dir)), "files": files, **manifest.to_record()}
+    return {"files": files, **manifest.to_record()}
 
 
 def run_assemble(cfg: RunConfig) -> dict:
@@ -363,11 +380,12 @@ def run_assemble(cfg: RunConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     mine_stamp = _check_stage_stamp(cfg, STAGE_MINE)
     inputs = {
-        "instances": mine_stamp["outputs"].get("instances.jsonl", ""),
-        "generic_methods": mine_stamp["outputs"].get("generic_methods.jsonl", ""),
+        "instances": mine_stamp.outputs.get("instances.jsonl", ""),
+        "generic_methods": mine_stamp.outputs.get("generic_methods.jsonl", ""),
     }
-    if _stage_up_to_date(cfg, STAGE_ASSEMBLE, inputs):
-        return _read_output(cfg, "index.json")
+    index = _unchanged_output(cfg, STAGE_ASSEMBLE, inputs, "index.json")
+    if index is not None:
+        return index
 
     instances = _load_instances(out_dir / "instances.jsonl", "stage output")
     generic_path = out_dir / "generic_methods.jsonl"
@@ -389,12 +407,12 @@ def run_assemble(cfg: RunConfig) -> dict:
     return index
 
 
-def _exclusion_for_dataset(cfg: RunConfig, by_role: dict[str, dict], man: dict) -> set:
+def _exclusion_for_dataset(cfg: RunConfig, by_role: dict[str, dict], man: assembly.DatasetManifest) -> set:
     """Trivially shared n-grams from the training targets of the
     organization dataset on the same anchor as ``man``."""
-    org = by_role[assembly.ROLE_ORGANIZATION].get(man["anchor_developer"])
+    org = by_role[assembly.ROLE_ORGANIZATION].get(man.anchor_developer)
     if org is None:
-        raise DataError(f"index.json lists no organization dataset on the anchor of {man['dataset_id']!r}")
+        raise DataError(f"index.json lists no organization dataset on the anchor of {man.dataset_id!r}")
     targets = [i.target for i in _load_part(Path(cfg.out_dir), org, "train")]
     return metrics.exclusion_corpus_from_targets(targets, cfg.crystal_bleu.k, cfg.crystal_bleu.max_order)
 
@@ -403,21 +421,18 @@ def _load_predictions(path: str | Path) -> dict[str, list[metrics.PredictionReco
     """Predictions by model."""
     by_model: dict[str, list[metrics.PredictionRecord]] = defaultdict(list)
     with _reading(path, "predictions"):
-        for rec in read_jsonl(path):
-            pred = metrics.PredictionRecord.from_record(rec)
-            if not all(isinstance(v, str) for v in (pred.instance_id, pred.model_id, pred.text)):
-                raise TypeError(f"a field of {rec!r} is not a string")
+        for pred in map(metrics.PredictionRecord.from_record, read_jsonl(path)):
             by_model[pred.model_id].append(pred)
     return dict(by_model)
 
 
 def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> dict:
     """Score prediction files against one dataset's test split."""
-    index = _assembled_index(cfg)
-    man = next((m for m in index["manifests"] if m["dataset_id"] == dataset_id), None)
+    manifests = _assembled_manifests(cfg)
+    man = next((m for m in manifests if m.dataset_id == dataset_id), None)
     if man is None:
         raise MissingStage(f"dataset {dataset_id!r} is not in index.json; run assemble first")
-    test = _load_part(Path(cfg.out_dir), man, "test") if man["counts"]["test"] else []
+    test = _load_part(Path(cfg.out_dir), man, "test") if man.counts[2] else []  # counts: (train, val, test)
     if not test:
         raise DataError(f"dataset {dataset_id!r} has no test split to score against")
 
@@ -425,7 +440,7 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     if not by_model:
         raise EmptyInput(f"no predictions in {predictions_path}")
 
-    trivial = _exclusion_for_dataset(cfg, _manifests_by_role(index), man)
+    trivial = _exclusion_for_dataset(cfg, _manifests_by_role(manifests), man)
     reports = metrics.corpus_report(test, by_model, trivial, cfg.crystal_bleu.max_order)
 
     out = {
@@ -450,22 +465,21 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     return out
 
 
-def _score_rows(path: str | Path, model: str | None) -> tuple[dict, str, list[metrics.ScoreRow]]:
-    """A score report, the model picked from it and that model's rows."""
+def _score_rows(path: str | Path, model: str | None) -> tuple[str, str, list[metrics.ScoreRow]]:
+    """A score report's dataset id, the model picked from it and that model's rows."""
     with _reading(path, "score report"):
         report = read_json(path)
-    rows = report.get("rows") if isinstance(report, dict) else None
-    if not isinstance(rows, dict) or not isinstance(report.get("dataset_id"), str):
-        raise DataError(f"{path} is not a score report")
-    models = sorted(rows)
-    if model is None:
-        if len(models) != 1:
-            raise DataError(f"{path} has models {models}; pick one explicitly")
-        model = models[0]
-    if model not in rows:
-        raise DataError(f"model {model!r} not in {path} (has {models})")
-    with _reading(path, "score report"):
-        return report, model, [metrics.ScoreRow.from_record(r) for r in rows[model]]
+        rows = report.get("rows") if isinstance(report, dict) else None
+        if not isinstance(rows, dict) or not isinstance(report.get("dataset_id"), str):
+            raise DataError(f"{path} is not a score report")
+        models = sorted(rows)
+        if model is None:
+            if len(models) != 1:
+                raise DataError(f"{path} has models {models}; pick one explicitly")
+            model = models[0]
+        if model not in rows:
+            raise DataError(f"model {model!r} not in {path} (has {models})")
+        return report["dataset_id"], model, [metrics.ScoreRow.from_record(r) for r in rows[model]]
 
 
 def run_compare(
@@ -476,7 +490,7 @@ def run_compare(
     model_b: str | None = None,
 ) -> dict:
     """Statistically compare two scored models on the same test set."""
-    rep_a, name_a, rows_a = _score_rows(report_a_path, model_a)
+    dataset_id, name_a, rows_a = _score_rows(report_a_path, model_a)
     _, name_b, rows_b = _score_rows(report_b_path, model_b)
 
     em_result, cb_result = stats.compare_models(rows_a, rows_b)
@@ -491,7 +505,7 @@ def run_compare(
 
     comparison = {
         "config_hash": cfg.config_hash(),
-        "dataset_id": rep_a["dataset_id"],
+        "dataset_id": dataset_id,
         "model_a": name_a,
         "model_b": name_b,
         "em": {
@@ -512,7 +526,7 @@ def run_compare(
         },
     }
     # ids come from the reports, so a "/" in one must not name a directory
-    dataset, a, b = (quote(name, safe="") for name in (rep_a["dataset_id"], name_a, name_b))
+    dataset, a, b = (quote(name, safe="") for name in (dataset_id, name_a, name_b))
     out_path = Path(cfg.out_dir) / "reports" / f"{dataset}.compare-{a}-vs-{b}.json"
     write_json(out_path, comparison)
     return comparison
@@ -521,10 +535,8 @@ def run_compare(
 def run_insight(cfg: RunConfig) -> dict:
     """Coverage reports per developer/dataset role plus the cost model."""
     out_dir = Path(cfg.out_dir)
-    index = _assembled_index(cfg)
+    by_role = _manifests_by_role(_assembled_manifests(cfg))
     scenarios = insight.load_scenarios(cfg.scenario_file)
-
-    by_role = _manifests_by_role(index)
     # the generic dataset's train plus val is the whole generic pool
     generic = by_role[assembly.ROLE_GENERIC_FINETUNE].get(None)
     generic_pool = _load_part(out_dir, generic, "train") + _load_part(out_dir, generic, "val") if generic else []
@@ -586,35 +598,32 @@ def run_verify(cfg: RunConfig) -> list[str]:
     dataset directory on disk is listed in ``index.json``. A missing or
     unreadable part file is a violation, and the audit sees it as empty."""
     out_dir = Path(cfg.out_dir)
-    index = _assembled_index(cfg)
+    manifests = _assembled_manifests(cfg)
     unread: list[str] = []
 
-    def load(man: dict, part: str) -> tuple[CompletionInstance, ...]:
+    def load(man: assembly.DatasetManifest, part: str) -> tuple[CompletionInstance, ...]:
         try:
             return tuple(_load_part(out_dir, man, part))
         except MissingStage:
-            unread.append(f"{man['dataset_id']}: {part}.jsonl missing")
+            unread.append(f"{man.dataset_id}: {part}.jsonl missing")
         except DataError as exc:
-            unread.append(f"{man['dataset_id']}: {exc}")
+            unread.append(f"{man.dataset_id}: {exc}")
         return ()
 
     anchored = [
-        assembly.Dataset(
-            assembly.DatasetManifest.from_record(man),
-            *(load(man, part) for part in ("train", "val", "test")),
-        )
-        for man in index["manifests"]
-        if man["anchor_developer"]
+        assembly.Dataset(man, *(load(man, part) for part in ("train", "val", "test")))
+        for man in manifests
+        if man.anchor_developer
     ]
     violations = unread + assembly.audit_temporal_leak(
         anchored, cfg.caps.test_size, cfg.caps.min_train,
         {spec.resolved_id() for spec in cfg.generic_repos},
     )
-    listed = {man["dataset_id"] for man in index["manifests"]}
+    listed = {_dataset_dir(out_dir, man.dataset_id) for man in manifests}
     violations += [
         f"{path.name}: dataset directory not listed in index.json"
-        for path in sorted((out_dir / "datasets").glob("*"))
-        if path.name not in listed
+        for path in sorted(_dataset_dir(out_dir).glob("*"))
+        if path not in listed
     ]
     write_json(out_dir / "verify.json", {"config_hash": cfg.config_hash(), "violations": violations})
     return violations

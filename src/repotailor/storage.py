@@ -1,5 +1,5 @@
 """Deterministic on-disk formats: JSONL stores, JSON documents, CSV
-tables, hashes.
+tables, hashes, and a type check for what is read back.
 
 Serialization is byte-stable (sorted keys, fixed separators, ASCII
 escapes) so identical runs produce identical files. Each writer writes
@@ -57,6 +57,13 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> str:
 
 def read_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def typed(value: Any, *types: type) -> Any:
+    """``value`` if it is one of ``types`` (a JSON boolean is no int), else a TypeError."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise TypeError(f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
+    return value
 
 
 def sha256_file(path: str | Path) -> str:

@@ -324,7 +324,7 @@ def test_criterion_12_end_to_end_determinism(e2e_repos, tmp_path):
 
 # sha256 over the seed-42 fixture run's tree; a change to any output file
 # (a refactor that was meant to keep outputs) changes it
-PINNED_TREE_SHA256 = "2c7ffeca85aace2e323d67eeab8f1d9e6f64ed5e8639c7adf7445a86a9f0cf2d"
+PINNED_TREE_SHA256 = "b6000c0655ccacd083144392e30ff34c99240c21e1bfaacdb24cde14319876dc"
 
 
 def test_full_run_tree_is_pinned(e2e_repos, tmp_path):

@@ -196,7 +196,7 @@ def test_verify_flags_planted_leak(mined, tmp_path, role, part, plant, expected)
     shutil.copytree(cfg.out_dir, out)
     man = next(m for m in index["manifests"] if m["role"] == role)
     holdout_row = next(read_jsonl(out / "datasets" / f"dev-{man['anchor_developer']}" / "test.jsonl"))
-    part_path = out / man["path"] / f"{part}.jsonl"
+    part_path = out / "datasets" / man["dataset_id"] / f"{part}.jsonl"
     rows = list(read_jsonl(part_path))
     plant(rows, holdout_row)
     part_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
@@ -209,7 +209,7 @@ def test_verify_reports_a_missing_part(mined, tmp_path, capsys):
     out = tmp_path / "out"
     shutil.copytree(cfg.out_dir, out)
     man = next(m for m in index["manifests"] if m["role"] == ROLE_ORGANIZATION)
-    (out / man["path"] / "val.jsonl").unlink()
+    (out / "datasets" / man["dataset_id"] / "val.jsonl").unlink()
     violations = run_verify(load_config(config_path, out_dir=str(out)))
     assert f"{man['dataset_id']}: val.jsonl missing" in violations
     assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 3
@@ -224,7 +224,7 @@ def test_a_damaged_dataset_part_is_a_data_error_naming_it(mined, tmp_path, capsy
     org = next(m for m in index["manifests"] if m["role"] == ROLE_ORGANIZATION)
     dev = next(m for m in index["manifests"]
                if m["role"] == ROLE_DEVELOPER and m["anchor_developer"] == org["anchor_developer"])
-    part = out / org["path"] / "train.jsonl"
+    part = out / "datasets" / org["dataset_id"] / "train.jsonl"
     if damage == "missing":
         part.unlink()
     else:
@@ -245,12 +245,32 @@ def _truncate(path: Path, keep: int, tail: str = "") -> None:
     path.write_bytes(path.read_bytes()[:keep] + tail.encode())
 
 
+def _every_manifest(key: str, value):
+    """A damage that sets ``key`` of every manifest in index.json to ``value``."""
+    def damage(path: Path) -> None:
+        index = read_json(path)
+        for man in index["manifests"]:
+            man[key] = value
+        path.write_text(json.dumps(index), encoding="utf-8")
+    return damage
+
+
+READERS = ["score", "insight", "verify"]
+
+
 @pytest.mark.parametrize("damaged, damage, stages", [
     pytest.param("instances.jsonl", lambda p: _truncate(p, p.stat().st_size, '{"id": '), ["assemble"],
                  id="instances-cut-mid-row"),
-    pytest.param("index.json", lambda p: _truncate(p, p.stat().st_size // 2), ["score", "insight", "verify"],
-                 id="index-half-written"),
+    pytest.param("index.json", lambda p: _truncate(p, p.stat().st_size // 2), READERS, id="index-half-written"),
     pytest.param("stamps/mine.json", lambda p: _truncate(p, 10), ["assemble"], id="mine-stamp-cut"),
+    pytest.param("index.json", lambda p: p.write_text("{}"), READERS, id="index-without-manifests"),
+    pytest.param("index.json", lambda p: p.write_text('{"manifests": [{}]}'), READERS, id="index-empty-manifest"),
+    pytest.param("index.json", lambda p: p.write_text("[]"), READERS, id="index-a-list"),
+    pytest.param("index.json", lambda p: p.write_text('{"manifests": [1]}'), READERS, id="index-manifest-a-number"),
+    pytest.param("index.json", _every_manifest("counts", []), READERS, id="index-counts-a-list"),
+    pytest.param("index.json", _every_manifest("dataset_id", 5), READERS, id="index-dataset-id-a-number"),
+    pytest.param("stamps/mine.json", lambda p: p.write_text("[]"), ["assemble"], id="mine-stamp-a-list"),
+    pytest.param("stamps/assemble.json", lambda p: p.write_text("[]"), READERS, id="assemble-stamp-a-list"),
 ])
 def test_an_unreadable_stage_output_is_a_data_error_naming_it(mined, tmp_path, capsys, damaged, damage, stages):
     cfg, config_path, _, index = mined
@@ -272,12 +292,42 @@ def test_a_stage_whose_own_stamp_is_unreadable_rebuilds(mined, tmp_path):
     cfg, config_path, _, _ = mined
     out = tmp_path / "out"
     shutil.copytree(cfg.out_dir, out)
-    for stage in ("mine", "assemble"):
-        stamp = out / "stamps" / f"{stage}.json"
-        before = stamp.read_bytes()
-        _truncate(stamp, 10)
-        assert main([stage, "--config", str(config_path), "--out", str(out)]) == 0, stage
-        assert stamp.read_bytes() == before, stage
+    damages = {"cut": lambda p: _truncate(p, 10), "a-list": lambda p: p.write_text("[]")}
+    for name, damage in damages.items():
+        for stage in ("mine", "assemble"):
+            stamp = out / "stamps" / f"{stage}.json"
+            before = stamp.read_bytes()
+            damage(stamp)
+            assert main([stage, "--config", str(config_path), "--out", str(out)]) == 0, (name, stage)
+            assert stamp.read_bytes() == before, (name, stage)
+
+
+@pytest.mark.parametrize("stage, own", [("mine", "run_report.json"), ("assemble", "index.json")])
+def test_a_no_op_stage_whose_own_report_changed_rebuilds(mined, tmp_path, stage, own):
+    cfg, config_path, _, _ = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    before = (out / own).read_bytes()
+    (out / own).write_text("[]", encoding="utf-8")
+    assert main([stage, "--config", str(config_path), "--out", str(out)]) == 0
+    assert (out / own).read_bytes() == before
+
+
+def test_editing_the_identity_overrides_reruns_mine(fixture_repos, tmp_path):
+    org, _ = fixture_repos
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", org)
+    overrides = tmp_path / "overrides.jsonl"
+    overrides.write_text("", encoding="utf-8")
+    data = json.loads(config_path.read_text())
+    data["identity_overrides"] = str(overrides)
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["mine", "--config", str(config_path)]) == 0
+    identities = tmp_path / "out" / "identities.jsonl"
+    assert "pinned-by-override" not in identities.read_text(encoding="utf-8")
+    row = {"name": "Alice Dev", "email": "alice.dev@example.com", "author_id": "pinned-by-override"}
+    overrides.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert main(["mine", "--config", str(config_path)]) == 0
+    assert "pinned-by-override" in identities.read_text(encoding="utf-8")
 
 
 def test_score_needs_the_organization_dataset_of_its_anchor(mined, tmp_path, capsys):
@@ -616,9 +666,8 @@ def test_insight_outputs(mined):
 
 
 def _load(out: Path, man: dict, *parts: str) -> list[CompletionInstance]:
-    return [
-        CompletionInstance.from_record(rec) for part in parts for rec in read_jsonl(out / man["path"] / f"{part}.jsonl")
-    ]
+    directory = out / "datasets" / man["dataset_id"]
+    return [CompletionInstance.from_record(rec) for part in parts for rec in read_jsonl(directory / f"{part}.jsonl")]
 
 
 def test_insight_generic_pool_is_the_generic_datasets_train_and_val(mined):
@@ -644,10 +693,11 @@ def test_insight_lexes_each_distinct_method_text_once(mined, monkeypatch):
     out = Path(cfg.out_dir)
     parts = []
     for man in index["manifests"]:
+        directory = out / "datasets" / man["dataset_id"]
         if man["anchor_developer"]:
-            parts += [out / man["path"] / "train.jsonl", out / man["path"] / "test.jsonl"]
+            parts += [directory / "train.jsonl", directory / "test.jsonl"]
         elif man["role"] == ROLE_GENERIC_FINETUNE:
-            parts += [out / man["path"] / "train.jsonl", out / man["path"] / "val.jsonl"]
+            parts += [directory / "train.jsonl", directory / "val.jsonl"]
     texts = {
         reconstruct_method_text(CompletionInstance.from_record(rec))
         for path in parts for rec in read_jsonl(path)
