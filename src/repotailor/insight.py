@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, EmptyTestSet, EmptyTrainSet, NonPositiveDelta
-from .javalex import CHAR_LITERAL, IDENTIFIER, NUMBER_LITERAL, STRING_LITERAL, lex
+from .javalex import CHAR_LITERAL, IDENTIFIER, NUMBER_LITERAL, STRING_LITERAL, token_texts
 from .masking import SENTINEL, CompletionInstance
 
 _VOCAB_KINDS = frozenset({IDENTIFIER, STRING_LITERAL, CHAR_LITERAL, NUMBER_LITERAL})
@@ -55,8 +55,8 @@ def vocabulary_elements(
     """Distinct identifier and literal texts in the instances' methods.
 
     ``memo`` maps a method text to its elements; texts missing from it
-    are lexed and added, so a caller that shares one memo across calls
-    lexes each distinct text once.
+    are scanned and added, so a caller that shares one memo across calls
+    scans each distinct text once.
     """
     if memo is None:
         memo = {}
@@ -65,7 +65,7 @@ def vocabulary_elements(
         text = reconstruct_method_text(inst)
         vocab = memo.get(text)
         if vocab is None:
-            vocab = frozenset(tok.text for tok in lex(text) if tok.kind in _VOCAB_KINDS)
+            vocab = frozenset(token_texts(text, _VOCAB_KINDS))
             memo[text] = vocab
         elements.update(vocab)
     return elements

@@ -26,6 +26,9 @@ which tells whether a method body holds a block. Both are built from
 the master pattern's comment, string and char pieces. A range that
 starts and ends at such a stop lexes to the same tokens as the whole
 source has there.
+
+`token_texts` runs the same pattern for callers that read only token
+texts: it keeps no line or column and builds no token.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import array
 import functools
 import re
 import sys
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 IDENTIFIER = "identifier"
 KEYWORD = "keyword"
@@ -190,6 +193,28 @@ def lex(source: str, start: int = 0, end: int | None = None, line: int = 1) -> l
     return tokens
 
 
-def token_texts(text: str) -> list[str]:
-    """Significant token texts of a code snippet (metric/dedup unit)."""
-    return [t.text for t in lex(text)]
+def token_texts(text: str, kinds: Collection[str] | None = None) -> list[str]:
+    """Texts of the significant tokens of ``text`` (the metric and dedup
+    unit), or of those of ``kinds`` only; the same texts as `lex` yields,
+    without tracking positions or building tokens.
+    """
+    pattern = _ASCII_PATTERN if text.isascii() else _unicode_pattern()
+    if kinds is None:
+        texts = [m[m.lastindex] for m in pattern.finditer(text)]
+        # only the end of input matches empty: once, or twice after trailing trivia
+        while texts and not texts[-1]:
+            texts.pop()
+        return texts
+    wanted = [kind in kinds for kind in _KINDS]
+    identifiers, keywords = IDENTIFIER in kinds, KEYWORD in kinds
+    out: list[str] = []
+    append = out.append
+    for m in pattern.finditer(text):
+        group = m.lastindex
+        if wanted[group]:
+            append(m[group])
+        elif group == _WORD:
+            word = m[group]
+            if keywords if word in KEYWORDS else identifiers:
+                append(word)
+    return out

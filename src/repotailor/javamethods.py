@@ -6,17 +6,19 @@ parenthesized parameter list, optional throws clause) followed by a
 brace-balanced body, recognized only directly inside a type body (which
 may itself sit in a method, as an anonymous or local class does).
 Sources whose significant braces do not balance are unparsable:
-`parse_methods` returns None for them, so a caller learns that and the
-methods from one call. It lexes only what it reads: the header before
-a brace and each method's span. One regex scan for braces steps over
-the rest at every depth, such as large table initializers and the
-blocks inside a method.
+`method_spans` and `parse_methods` return None for them, so a caller
+learns that and the methods from one call. `method_spans` lexes only
+the header before a brace: one regex scan for braces steps over the
+rest at every depth, such as large table initializers and method
+bodies. `method_unit` lexes one span's body, so a caller lexes only the
+methods it reads; `parse_methods` lexes them all.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .javalex import IDENTIFIER, KEYWORD, SCAN_BLOCKS, SCAN_BRACES, SourceToken, lex
 
@@ -67,7 +69,7 @@ class FilterVerdict:
 
 def is_parsable(source: str) -> bool:
     """Whether method recovery can work on this source (braces balance)."""
-    return parse_methods(source) is not None
+    return method_spans(source) is not None
 
 
 def _strip_annotations(tokens: list[SourceToken]) -> list[SourceToken]:
@@ -227,20 +229,6 @@ def _body_token_count(toks: tuple[SourceToken, ...]) -> int:
     return 0 if open_pos is None else max(0, len(toks) - open_pos - 2)
 
 
-def _method_unit(toks: tuple[SourceToken, ...], name: str, signature: str, lines: list[str]) -> MethodUnit:
-    start_line = toks[0].line
-    end_line = toks[-1].line
-    return MethodUnit(
-        name=name,
-        signature=signature,
-        start_line=start_line,
-        end_line=end_line,
-        tokens=toks,
-        body_token_count=_body_token_count(toks),
-        text="\n".join(lines[start_line - 1 : end_line]),
-    )
-
-
 def method_from_text(text: str, name: str, signature: str) -> MethodUnit:
     """Rebuild a maskable MethodUnit from the stored `text` of a method,
     its lines numbered from 1. The text holds whole lines, so it need not
@@ -257,9 +245,22 @@ def method_from_text(text: str, name: str, signature: str) -> MethodUnit:
     )
 
 
-def parse_methods(source: str) -> list[MethodUnit] | None:
-    """Method declarations (constructors included) in Java source, or
-    None when its significant braces do not balance.
+class MethodSpan(NamedTuple):
+    """Where a method sits in its source, found without lexing its body."""
+    name: str
+    signature: str
+    header: list[SourceToken]
+    open: int  # offset of the body's '{'
+    close: int  # offset of the body's '}'
+    open_line: int  # line of the '{'
+    start_line: int  # line of the first header token
+    end_line: int  # line of the '}'
+
+
+def method_spans(source: str) -> list[MethodSpan] | None:
+    """Method declarations (constructors included) in Java source, as
+    spans sorted by start line, enclosing spans first; None when its
+    significant braces do not balance.
 
     One anchored step at a time jumps to the next significant '{', '}'
     or ';', at every depth. Only the header before a '{' is lexed and
@@ -268,12 +269,10 @@ def parse_methods(source: str) -> list[MethodUnit] | None:
     a block, so table rows are never lexed. At a method's '{', one step
     finds the next brace: if it is the method's '}', the walk jumps to it,
     so a body without blocks costs no step per statement; otherwise the
-    walk goes on inside the body. The '}' that pops a method lexes it
-    from its '{' and joins the header tokens, so innermost methods come
-    first.
+    walk goes on inside the body. The '}' that pops a method closes its
+    span, so innermost methods come first before the sort.
     """
-    lines = source.split("\n")
-    methods: list[MethodUnit] = []
+    spans: list[MethodSpan] = []
     # per open brace: the decl of a type body, None for a block, or an
     # open method's (header tokens, '{' offset, line at '{', name, signature)
     stack: list[str | tuple | None] = []
@@ -307,18 +306,43 @@ def parse_methods(source: str) -> list[MethodUnit] | None:
             if not stack:
                 return None
             top = stack.pop()
-            if top.__class__ is tuple:  # a method: lex its body and join its header
+            if top.__class__ is tuple:  # a method: its span ends here
                 header, brace, brace_line, name, signature = top
-                toks = header + lex(source, brace, pos, brace_line)
-                methods.append(_method_unit(tuple(toks), name, signature, lines))
+                end_line = brace_line + source.count("\n", brace, pos - 1)
+                spans.append(MethodSpan(name, signature, header, brace, pos - 1, brace_line, header[0].line, end_line))
         elif not stop:
             break
         seg = pos
 
     if stack:
         return None
-    methods.sort(key=lambda m: (m.start_line, -m.end_line))
-    return methods
+    spans.sort(key=lambda s: (s.start_line, -s.end_line))
+    return spans
+
+
+def method_unit(source: str, span: MethodSpan, lines: list[str]) -> MethodUnit:
+    """The MethodUnit of ``span``, which lexes its body; ``lines`` is
+    ``source.split("\n")``."""
+    toks = tuple(span.header + lex(source, span.open, span.close + 1, span.open_line))
+    return MethodUnit(
+        name=span.name,
+        signature=span.signature,
+        start_line=span.start_line,
+        end_line=span.end_line,
+        tokens=toks,
+        body_token_count=_body_token_count(toks),
+        text="\n".join(lines[span.start_line - 1 : span.end_line]),
+    )
+
+
+def parse_methods(source: str) -> list[MethodUnit] | None:
+    """Every method of `method_spans`, lexed, or None when the source's
+    significant braces do not balance."""
+    spans = method_spans(source)
+    if spans is None:
+        return None
+    lines = source.split("\n")
+    return [method_unit(source, span, lines) for span in spans]
 
 
 def extract_methods(source: str) -> list[MethodUnit]:

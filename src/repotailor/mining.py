@@ -75,12 +75,16 @@ def _run_git(repo_path: str | Path, *args: str) -> str:
 
 def branch_head(repo_path: str | Path, branch: str) -> str:
     """The sha ``refs/heads/<branch>`` points at, or "" when there is no
-    such branch (or no repository at ``repo_path``)."""
-    probe = subprocess.run(
-        ["git", "-C", str(repo_path), "rev-parse", "--verify", "--quiet", f"refs/heads/{branch}"],
-        capture_output=True,
-        text=True,
-    )
+    such branch (or no repository at ``repo_path``). A `git` that cannot
+    be started raises `RepoUnreadable`."""
+    try:
+        probe = subprocess.run(
+            ["git", "-C", str(repo_path), "rev-parse", "--verify", "--quiet", f"refs/heads/{branch}"],
+            capture_output=True,
+            text=True,
+        )
+    except OSError as exc:
+        raise RepoUnreadable(f"{repo_path}: git rev-parse: {exc}") from exc
     return probe.stdout.strip() if probe.returncode == 0 else ""
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from itertools import groupby
@@ -29,7 +30,8 @@ from .javamethods import (
     map_added_lines,
     # not called here: perfbench traces `assemble`'s re-lex under this name
     method_from_text,
-    parse_methods,
+    method_spans,
+    method_unit,
 )
 from .masking import CompletionInstance, Provenance
 from .mining import (
@@ -191,13 +193,20 @@ def _mine_changed_methods(commit: CommitRecord, reader: BlobReader, counts: Coun
         lines = added_lines(parent, child)
         if not lines:
             continue
-        methods = parse_methods(child)
-        if methods is None:
+        spans = method_spans(child)
+        if spans is None:
             counts["unparsable_files"] += 1
             continue
-        counts["methods_extracted"] += len(methods)
+        counts["methods_extracted"] += len(spans)
+        # a method whose span holds no added line never receives one, so
+        # only the others are lexed and filtered
+        source_lines = child.split("\n")
         kept = []
-        for m in methods:
+        for span in spans:
+            at = bisect_left(lines, span.start_line)
+            if at == len(lines) or lines[at] > span.end_line:
+                continue
+            m = method_unit(child, span, source_lines)
             verdict = apply_method_filters(m)
             if verdict.kept:
                 kept.append(m)

@@ -238,3 +238,30 @@ def test_ascii_text_never_builds_the_unicode_pattern():
 
 def test_token_texts_strips_comments_and_whitespace():
     assert token_texts("a + b; // trailing") == ["a", "+", "b", ";"]
+
+
+ALL_KINDS = (IDENTIFIER, KEYWORD, STRING_LITERAL, CHAR_LITERAL, NUMBER_LITERAL, OPERATOR, SEPARATOR)
+# every kind alone, the vocabulary kinds, words only, and none
+KIND_SETS = [frozenset({k}) for k in ALL_KINDS] + [
+    frozenset({IDENTIFIER, STRING_LITERAL, CHAR_LITERAL, NUMBER_LITERAL}),
+    frozenset({IDENTIFIER, KEYWORD}),
+    frozenset(),
+]
+
+
+def test_token_texts_equal_the_texts_of_lex():
+    """With and without ``kinds``, the texts `lex` yields, in order, on
+    trailing comments and whitespace, unterminated literals and
+    non-ASCII digits and letters too."""
+    edges = [
+        "a + b; // trailing", "// only", "", " ", "a ", "a /* open", 'x = "oops\ny', '"""\nblock',
+        "'c", "²", "½", "é", "x² + ½ * é;", "\\",
+    ]
+    inputs = edges + _fixture_corpus() + SNIPPETS + _fuzz(99, 500, FUZZ_ALPHABET, 60)
+    inputs += _fuzz(77, 1000, EDGE_PIECES, 30)
+    assert any(not s.isascii() for s in inputs)
+    for src in inputs:
+        tokens = lex(src)
+        assert token_texts(src) == [t.text for t in tokens], src
+        for kinds in KIND_SETS:
+            assert token_texts(src, kinds) == [t.text for t in tokens if t.kind in kinds], (src, kinds)

@@ -17,6 +17,8 @@ from repotailor.javamethods import (
     is_parsable,
     map_added_lines,
     method_from_text,
+    method_spans,
+    method_unit,
     name_words,
     parse_methods,
 )
@@ -784,6 +786,43 @@ def test_parse_methods_lexes_no_range_twice_in_type_free_methods(monkeypatch):
         assert methods == reference_parse_methods(src) and len(methods) == 3
         ranges.sort()
         assert all(end <= start for (_, end), (start, _) in zip(ranges, ranges[1:])), ranges
+
+
+def test_method_spans_lex_no_body_and_build_the_parsed_methods(monkeypatch):
+    """`method_spans` finds what `parse_methods` does, lexing only the
+    header before a '{' (in a body too, where it may declare a type),
+    and `method_unit` lexes a span to the parsed method."""
+    import random
+
+    rng = random.Random(4243)
+    sources = _fixture_sources()
+    inputs = sources + _fragments(sources) + [_fuzz_source(rng) for _ in range(300)]
+    inputs += [NESTED_BLOCKS, _table_class(200)]
+    methods = 0
+    for src in inputs:
+        ranges = []
+
+        def recording(source, start=0, end=None, line=1):
+            ranges.append((start, len(source) if end is None else end))
+            return lex(source, start, end, line)
+
+        monkeypatch.setattr(javamethods, "lex", recording)
+        spans = method_spans(src)
+        monkeypatch.undo()
+        parsed = parse_methods(src)
+        assert (spans is None) == (parsed is None), src
+        assert all(src[end] == "{" for _, end in ranges), (src, ranges)
+        if spans is None:
+            continue
+        lines = src.split("\n")
+        assert [method_unit(src, span, lines) for span in spans] == parsed, src
+        for span, m in zip(spans, parsed):
+            assert (span.name, span.signature, span.start_line, span.end_line) == (
+                m.name, m.signature, m.start_line, m.end_line
+            )
+            assert src[span.open] == "{" and src[span.close] == "}"
+        methods += len(spans)
+    assert methods >= 500, methods
 
 
 EDGE_METHOD_TEXTS = [

@@ -441,3 +441,13 @@ def test_failing_git_log_is_repo_unreadable(edge_repo, tmp_path, capsys):
     config_path = write_fixture_config(tmp_path, tmp_path / "out", [edge_repo])
     assert main(["mine", "--config", str(config_path)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_missing_git_is_repo_unreadable(edge_repo, tmp_path, monkeypatch, capsys):
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", [edge_repo])
+    empty = tmp_path / "no-git"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    assert main(["mine", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(edge_repo) in err

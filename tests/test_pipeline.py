@@ -37,6 +37,7 @@ from conftest import (
     build_generic_repo,
     build_org_repo,
     commit_files,
+    init_repo,
     write_fixture_config,
 )
 
@@ -703,8 +704,8 @@ def test_insight_lexes_each_distinct_method_text_once(mined, monkeypatch):
         for path in parts for rec in read_jsonl(path)
     }
     calls = []
-    real_lex = insight.lex
-    monkeypatch.setattr(insight, "lex", lambda text: calls.append(text) or real_lex(text))
+    real_scan = insight.token_texts
+    monkeypatch.setattr(insight, "token_texts", lambda text, kinds: calls.append(text) or real_scan(text, kinds))
     coverage = run_insight(cfg)["coverage"]
     assert "generic-pool" in next(iter(coverage.values()))
     assert 0 < len(calls) <= len(texts)
@@ -876,3 +877,110 @@ def test_config_hash_is_pinned(tmp_path):
     config_path.write_text(json.dumps(data), encoding="utf-8")
     assert load_config(config_path).config_hash() == "15465abd2d7463d0"
 
+
+
+SHOP_V1 = """class Shop {
+    int price(int base) {
+        int total = base * 2 + 1;
+        int tax = total / 10 + 3;
+        return total + tax + base;
+    }
+
+    Runnable task(int seed) {
+        Runnable r = new Runnable() {
+            public void run() { tick(); }
+        };
+        int x = seed + 1 + 2 + 3;
+        return r;
+    }
+
+    void testShop() {
+        price(1);
+    }
+
+    int weight(int base) {
+        int heavy = base * 7 + 11;
+        int light = heavy / 3 - 2;
+        return heavy + light;
+    }
+}
+"""
+# edits `task` only: one line of its own, and the line of the anonymous
+# class's `run`, which the filters drop (too short), so it falls to `task`
+SHOP_V2 = SHOP_V1.replace("run() { tick(); }", "run() { tock(); }").replace(
+    "        int x = seed + 1 + 2 + 3;\n", "        int x = seed + 1 + 2 + 3;\n        int y = x * 4 + seed;\n"
+)
+
+
+def _mine_changed_methods_by_parse_methods(commit, reader, counts):
+    """`mine`'s method step as it was when every method of a changed file
+    was lexed: parse_methods -> apply_method_filters -> map_added_lines."""
+    from repotailor.javamethods import apply_method_filters, map_added_lines, parse_methods
+    from repotailor.mining import added_lines, read_blob
+
+    out = []
+    for file in sorted(commit.changed_java_files):
+        child = read_blob(reader, commit.sha, file)
+        parent = read_blob(reader, commit.first_parent_sha, file) or "" if commit.first_parent_sha else ""
+        lines = added_lines(parent, child)
+        if not lines:
+            continue
+        methods = parse_methods(child)
+        counts["methods_extracted"] += len(methods)
+        kept = []
+        for m in methods:
+            verdict = apply_method_filters(m)
+            if verdict.kept:
+                kept.append(m)
+            else:
+                counts["dropped:" + verdict.reason] += 1
+        counts["methods_kept"] += len(kept)
+        out.extend((file, method, line_numbers) for method, line_numbers in map_added_lines(kept, lines))
+    return out
+
+
+def test_mine_lexes_only_methods_that_gain_a_line(tmp_path, monkeypatch):
+    """A commit that edits one method of a multi-method file lexes no body
+    of the others, counts only the touched methods as kept or dropped,
+    and mines the instances that lexing every method gave."""
+    from repotailor import javamethods
+    from repotailor.javalex import lex
+    from repotailor.javamethods import method_spans
+
+    repo = init_repo(tmp_path / "shop")
+    commit_files(repo, {"src/Shop.java": SHOP_V1}, "add shop", "Dana Dev", "dana@example.com", BASE_TS)
+    edit = commit_files(repo, {"src/Shop.java": SHOP_V2}, "edit task", "Dana Dev", "dana@example.com", BASE_TS + 3600)
+
+    ranges = []
+
+    def recording(source, start=0, end=None, line=1):
+        ranges.append((source, start, len(source) if end is None else end))
+        return lex(source, start, end, line)
+
+    monkeypatch.setattr(javamethods, "lex", recording)
+    out = tmp_path / "out"
+    assert main(["mine", "--config", str(write_fixture_config(tmp_path, out, [repo]))]) == 0
+    monkeypatch.undo()
+
+    methods = read_json(out / "run_report.json")["methods"]
+    # the five spans of each version; kept and dropped: every method of
+    # the added file, then `task` and its anonymous `run`
+    assert methods == {"extracted": 10, "kept": 4, "dropped_by_reason": {"test-name": 1, "too-short": 2}}
+
+    untouched = [s for s in method_spans(SHOP_V2) if s.name in ("price", "testShop", "weight")]
+    assert len(untouched) == 3
+    lexed = [(start, end) for source, start, end in ranges if source == SHOP_V2]
+    assert lexed
+    for span in untouched:
+        assert all(end <= span.open + 1 or start >= span.close for start, end in lexed), span
+
+    # one instance per edited line of `task`, the line of `run` included
+    rows = read_jsonl(out / "instances.jsonl")
+    assert [r["signature"] for r in rows if r["sha"] == edit] == ["task(int)", "task(int)"]
+
+    monkeypatch.setattr(pipeline, "_mine_changed_methods", _mine_changed_methods_by_parse_methods)
+    chain_out = tmp_path / "chain"
+    assert main(["mine", "--config", str(write_fixture_config(tmp_path, chain_out, [repo], name="chain.json"))]) == 0
+    assert (out / "instances.jsonl").read_bytes() == (chain_out / "instances.jsonl").read_bytes()
+    chain_methods = read_json(chain_out / "run_report.json")["methods"]
+    assert chain_methods["extracted"] == 10 and chain_methods["kept"] == 6
