@@ -48,7 +48,14 @@ class ScoreRow:
 
     @classmethod
     def from_record(cls, rec: dict) -> "ScoreRow":
-        return cls(rec["id"], rec["em"], rec["crystal_bleu"], rec["bleu"], rec["degenerate"], rec["missing"])
+        return cls(
+            typed(rec["id"], str),
+            typed(rec["em"], bool),
+            typed(rec["crystal_bleu"], int, float),
+            typed(rec["bleu"], int, float),
+            typed(rec["degenerate"], bool),
+            typed(rec["missing"], bool),
+        )
 
     def to_record(self) -> dict:
         return {
@@ -84,26 +91,20 @@ def trivially_shared_ngrams(
         return set()
     totals: Counter = Counter()
     for tokens in corpus:
-        for counts in count_ngrams(tokens, max_order):
-            totals.update(counts)
-    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    return {ngram for ngram, _ in ranked[:k]}
-
-
-def _bleu_from_counts(cand_counts: list[dict], ref_counts: list[dict], cand_len: int, ref_len: int) -> float | None:
-    """BLEU over per-order n-gram counts; None when every order of the reference is empty."""
-    log_sum = 0.0
-    included = 0
-    for cand, ref in zip(cand_counts, ref_counts):
-        if not ref:
-            continue
-        included += 1
-        matched = sum(min(c, ref[g]) for g, c in cand.items() if g in ref)
-        log_sum += math.log(matched / sum(cand.values()) if matched else _EPSILON)
-    if included == 0:
-        return None
-    brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return brevity * math.exp(log_sum / included)
+        for order in range(1, max_order + 1):
+            totals.update(zip(*(tokens[i:] for i in range(order))))
+    if len(totals) <= k:
+        return set(totals)
+    # cut is the k-th largest count: every n-gram above it is in, and the
+    # ties at it fill the remaining places in lexicographic order
+    seen = 0
+    for cut, n in sorted(Counter(totals.values()).items(), reverse=True):
+        seen += n
+        if seen >= k:
+            break
+    chosen = {g for g, c in totals.items() if c > cut}
+    chosen.update(sorted(g for g, c in totals.items() if c == cut)[: k - len(chosen)])
+    return chosen
 
 
 def _score_pair(
@@ -114,29 +115,48 @@ def _score_pair(
     trivial: set[Ngram],
 ) -> tuple[float, float, bool]:
     """(CrystalBLEU, BLEU, degenerate) of one pair from the per-order
-    counts of each side, each counted once."""
+    counts of each side, each counted once.
+
+    Both scores come from one pass per order: CrystalBLEU's counts are
+    BLEU's minus those of the excluded n-grams, and an order whose
+    reference n-grams are all excluded drops out of its geometric mean.
+    A pair with no CrystalBLEU order left is degenerate and scores BLEU.
+    """
     if not cand_len:
         return 0.0, 0.0, False
-    bleu = _bleu_from_counts(cand_counts, ref_counts, cand_len, ref_len) or 0.0
-    crystal = _bleu_from_counts(
-        [{g: c for g, c in counts.items() if g not in trivial} for counts in cand_counts],
-        [{g: c for g, c in counts.items() if g not in trivial} for counts in ref_counts],
-        cand_len,
-        ref_len,
-    )
-    if crystal is None:
+    bleu_log = crystal_log = 0.0
+    bleu_orders = crystal_orders = 0
+    for cand, ref in zip(cand_counts, ref_counts):
+        if not ref:
+            continue
+        common = cand.keys() & ref.keys()
+        matched = sum([min(cand[g], ref[g]) for g in common])
+        total = cand.total()
+        bleu_orders += 1
+        bleu_log += math.log(matched / total if matched else _EPSILON)
+        if ref.keys() <= trivial:
+            continue
+        crystal_orders += 1
+        cand_trivial = cand.keys() & trivial
+        matched -= sum([min(cand[g], ref[g]) for g in common & cand_trivial])
+        total -= sum([cand[g] for g in cand_trivial])
+        crystal_log += math.log(matched / total if matched else _EPSILON)
+    if not bleu_orders:
+        return 0.0, 0.0, True
+    brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    bleu = brevity * math.exp(bleu_log / bleu_orders)
+    if not crystal_orders:
         # reference n-grams were all excluded: score the raw pair instead
         return bleu, bleu, True
-    return crystal, bleu, False
+    return brevity * math.exp(crystal_log / crystal_orders), bleu, False
 
 
 def plain_bleu(candidate: list[str], reference: list[str], max_order: int = DEFAULT_MAX_ORDER) -> float:
     """Sentence BLEU with epsilon smoothing on zero precisions."""
-    if not candidate:
-        return 0.0
-    return _bleu_from_counts(
-        count_ngrams(candidate, max_order), count_ngrams(reference, max_order), len(candidate), len(reference)
-    ) or 0.0
+    return _score_pair(
+        count_ngrams(candidate, max_order), count_ngrams(reference, max_order),
+        len(candidate), len(reference), set(),
+    )[1]
 
 
 def crystal_bleu(
@@ -228,11 +248,18 @@ def score_model(
             target_tokens[inst.target] = (tokens, count_ngrams(tokens, max_order))
         target, target_counts = target_tokens[inst.target]
         pred_tokens = token_texts(pred.text)
-        cb, bleu, degenerate = _score_pair(
-            count_ngrams(pred_tokens, max_order), target_counts, len(pred_tokens), len(target), trivial
-        )
+        em = pred_tokens == target
+        if em and target:
+            # what _score_pair yields for an exact match: precision 1 on
+            # every included order and a brevity of exp(0.0)
+            cb = bleu = 1.0
+            degenerate = all(counts.keys() <= trivial for counts in target_counts)
+        else:
+            cb, bleu, degenerate = _score_pair(
+                count_ngrams(pred_tokens, max_order), target_counts, len(pred_tokens), len(target), trivial
+            )
         degenerate_total += degenerate
-        rows.append(ScoreRow(inst.instance_id, pred_tokens == target, cb, bleu, degenerate=degenerate))
+        rows.append(ScoreRow(inst.instance_id, em, cb, bleu, degenerate=degenerate))
 
     n = len(test_instances)
     em_count = sum(r.em for r in rows)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -72,6 +73,23 @@ def test_trivial_ngrams_k_exceeds_distinct():
 def test_trivial_ngrams_tie_breaks_lexicographically():
     corpus = [["b", "a"]]  # both unigrams occur once
     assert trivially_shared_ngrams(corpus, k=1, max_order=1) == {("a",)}
+
+
+def test_trivial_ngrams_match_reference_at_ties_of_the_kth_count():
+    rng = random.Random(18)
+    split_ties = 0
+    for _ in range(2000):
+        vocab = "abcdef"[: rng.randint(1, 6)]
+        corpus = [[rng.choice(vocab) for _ in range(rng.randint(0, 8))] for _ in range(rng.randint(0, 6))]
+        max_order = rng.randint(1, 6)
+        totals = sum((reference_count_ngrams(tokens, max_order) for tokens in corpus), Counter())
+        distinct, counts = len(totals), sorted(totals.values(), reverse=True)
+        for k in (0, rng.randint(1, max(1, distinct - 1)), distinct, distinct + rng.randint(1, 5)):
+            assert trivially_shared_ngrams(corpus, k, max_order) == reference_trivially_shared_ngrams(
+                corpus, k, max_order
+            ), (corpus, k, max_order)
+            split_ties += 0 < k < distinct and counts[k - 1] == counts[k]
+    assert split_ties > 800  # ties at the k-th count are cut, not all taken
 
 
 def test_crystal_bleu_identity_is_one():
@@ -293,6 +311,54 @@ def test_score_model_matches_reference_per_row():
         ref = token_texts(targets[row.instance_id])
         assert (row.crystal_bleu, row.degenerate) == reference_crystal_bleu_flagged(cand, ref, trivial, 4)
         assert row.bleu == reference_plain_bleu(cand, ref, 4)
+
+
+@pytest.mark.parametrize("max_order", [1, 2, 4])
+def test_score_model_scores_exact_matches_as_the_reference(max_order):
+    tokens = token_texts("return x;")
+    cases = [
+        ("return x;", set(reference_count_ngrams(tokens, 6)), (1.0, 1.0, True)),  # every n-gram excluded
+        ("return x;", set(), (1.0, 1.0, False)),
+        ("x", set(), (1.0, 1.0, False)),  # one token
+        ("x", {("x",)}, (1.0, 1.0, True)),
+        ("", set(), (0.0, 0.0, False)),  # empty prediction for an empty target
+    ]
+    for target, trivial, expected in cases:
+        inst = make_instance("d", tag="0", target=target)
+        text = f" {target}  // reformatted"
+        row = score_model([inst], [PredictionRecord(inst.instance_id, "m", text)], trivial, max_order).rows[0]
+        cand, ref = token_texts(text), token_texts(target)
+        assert row.em and (row.crystal_bleu, row.bleu, row.degenerate) == expected, target
+        assert (row.crystal_bleu, row.degenerate) == reference_crystal_bleu_flagged(cand, ref, trivial, max_order)
+        assert row.bleu == reference_plain_bleu(cand, ref, max_order)
+
+
+def test_corpus_report_matches_reference_row_by_row():
+    rng = random.Random(2022)
+    words = ["x", "=", "y", ";", "return", "(", ")", "+", "1", "f"]
+
+    def text():
+        return " ".join(rng.choice(words) for _ in range(rng.randint(0, 10)))
+
+    test_set = [make_instance("d", tag=str(i), target=text()) for i in range(240)]
+    trivial = trivially_shared_ngrams([token_texts(i.target) for i in test_set[:120]], k=40, max_order=4)
+    preds = {
+        m: [PredictionRecord(i.instance_id, m, i.target if rng.random() < 0.5 else text()) for i in test_set]
+        for m in ("m1", "m2")
+    }
+    texts = {(p.model_id, p.instance_id): p.text for rows in preds.values() for p in rows}
+    targets = {i.instance_id: i.target for i in test_set}
+    exact = Counter()
+    for model, report in corpus_report(test_set, preds, trivial).items():
+        assert len(report.rows) == len(test_set)
+        for row in report.rows:
+            cand, ref = token_texts(texts[model, row.instance_id]), token_texts(targets[row.instance_id])
+            assert (row.crystal_bleu, row.degenerate) == reference_crystal_bleu_flagged(cand, ref, trivial)
+            assert row.bleu == reference_plain_bleu(cand, ref)
+            assert row.em == (cand == ref)
+            exact[row.em, row.degenerate] += 1
+    assert 200 < exact[True, False] + exact[True, True] < 280, exact  # about half of 480 rows
+    assert exact[True, True] > 10 and exact[False, True] > 10, exact
 
 
 def test_corpus_report_counts_each_target_text_once(monkeypatch):

@@ -564,6 +564,26 @@ def test_compare_reports_a_bad_report_as_a_data_error(mined, tmp_path, capsys):
         assert err.startswith("data error: ") and str(bad) in err, err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("em", "yes"), ("crystal_bleu", "0.5"), ("crystal_bleu", None), ("bleu", True)]
+)
+def test_compare_reports_a_wrong_typed_row_as_a_data_error(mined, tmp_path, capsys, field, value):
+    cfg, config_path, _, index = mined
+    dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    run_score(cfg, dataset_id, predictions_for(cfg, dataset_id, tmp_path / "preds.jsonl"))
+    good = Path(cfg.out_dir) / "reports" / f"{dataset_id}.score.json"
+    report = read_json(good)
+    report["rows"]["echo"][0][field] = value
+    bad = tmp_path / "wrong-typed.score.json"
+    bad.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["compare", "--config", str(config_path), "--report-a", str(good), "--report-b", str(bad),
+            "--model-a", "echo", "--model-b", "echo"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bad) in err, err
+
+
 def test_score_reports_bad_predictions_as_a_data_error(mined, tmp_path, capsys):
     cfg, config_path, _, index = mined
     dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
