@@ -37,6 +37,13 @@ class PredictionRecord:
         return cls(*(typed(rec[key], str) for key in ("id", "model", "text")))
 
 
+def _finite(value) -> float:
+    """``value`` if it is a finite JSON number; a NaN or an infinity is a ValueError."""
+    if isinstance(typed(value, int, float), float) and not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite score")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class ScoreRow:
     instance_id: str
@@ -51,8 +58,8 @@ class ScoreRow:
         return cls(
             typed(rec["id"], str),
             typed(rec["em"], bool),
-            typed(rec["crystal_bleu"], int, float),
-            typed(rec["bleu"], int, float),
+            _finite(rec["crystal_bleu"]),
+            _finite(rec["bleu"]),
             typed(rec["degenerate"], bool),
             typed(rec["missing"], bool),
         )

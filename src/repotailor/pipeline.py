@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import quote
 
 from . import assembly, insight, masking, metrics, stats
@@ -46,7 +46,16 @@ from .mining import (
     stream_commits,
 )
 from .seeding import rng_for
-from .storage import read_json, read_jsonl, sha256_file, typed, write_csv, write_json, write_jsonl
+from .storage import (
+    dumps_canonical,
+    read_json,
+    read_jsonl,
+    sha256_file,
+    typed,
+    write_csv,
+    write_json,
+    write_jsonl,
+)
 
 STAGE_MINE = "mine"
 STAGE_ASSEMBLE = "assemble"
@@ -83,12 +92,16 @@ def _dataset_dir(out_dir: Path, dataset_id: str = "") -> Path:
     return out_dir / "datasets" / dataset_id
 
 
-def _assembled_manifests(cfg: RunConfig) -> list[assembly.DatasetManifest]:
-    """``index.json``'s manifests, once the assemble stamp holds."""
+def _assembled_manifests(cfg: RunConfig) -> dict[assembly.DatasetManifest, dict]:
+    """``index.json``'s manifests, each with its entry's ``files`` (file
+    name -> sha256), once the assemble stamp holds."""
     _check_stage_stamp(cfg, STAGE_ASSEMBLE)
     path = Path(cfg.out_dir) / "index.json"
     with _reading(path, "stage output"):
-        return [assembly.DatasetManifest.from_record(rec) for rec in typed(read_json(path)["manifests"], list)]
+        return {
+            assembly.DatasetManifest.from_record(rec): typed(rec["files"], dict)
+            for rec in typed(read_json(path)["manifests"], list)
+        }
 
 
 def _check_stage_stamp(cfg: RunConfig, stage: str) -> _Stamp:
@@ -301,13 +314,15 @@ def run_mine(cfg: RunConfig) -> dict:
     generic_methods.sort(key=lambda r: (r["repo"], r["ts"], r["sha"], r["file"], r["signature"]))
 
     _stamp_path(cfg, STAGE_MINE).unlink(missing_ok=True)
+    stores = {"commits.jsonl": commits, "identities.jsonl": identities, "instances.jsonl": instances}
     outputs = {
-        "commits.jsonl": write_jsonl(out_dir / "commits.jsonl", (c.to_record() for c in commits)),
-        "identities.jsonl": write_jsonl(out_dir / "identities.jsonl", (i.to_record() for i in identities)),
-        "instances.jsonl": write_jsonl(out_dir / "instances.jsonl", (i.to_record() for i in instances)),
+        name: write_jsonl(out_dir / name, (dumps_canonical(item.to_record()) for item in items))
+        for name, items in stores.items()
     }
     if cfg.generic_repos:
-        outputs["generic_methods.jsonl"] = write_jsonl(out_dir / "generic_methods.jsonl", generic_methods)
+        outputs["generic_methods.jsonl"] = write_jsonl(
+            out_dir / "generic_methods.jsonl", map(dumps_canonical, generic_methods)
+        )
     else:  # a leftover from an earlier config must not feed assemble
         (out_dir / "generic_methods.jsonl").unlink(missing_ok=True)
 
@@ -351,17 +366,51 @@ def run_mine(cfg: RunConfig) -> dict:
     return report
 
 
-def _load_instances(path: Path, what: str) -> list[CompletionInstance]:
-    with _reading(path, what):
-        return [CompletionInstance.from_record(rec) for rec in read_jsonl(path)]
+def _mined_lines(path: Path, sha256: str) -> Iterator[str]:
+    """The lines of a ``mine`` output, without their newlines; after the
+    last one, a DataError when the file's sha256 is not ``sha256``, the
+    one ``mine``'s stamp lists."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for raw in fh:
+            digest.update(raw)
+            yield raw.rstrip(b"\n").decode("utf-8")
+    if digest.hexdigest() != sha256:
+        raise DataError(f"stage output {path} is not the file stamps/{STAGE_MINE}.json lists; run mine again")
 
 
-def _load_part(out_dir: Path, manifest: assembly.DatasetManifest, part: str) -> list[CompletionInstance]:
-    """One part (train, val or test) of a dataset ``index.json`` lists."""
-    return _load_instances(_dataset_dir(out_dir, manifest.dataset_id) / f"{part}.jsonl", "dataset part")
+PartMemo = dict[str, CompletionInstance]  # a part line -> its instance
 
 
-def _manifests_by_role(manifests: list[assembly.DatasetManifest]) -> dict[str, dict]:
+def _read_part(
+    out_dir: Path, manifest: assembly.DatasetManifest, part: str, memo: PartMemo
+) -> tuple[bytes, list[CompletionInstance]]:
+    """The bytes of one part (train, val or test) of a dataset
+    ``index.json`` lists, and its instances. A line missing from ``memo``
+    is decoded and added, so a stage that passes one memo to every call
+    decodes each distinct line once."""
+    path = _dataset_dir(out_dir, manifest.dataset_id) / f"{part}.jsonl"
+    instances = []
+    with _reading(path, "dataset part"):
+        data = path.read_bytes()
+        for line in data.decode("utf-8").split("\n"):
+            if not line.strip():
+                continue
+            instance = memo.get(line)
+            if instance is None:
+                instance = memo[line] = CompletionInstance.from_record(json.loads(line))
+            instances.append(instance)
+    return data, instances
+
+
+def _load_part(
+    out_dir: Path, manifest: assembly.DatasetManifest, part: str, memo: PartMemo
+) -> list[CompletionInstance]:
+    """The instances of one part, read as ``_read_part`` reads it."""
+    return _read_part(out_dir, manifest, part, memo)[1]
+
+
+def _manifests_by_role(manifests: Iterable[assembly.DatasetManifest]) -> dict[str, dict]:
     """Manifests by role, then by anchor (None when unanchored)."""
     by_role: dict[str, dict[str | None, assembly.DatasetManifest]] = defaultdict(dict)
     for man in manifests:
@@ -369,13 +418,23 @@ def _manifests_by_role(manifests: list[assembly.DatasetManifest]) -> dict[str, d
     return by_role
 
 
-def _write_dataset(out_dir: Path, dataset: assembly.Dataset) -> dict:
+def _write_dataset(out_dir: Path, dataset: assembly.Dataset, lines: dict) -> dict:
     """Write each part as ``<name>.jsonl`` and the manifest into the
-    dataset's directory; returns its ``index.json`` entry."""
+    dataset's directory; returns its ``index.json`` entry.
+
+    ``lines`` maps an item to its line: an item missing from it is
+    encoded once and added, for the datasets written after this one."""
+
+    def line(item) -> str:
+        text = lines.get(item)
+        if text is None:
+            text = lines[item] = dumps_canonical(item.to_record())
+        return text
+
     manifest = dataset.manifest
     dataset_dir = _dataset_dir(out_dir, manifest.dataset_id)
     files = {
-        f"{name}.jsonl": write_jsonl(dataset_dir / f"{name}.jsonl", (i.to_record() for i in part))
+        f"{name}.jsonl": write_jsonl(dataset_dir / f"{name}.jsonl", map(line, part))
         for name, part in dataset.parts().items()
     }
     files["manifest.json"] = write_json(dataset_dir / "manifest.json", manifest.to_record())
@@ -396,10 +455,20 @@ def run_assemble(cfg: RunConfig) -> dict:
     if index is not None:
         return index
 
-    instances = _load_instances(out_dir / "instances.jsonl", "stage output")
-    generic_path = out_dir / "generic_methods.jsonl"
-    with _reading(generic_path, "stage output"):
-        generic_methods = list(read_jsonl(generic_path)) if inputs["generic_methods"] else None
+    # every instance with the line mine wrote for it, which its parts copy
+    instances: list[CompletionInstance] = []
+    lines: dict = {}
+    path = out_dir / "instances.jsonl"
+    with _reading(path, "stage output"):
+        for line in _mined_lines(path, inputs["instances"]):
+            instance = CompletionInstance.from_record(json.loads(line))
+            instances.append(instance)
+            lines[instance] = line
+    generic_methods = None
+    if inputs["generic_methods"]:
+        path = out_dir / "generic_methods.jsonl"
+        with _reading(path, "stage output"):
+            generic_methods = [json.loads(line) for line in _mined_lines(path, inputs["generic_methods"])]
     built = assembly.build_datasets(instances, generic_methods, cfg.caps, cfg.seed)
 
     _stamp_path(cfg, STAGE_ASSEMBLE).unlink(missing_ok=True)
@@ -408,7 +477,7 @@ def run_assemble(cfg: RunConfig) -> dict:
         "organization": cfg.organization,
         "eligible_developers": built.eligible_developers,
         "selected_developers": built.selected_developers,
-        "manifests": [_write_dataset(out_dir, d) for d in built.datasets],
+        "manifests": [_write_dataset(out_dir, d, lines) for d in built.datasets],
         "notes": built.notes,
     }
     outputs = {"index.json": write_json(out_dir / "index.json", index)}
@@ -416,13 +485,15 @@ def run_assemble(cfg: RunConfig) -> dict:
     return index
 
 
-def _exclusion_for_dataset(cfg: RunConfig, by_role: dict[str, dict], man: assembly.DatasetManifest) -> set:
+def _exclusion_for_dataset(
+    cfg: RunConfig, by_role: dict[str, dict], man: assembly.DatasetManifest, memo: PartMemo
+) -> set:
     """Trivially shared n-grams from the training targets of the
     organization dataset on the same anchor as ``man``."""
     org = by_role[assembly.ROLE_ORGANIZATION].get(man.anchor_developer)
     if org is None:
         raise DataError(f"index.json lists no organization dataset on the anchor of {man.dataset_id!r}")
-    targets = [i.target for i in _load_part(Path(cfg.out_dir), org, "train")]
+    targets = [i.target for i in _load_part(Path(cfg.out_dir), org, "train", memo)]
     return metrics.exclusion_corpus_from_targets(targets, cfg.crystal_bleu.k, cfg.crystal_bleu.max_order)
 
 
@@ -441,7 +512,9 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     man = next((m for m in manifests if m.dataset_id == dataset_id), None)
     if man is None:
         raise MissingStage(f"dataset {dataset_id!r} is not in index.json; run assemble first")
-    test = _load_part(Path(cfg.out_dir), man, "test") if man.counts[2] else []  # counts: (train, val, test)
+    memo: PartMemo = {}
+    # counts: (train, val, test)
+    test = _load_part(Path(cfg.out_dir), man, "test", memo) if man.counts[2] else []
     if not test:
         raise DataError(f"dataset {dataset_id!r} has no test split to score against")
 
@@ -449,7 +522,7 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     if not by_model:
         raise EmptyInput(f"no predictions in {predictions_path}")
 
-    trivial = _exclusion_for_dataset(cfg, _manifests_by_role(manifests), man)
+    trivial = _exclusion_for_dataset(cfg, _manifests_by_role(manifests), man, memo)
     reports = metrics.corpus_report(test, by_model, trivial, cfg.crystal_bleu.max_order)
 
     out = {
@@ -546,9 +619,14 @@ def run_insight(cfg: RunConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     by_role = _manifests_by_role(_assembled_manifests(cfg))
     scenarios = insight.load_scenarios(cfg.scenario_file)
+    decoded: PartMemo = {}
+
+    def load(man: assembly.DatasetManifest, part: str) -> list[CompletionInstance]:
+        return _load_part(out_dir, man, part, decoded)
+
     # the generic dataset's train plus val is the whole generic pool
     generic = by_role[assembly.ROLE_GENERIC_FINETUNE].get(None)
-    generic_pool = _load_part(out_dir, generic, "train") + _load_part(out_dir, generic, "val") if generic else []
+    generic_pool = load(generic, "train") + load(generic, "val") if generic else []
 
     # each distinct method text is lexed once for the whole stage
     memo: dict[str, frozenset[str]] = {}
@@ -556,13 +634,13 @@ def run_insight(cfg: RunConfig) -> dict:
 
     coverage: dict[str, dict] = {}
     for author, man in sorted(by_role[assembly.ROLE_DEVELOPER].items()):
-        test = _load_part(out_dir, man, "test")
+        test = load(man, "test")
         test_vocab = insight.vocabulary_elements(test, memo)
-        trains = [(assembly.ROLE_DEVELOPER, _load_part(out_dir, man, "train"), None)]
+        trains = [(assembly.ROLE_DEVELOPER, load(man, "train"), None)]
         for role in (assembly.ROLE_ORGANIZATION, assembly.ROLE_ORG_SUBSET, assembly.ROLE_BASELINE_PLUS):
             other = by_role[role].get(author)
             if other:
-                train = _load_part(out_dir, other, "train")
+                train = load(other, "train")
                 if train:
                     trains.append((role, train, None))
         if generic_pool:
@@ -605,18 +683,25 @@ def run_insight(cfg: RunConfig) -> dict:
 def run_verify(cfg: RunConfig) -> list[str]:
     """Leak audit over an assembled output tree, plus a check that every
     dataset directory on disk is listed in ``index.json``. A missing or
-    unreadable part file is a violation, and the audit sees it as empty."""
+    unreadable part file is a violation, and the audit sees it as empty;
+    so is a part whose sha256 is not the one ``index.json`` lists, and
+    the audit still sees its content."""
     out_dir = Path(cfg.out_dir)
     manifests = _assembled_manifests(cfg)
-    unread: list[str] = []
+    memo: PartMemo = {}
+    part_problems: list[str] = []
 
     def load(man: assembly.DatasetManifest, part: str) -> tuple[CompletionInstance, ...]:
         try:
-            return tuple(_load_part(out_dir, man, part))
+            data, instances = _read_part(out_dir, man, part, memo)
         except MissingStage:
-            unread.append(f"{man.dataset_id}: {part}.jsonl missing")
+            part_problems.append(f"{man.dataset_id}: {part}.jsonl missing")
         except DataError as exc:
-            unread.append(f"{man.dataset_id}: {exc}")
+            part_problems.append(f"{man.dataset_id}: {exc}")
+        else:
+            if hashlib.sha256(data).hexdigest() != manifests[man].get(f"{part}.jsonl"):
+                part_problems.append(f"{man.dataset_id}: {part}.jsonl sha256 differs from index.json")
+            return tuple(instances)
         return ()
 
     anchored = [
@@ -624,7 +709,7 @@ def run_verify(cfg: RunConfig) -> list[str]:
         for man in manifests
         if man.anchor_developer
     ]
-    violations = unread + assembly.audit_temporal_leak(
+    violations = part_problems + assembly.audit_temporal_leak(
         anchored, cfg.caps.test_size, cfg.caps.min_train,
         {spec.resolved_id() for spec in cfg.generic_repos},
     )

@@ -15,16 +15,17 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 
-def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+# json.dumps with these arguments builds this encoder on every call
+dumps_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> str:
+def write_jsonl(path: str | Path, lines: Iterable[str]) -> str:
+    """Write each of ``lines``, JSON texts without their newline, as one line."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(dumps_canonical(rec))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
     return sha256_file(path)
 

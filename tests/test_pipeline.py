@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from repotailor.assembly import (
     ROLE_GENERIC_FINETUNE,
     ROLE_ORG_SUBSET,
     ROLE_ORGANIZATION,
+    MlmInstance,
 )
 from repotailor.cli import main
 from repotailor.config import load_config
@@ -30,7 +32,7 @@ from repotailor.pipeline import (
     run_score,
     run_verify,
 )
-from repotailor.storage import read_json, read_jsonl
+from repotailor.storage import dumps_canonical, read_json, read_jsonl
 
 from conftest import (
     BASE_TS,
@@ -215,6 +217,86 @@ def test_verify_reports_a_missing_part(mined, tmp_path, capsys):
     assert f"{man['dataset_id']}: val.jsonl missing" in violations
     assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 3
     assert f"violation: {man['dataset_id']}: val.jsonl missing" in capsys.readouterr().err
+
+
+def _edit_first_row(path: Path, key: str) -> None:
+    """Append a space to the string ``key`` of the file's first row,
+    which stays one valid, canonically encoded line."""
+    first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    rec = json.loads(first)
+    rec[key] += " "
+    path.write_text(dumps_canonical(rec) + "\n" + rest, encoding="utf-8")
+
+
+def test_verify_reports_a_part_edited_after_assemble(mined, tmp_path, capsys):
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    _edit_first_row(out / "datasets" / dataset_id / "test.jsonl", "target")
+    violation = f"{dataset_id}: test.jsonl sha256 differs from index.json"
+    assert run_verify(load_config(config_path, out_dir=str(out))) == [violation]
+    capsys.readouterr()
+    assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 3
+    assert f"violation: {violation}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, key", [("instances.jsonl", "target"), ("generic_methods.jsonl", "text")])
+def test_assemble_refuses_a_mine_output_edited_after_mine(mined, tmp_path, capsys, name, key):
+    cfg, config_path, _, _ = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    (out / "stamps" / "assemble.json").unlink()  # or assemble would not read it again
+    _edit_first_row(out / name, key)
+    capsys.readouterr()
+    assert main(["assemble", "--config", str(config_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(out / name) in err, err
+
+
+def _part_lines(out: Path, index: dict, anchored: tuple[str, ...], generic: tuple[str, ...] = ()) -> set[str]:
+    """The distinct lines of the ``anchored`` parts of every anchored dataset
+    and of the ``generic`` parts of the generic dataset."""
+    lines = set()
+    for man in index["manifests"]:
+        parts = anchored if man["anchor_developer"] else generic if man["role"] == ROLE_GENERIC_FINETUNE else ()
+        directory = out / "datasets" / man["dataset_id"]
+        for part in parts:
+            lines.update((directory / f"{part}.jsonl").read_text(encoding="utf-8").splitlines())
+    return lines
+
+
+def test_assemble_copies_mined_lines_and_encodes_what_it_makes_once(mined, tmp_path, monkeypatch):
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    (out / "stamps" / "assemble.json").unlink()
+    mined_lines = set((out / "instances.jsonl").read_text(encoding="utf-8").splitlines())
+    encoded: Counter = Counter()
+    for cls in (CompletionInstance, MlmInstance):
+        monkeypatch.setattr(cls, "to_record", lambda item, real=cls.to_record: encoded.update([item]) or real(item))
+    assert run_assemble(load_config(config_path, out_dir=str(out)))["manifests"] == index["manifests"]
+    assert encoded and max(encoded.values()) == 1
+    assert not encoded.keys() & {CompletionInstance.from_record(json.loads(line)) for line in mined_lines}
+    anchored = _part_lines(out, index, ("train", "val", "test"))
+    from_mine = {line for line in anchored if json.loads(line)["author"] != "generic"}
+    assert from_mine and from_mine <= mined_lines
+
+
+@pytest.mark.parametrize("stage", ["verify", "insight"])
+def test_a_stage_decodes_each_distinct_part_line_once(mined, monkeypatch, stage):
+    cfg, _, _, index = mined
+    out = Path(cfg.out_dir)
+    if stage == "verify":
+        run, lines = run_verify, _part_lines(out, index, ("train", "val", "test"))
+    else:
+        run, lines = run_insight, _part_lines(out, index, ("train", "test"), ("train", "val"))
+    decoded = []
+    real = CompletionInstance.from_record
+    counted = classmethod(lambda cls, rec: decoded.append(dumps_canonical(rec)) or real(rec))
+    monkeypatch.setattr(CompletionInstance, "from_record", counted)
+    run(cfg)
+    assert sorted(decoded) == sorted(lines)
 
 
 @pytest.mark.parametrize("damage", ["missing", "not-jsonl"])
@@ -564,9 +646,11 @@ def test_compare_reports_a_bad_report_as_a_data_error(mined, tmp_path, capsys):
         assert err.startswith("data error: ") and str(bad) in err, err
 
 
-@pytest.mark.parametrize(
-    "field, value", [("em", "yes"), ("crystal_bleu", "0.5"), ("crystal_bleu", None), ("bleu", True)]
-)
+@pytest.mark.parametrize("field, value", [
+    ("em", "yes"), ("crystal_bleu", "0.5"), ("crystal_bleu", None), ("bleu", True),
+    # json.dumps writes these as NaN, Infinity and -Infinity, which json reads back
+    ("crystal_bleu", float("nan")), ("crystal_bleu", float("inf")), ("bleu", float("-inf")),
+])
 def test_compare_reports_a_wrong_typed_row_as_a_data_error(mined, tmp_path, capsys, field, value):
     cfg, config_path, _, index = mined
     dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
