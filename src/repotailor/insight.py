@@ -49,17 +49,13 @@ def reconstruct_method_text(instance: CompletionInstance) -> str:
     return instance.context.replace(SENTINEL, instance.target, 1)
 
 
-def vocabulary_elements(
-    instances: list[CompletionInstance], memo: dict[str, frozenset[str]] | None = None
-) -> set[str]:
+def vocabulary_elements(instances: list[CompletionInstance], memo: dict[str, frozenset[str]]) -> set[str]:
     """Distinct identifier and literal texts in the instances' methods.
 
     ``memo`` maps a method text to its elements; texts missing from it
     are scanned and added, so a caller that shares one memo across calls
     scans each distinct text once.
     """
-    if memo is None:
-        memo = {}
     elements: set[str] = set()
     for inst in instances:
         text = reconstruct_method_text(inst)
@@ -79,59 +75,27 @@ def _share_covered(elements: set[str], other: set[str]) -> float:
     return len(elements & other) / len(elements)
 
 
-def signature_coverage(
-    test_instances: list[CompletionInstance], train_instances: list[CompletionInstance]
-) -> float:
-    """Fraction of test instances whose method signature occurs in training."""
-    if not test_instances:
-        raise EmptyTestSet("no test instances")
-    train_signatures = {i.signature for i in train_instances}
-    covered = sum(1 for i in test_instances if i.signature in train_signatures)
-    return covered / len(test_instances)
-
-
-def vocab_coverage(
-    test_instances: list[CompletionInstance], train_instances: list[CompletionInstance]
-) -> float:
-    """Fraction of distinct test identifiers/literals present in training."""
-    if not test_instances:
-        raise EmptyTestSet("no test instances")
-    return _share_covered(vocabulary_elements(test_instances), vocabulary_elements(train_instances))
-
-
-def training_relevance(
-    train_instances: list[CompletionInstance], test_instances: list[CompletionInstance]
-) -> float:
-    """Fraction of distinct training identifiers/literals used by the tests."""
-    if not train_instances:
-        raise EmptyTrainSet("no train instances")
-    return _share_covered(vocabulary_elements(train_instances), vocabulary_elements(test_instances))
-
-
 def coverage_report(
     test_instances: list[CompletionInstance],
     train_instances: list[CompletionInstance],
-    *,
-    test_vocab: set[str] | None = None,
-    train_vocab: set[str] | None = None,
-    memo: dict[str, frozenset[str]] | None = None,
+    test_vocab: set[str],
+    train_vocab: set[str],
 ) -> CoverageReport:
-    """Signature coverage, vocabulary coverage and training relevance.
-
-    ``test_vocab`` and ``train_vocab``, when given, must be the
-    `vocabulary_elements` of the matching instances; the missing ones
-    are computed through ``memo``.
+    """Signature coverage (the share of test instances whose method
+    signature occurs in training), vocabulary coverage (the share of
+    distinct test identifiers and literals present in training) and
+    training relevance (the share of distinct training ones the tests
+    use). ``test_vocab`` and ``train_vocab`` are the
+    `vocabulary_elements` of the matching instances.
     """
     if not test_instances:
         raise EmptyTestSet("no test instances")
     if not train_instances:
         raise EmptyTrainSet("no train instances")
-    if test_vocab is None:
-        test_vocab = vocabulary_elements(test_instances, memo)
-    if train_vocab is None:
-        train_vocab = vocabulary_elements(train_instances, memo)
+    train_signatures = {i.signature for i in train_instances}
+    covered = sum(1 for i in test_instances if i.signature in train_signatures)
     return CoverageReport(
-        signature_coverage=signature_coverage(test_instances, train_instances),
+        signature_coverage=covered / len(test_instances),
         vocab_coverage=_share_covered(test_vocab, train_vocab),
         training_relevance=_share_covered(train_vocab, test_vocab),
         test_count=len(test_instances),

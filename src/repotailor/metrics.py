@@ -75,11 +75,6 @@ class ScoreRow:
         }
 
 
-def exact_match(prediction: str, target: str) -> bool:
-    """True when the lexical token sequences coincide."""
-    return token_texts(prediction) == token_texts(target)
-
-
 def count_ngrams(tokens: list[str], max_order: int) -> list[Counter]:
     """One Counter of the n-grams of each order 1..max_order."""
     return [Counter(zip(*(tokens[i:] for i in range(order)))) for order in range(1, max_order + 1)]
@@ -114,7 +109,7 @@ def trivially_shared_ngrams(
     return chosen
 
 
-def _score_pair(
+def score_pair(
     cand_counts: list[Counter],
     ref_counts: list[Counter],
     cand_len: int,
@@ -158,37 +153,6 @@ def _score_pair(
     return brevity * math.exp(crystal_log / crystal_orders), bleu, False
 
 
-def plain_bleu(candidate: list[str], reference: list[str], max_order: int = DEFAULT_MAX_ORDER) -> float:
-    """Sentence BLEU with epsilon smoothing on zero precisions."""
-    return _score_pair(
-        count_ngrams(candidate, max_order), count_ngrams(reference, max_order),
-        len(candidate), len(reference), set(),
-    )[1]
-
-
-def crystal_bleu(
-    candidate: list[str],
-    reference: list[str],
-    trivial: set[Ngram],
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> float:
-    return crystal_bleu_flagged(candidate, reference, trivial, max_order)[0]
-
-
-def crystal_bleu_flagged(
-    candidate: list[str],
-    reference: list[str],
-    trivial: set[Ngram],
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> tuple[float, bool]:
-    """CrystalBLEU plus a flag marking degenerate (fully excluded) pairs."""
-    score, _, degenerate = _score_pair(
-        count_ngrams(candidate, max_order), count_ngrams(reference, max_order),
-        len(candidate), len(reference), trivial,
-    )
-    return score, degenerate
-
-
 @dataclass(frozen=True, slots=True)
 class ModelReport:
     model_id: str
@@ -200,6 +164,25 @@ class ModelReport:
     missing: int
     degenerate_pairs: int
     rows: tuple[ScoreRow, ...]
+
+    @classmethod
+    def from_rows(cls, model_id: str, rows: tuple[ScoreRow, ...]) -> "ModelReport":
+        """The one summary of score rows, which `score` and `compare` both
+        report. Means are exactly rounded (`math.fsum`), so they are the
+        same bytes on every Python version."""
+        n = len(rows)
+        em_count = sum(r.em for r in rows)
+        return cls(
+            model_id=model_id,
+            test_size=n,
+            em_count=em_count,
+            em_percent=100.0 * em_count / n if n else 0.0,
+            mean_crystal_bleu=math.fsum(r.crystal_bleu for r in rows) / n if n else 0.0,
+            mean_bleu=math.fsum(r.bleu for r in rows) / n if n else 0.0,
+            missing=sum(r.missing for r in rows),
+            degenerate_pairs=sum(r.degenerate for r in rows),
+            rows=rows,
+        )
 
     def to_record(self) -> dict:
         return {
@@ -214,94 +197,55 @@ class ModelReport:
         }
 
 
-def score_model(
-    test_instances: list[CompletionInstance],
-    predictions: list[PredictionRecord],
-    trivial: set[Ngram],
-    max_order: int = DEFAULT_MAX_ORDER,
-    model_id: str | None = None,
-    target_tokens: dict[str, tuple[list[str], list[Counter]]] | None = None,
-) -> ModelReport:
-    """Score one model's predictions against the test set targets.
-
-    ``target_tokens`` maps target texts to their `token_texts` and
-    per-order n-gram counts; targets missing from it are tokenized,
-    counted and added.
-    """
-    if target_tokens is None:
-        target_tokens = {}
-    by_id = {inst.instance_id: inst for inst in test_instances}
-    preds: dict[str, PredictionRecord] = {}
-    if model_id is None:
-        model_id = predictions[0].model_id if predictions else "unknown"
-    for pred in predictions:
-        if pred.instance_id not in by_id:
-            raise DatasetMismatch(f"prediction for unknown instance {pred.instance_id!r}")
-        if pred.instance_id in preds:
-            raise DatasetMismatch(f"duplicate prediction for instance {pred.instance_id!r}")
-        preds[pred.instance_id] = pred
-
-    rows: list[ScoreRow] = []
-    missing = 0
-    degenerate_total = 0
-    for inst in sorted(test_instances, key=lambda i: i.instance_id):
-        pred = preds.get(inst.instance_id)
-        if pred is None:
-            missing += 1
-            rows.append(ScoreRow(inst.instance_id, False, 0.0, 0.0, missing=True))
-            continue
-        if inst.target not in target_tokens:
-            tokens = token_texts(inst.target)
-            target_tokens[inst.target] = (tokens, count_ngrams(tokens, max_order))
-        target, target_counts = target_tokens[inst.target]
-        pred_tokens = token_texts(pred.text)
-        em = pred_tokens == target
-        if em and target:
-            # what _score_pair yields for an exact match: precision 1 on
-            # every included order and a brevity of exp(0.0)
-            cb = bleu = 1.0
-            degenerate = all(counts.keys() <= trivial for counts in target_counts)
-        else:
-            cb, bleu, degenerate = _score_pair(
-                count_ngrams(pred_tokens, max_order), target_counts, len(pred_tokens), len(target), trivial
-            )
-        degenerate_total += degenerate
-        rows.append(ScoreRow(inst.instance_id, em, cb, bleu, degenerate=degenerate))
-
-    n = len(test_instances)
-    em_count = sum(r.em for r in rows)
-    return ModelReport(
-        model_id=model_id,
-        test_size=n,
-        em_count=em_count,
-        em_percent=100.0 * em_count / n if n else 0.0,
-        mean_crystal_bleu=sum(r.crystal_bleu for r in rows) / n if n else 0.0,
-        mean_bleu=sum(r.bleu for r in rows) / n if n else 0.0,
-        missing=missing,
-        degenerate_pairs=degenerate_total,
-        rows=tuple(rows),
-    )
-
-
 def corpus_report(
     test_instances: list[CompletionInstance],
     predictions_by_model: dict[str, list[PredictionRecord]],
     trivial: set[Ngram],
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> dict[str, ModelReport]:
-    """Per-model EM% and mean CrystalBLEU over one test set; each
-    target is tokenized and counted once for all models."""
-    out = {}
+    """Each model's predictions scored against the test set targets, one
+    row per test instance in id order; each target is tokenized and
+    counted once for all models."""
+    ordered = sorted(test_instances, key=lambda i: i.instance_id)
+    known = {inst.instance_id for inst in ordered}
     target_tokens: dict[str, tuple[list[str], list[Counter]]] = {}
+    out = {}
     for model_id in sorted(predictions_by_model):
-        preds = predictions_by_model[model_id]
-        for pred in preds:
+        texts: dict[str, str] = {}
+        for pred in predictions_by_model[model_id]:
             if pred.model_id != model_id:
                 raise DatasetMismatch(
                     f"prediction for {pred.instance_id!r} carries model "
                     f"{pred.model_id!r}, expected {model_id!r}"
                 )
-        out[model_id] = score_model(test_instances, preds, trivial, max_order, model_id, target_tokens)
+            if pred.instance_id not in known:
+                raise DatasetMismatch(f"prediction for unknown instance {pred.instance_id!r}")
+            if pred.instance_id in texts:
+                raise DatasetMismatch(f"duplicate prediction for instance {pred.instance_id!r}")
+            texts[pred.instance_id] = pred.text
+        rows = []
+        for inst in ordered:
+            text = texts.get(inst.instance_id)
+            if text is None:
+                rows.append(ScoreRow(inst.instance_id, False, 0.0, 0.0, missing=True))
+                continue
+            if inst.target not in target_tokens:
+                tokens = token_texts(inst.target)
+                target_tokens[inst.target] = (tokens, count_ngrams(tokens, max_order))
+            target, target_counts = target_tokens[inst.target]
+            pred_tokens = token_texts(text)
+            em = pred_tokens == target
+            if em and target:
+                # what score_pair yields for an exact match: precision 1 on
+                # every included order and a brevity of exp(0.0)
+                cb = bleu = 1.0
+                degenerate = all(counts.keys() <= trivial for counts in target_counts)
+            else:
+                cb, bleu, degenerate = score_pair(
+                    count_ngrams(pred_tokens, max_order), target_counts, len(pred_tokens), len(target), trivial
+                )
+            rows.append(ScoreRow(inst.instance_id, em, cb, bleu, degenerate=degenerate))
+        out[model_id] = ModelReport.from_rows(model_id, tuple(rows))
     return out
 
 

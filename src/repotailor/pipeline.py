@@ -547,7 +547,7 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     return out
 
 
-def _score_rows(path: str | Path, model: str | None) -> tuple[str, str, list[metrics.ScoreRow]]:
+def _score_rows(path: str | Path, model: str | None) -> tuple[str, str, tuple[metrics.ScoreRow, ...]]:
     """A score report's dataset id, the model picked from it and that model's rows."""
     with _reading(path, "score report"):
         report = read_json(path)
@@ -561,7 +561,7 @@ def _score_rows(path: str | Path, model: str | None) -> tuple[str, str, list[met
             model = models[0]
         if model not in rows:
             raise DataError(f"model {model!r} not in {path} (has {models})")
-        return report["dataset_id"], model, [metrics.ScoreRow.from_record(r) for r in rows[model]]
+        return report["dataset_id"], model, tuple(map(metrics.ScoreRow.from_record, rows[model]))
 
 
 def run_compare(
@@ -575,33 +575,27 @@ def run_compare(
     dataset_id, name_a, rows_a = _score_rows(report_a_path, model_a)
     _, name_b, rows_b = _score_rows(report_b_path, model_b)
 
-    em_result, cb_result = stats.compare_models(rows_a, rows_b)
-    outcome = stats.paired_outcome_from_rows(rows_a, rows_b)
+    outcome, em_result, cb_result = stats.compare_models(rows_a, rows_b)
     em = em_result.to_record()
-
-    def pct(rows: list[metrics.ScoreRow]) -> float:
-        return 100.0 * sum(r.em for r in rows) / len(rows) if rows else 0.0
-
-    def mean_cb(rows: list[metrics.ScoreRow]) -> float:
-        return sum(r.crystal_bleu for r in rows) / len(rows) if rows else 0.0
-
+    summary_a = metrics.ModelReport.from_rows(name_a, rows_a)
+    summary_b = metrics.ModelReport.from_rows(name_b, rows_b)
     comparison = {
         "config_hash": cfg.config_hash(),
         "dataset_id": dataset_id,
         "model_a": name_a,
         "model_b": name_b,
         "em": {
-            "a_percent": pct(rows_a),
-            "b_percent": pct(rows_b),
-            "delta": pct(rows_a) - pct(rows_b),
+            "a_percent": summary_a.em_percent,
+            "b_percent": summary_b.em_percent,
+            "delta": summary_a.em_percent - summary_b.em_percent,
             "odds_ratio": em["effect"],
             "counts": {"n11": outcome.n11, "n10": outcome.n10, "n01": outcome.n01, "n00": outcome.n00},
             **em,
         },
         "crystal_bleu": {
-            "a_mean": mean_cb(rows_a),
-            "b_mean": mean_cb(rows_b),
-            "delta": mean_cb(rows_a) - mean_cb(rows_b),
+            "a_mean": summary_a.mean_crystal_bleu,
+            "b_mean": summary_b.mean_crystal_bleu,
+            "delta": summary_a.mean_crystal_bleu - summary_b.mean_crystal_bleu,
             "abs_effect_size": abs(cb_result.effect),
             "compared_pairs": len(rows_a) - outcome.n11,
             **cb_result.to_record(),
@@ -636,19 +630,18 @@ def run_insight(cfg: RunConfig) -> dict:
     for author, man in sorted(by_role[assembly.ROLE_DEVELOPER].items()):
         test = load(man, "test")
         test_vocab = insight.vocabulary_elements(test, memo)
-        trains = [(assembly.ROLE_DEVELOPER, load(man, "train"), None)]
+        train = load(man, "train")
+        trains = [(assembly.ROLE_DEVELOPER, train, insight.vocabulary_elements(train, memo))]
         for role in (assembly.ROLE_ORGANIZATION, assembly.ROLE_ORG_SUBSET, assembly.ROLE_BASELINE_PLUS):
             other = by_role[role].get(author)
             if other:
                 train = load(other, "train")
                 if train:
-                    trains.append((role, train, None))
+                    trains.append((role, train, insight.vocabulary_elements(train, memo)))
         if generic_pool:
             trains.append(("generic-pool", generic_pool, generic_vocab))
         coverage[author] = {
-            key: insight.coverage_report(
-                test, train, test_vocab=test_vocab, train_vocab=train_vocab, memo=memo
-            ).to_record()
+            key: insight.coverage_report(test, train, test_vocab, train_vocab).to_record()
             for key, train, train_vocab in trains
         }
 

@@ -231,20 +231,19 @@ def paired_outcome_from_rows(rows_a: list[ScoreRow], rows_b: list[ScoreRow]) -> 
 
 def compare_models(
     rows_a: list[ScoreRow], rows_b: list[ScoreRow]
-) -> tuple[StatResult, StatResult]:
-    """(EM comparison, CrystalBLEU comparison) for two models.
+) -> tuple[PairedOutcome, StatResult, StatResult]:
+    """(paired EM outcome, EM comparison, CrystalBLEU comparison) for
+    two models whose rows cover the same instance ids, each id once.
 
     The CrystalBLEU comparison skips instances where both models
     produced an exact match.
     """
-    ids_a = {r.instance_id for r in rows_a}
-    ids_b = {r.instance_id for r in rows_b}
-    if ids_a != ids_b or len(ids_a) != len(rows_a):
-        raise InstanceSetMismatch("score rows must cover the same instance ids")
-
-    em_result = mcnemar(paired_outcome_from_rows(rows_a, rows_b))
-
     b_by_id = {r.instance_id: r for r in rows_b}
+    ids_a = {r.instance_id for r in rows_a}
+    if ids_a != b_by_id.keys() or len(ids_a) != len(rows_a) or len(b_by_id) != len(rows_b):
+        raise InstanceSetMismatch("score rows must cover the same instance ids, each once")
+
+    outcome = paired_outcome_from_rows(rows_a, rows_b)
     cb_a: list[float] = []
     cb_b: list[float] = []
     for ra in sorted(rows_a, key=lambda r: r.instance_id):
@@ -266,4 +265,4 @@ def compare_models(
         else:
             direction = DIRECTION_NONE
         cb_result = _result("wilcoxon", wilcoxon.p_value, delta, direction, wilcoxon.flags)
-    return em_result, cb_result
+    return outcome, mcnemar(outcome), cb_result

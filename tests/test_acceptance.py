@@ -32,8 +32,8 @@ from repotailor.masking import (
     mask,
     segment,
 )
-from repotailor.metrics import crystal_bleu
-from repotailor.pipeline import run_assemble, run_insight, run_mine, run_score, run_verify
+from repotailor.metrics import count_ngrams, score_pair
+from repotailor.pipeline import run_assemble, run_compare, run_insight, run_mine, run_score, run_verify
 from repotailor.stats import (
     PairedOutcome,
     cliffs_delta_paired,
@@ -165,18 +165,21 @@ def test_criterion_04_split_arithmetic():
 
 
 def test_criterion_05_crystal_bleu_oracle():
+    def crystal_bleu(cand, ref):  # with no exclusions
+        return score_pair(count_ngrams(cand, 4), count_ngrams(ref, 4), len(cand), len(ref), set())[0]
+
     rng = random.Random(0xB1E0)
     vocab = ["if", "(", ")", "{", "}", "x", "y", "=", "==", ";", "return", "0", "1", "call"]
     with _Timer() as t:
         for _ in range(100):
             cand = [rng.choice(vocab) for _ in range(rng.randint(1, 40))]
             ref = [rng.choice(vocab) for _ in range(rng.randint(1, 40))]
-            assert crystal_bleu(cand, ref, set()) == pytest.approx(
+            assert crystal_bleu(cand, ref) == pytest.approx(
                 bleu_oracle(cand, ref), abs=1e-12
             )
         for _ in range(20):
             same = [rng.choice(vocab) for _ in range(rng.randint(4, 30))]
-            assert crystal_bleu(same, same, set()) == 1.0
+            assert crystal_bleu(same, same) == 1.0
     _report(5, "empty-exclusion CrystalBLEU == independent BLEU (1e-12); identity = 1.0", t, 10.0)
 
 
@@ -283,6 +286,8 @@ def _full_run(tmp_path: Path, org, generic, out_name: str, seed: int) -> Path:
         lines.append({"id": rec["id"], "model": "alt", "text": rec["target"] if i % 2 else "x();"})
     preds_path.write_text("\n".join(json.dumps(l) for l in lines) + "\n", encoding="utf-8")
     run_score(cfg, dev_id, preds_path)
+    report = out_dir / "reports" / f"{dev_id}.score.json"
+    run_compare(cfg, report, report, "echo", "alt")
     run_insight(cfg)
     assert run_verify(cfg) == []
     return out_dir
@@ -324,7 +329,7 @@ def test_criterion_12_end_to_end_determinism(e2e_repos, tmp_path):
 
 # sha256 over the seed-42 fixture run's tree; a change to any output file
 # (a refactor that was meant to keep outputs) changes it
-PINNED_TREE_SHA256 = "b6000c0655ccacd083144392e30ff34c99240c21e1bfaacdb24cde14319876dc"
+PINNED_TREE_SHA256 = "7609ec2b76d2531a4348f0b11c3ce4acc89d88927b29d1a3f142f50505f13b42"
 
 
 def test_full_run_tree_is_pinned(e2e_repos, tmp_path):

@@ -34,3 +34,24 @@ def test_module_imports_on_its_own(module):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "False"]
+
+
+# perfbench wraps program functions by the names its callers look up;
+# `Patch.replace` reads each one, so a renamed or removed name fails here
+_WRAP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import layers, tracer
+probe = layers.Probe(tracer.Tracer())
+probe.install()
+probe.restore()
+"""
+
+
+def test_every_name_perfbench_wraps_exists():
+    src = Path(repotailor.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", _WRAP, str(src.parent / "perfbench")], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr

@@ -13,9 +13,6 @@ from repotailor.insight import (
     coverage_report,
     load_scenarios,
     reconstruct_method_text,
-    signature_coverage,
-    training_relevance,
-    vocab_coverage,
     vocabulary_elements,
     weeks_to_breakeven,
 )
@@ -31,29 +28,35 @@ def java_instance(tag, signature, body):
     return inst(tag, signature, f"void m() {{ <FILL_ME> }}", body)
 
 
+def coverage(test, train):
+    """`coverage_report` with both vocabularies scanned through one memo."""
+    memo = {}
+    return coverage_report(test, train, vocabulary_elements(test, memo), vocabulary_elements(train, memo))
+
+
 def test_signature_coverage_full_and_disjoint():
     test = [inst("t0", "a()", "x <FILL_ME>", "y"), inst("t1", "b()", "x <FILL_ME>", "y")]
     train_full = [inst("r0", "a()", "x <FILL_ME>", "y"), inst("r1", "b()", "x <FILL_ME>", "y")]
     train_none = [inst("r2", "zz()", "x <FILL_ME>", "y")]
-    assert signature_coverage(test, train_full) == 1.0
-    assert signature_coverage(test, train_none) == 0.0
+    assert coverage(test, train_full).signature_coverage == 1.0
+    assert coverage(test, train_none).signature_coverage == 0.0
 
 
 def test_signature_coverage_quarter():
     test = [inst(f"t{i}", f"sig{i}()", "c <FILL_ME>", "t") for i in range(8)]
     train = [inst("r0", "sig0()", "c <FILL_ME>", "t"), inst("r1", "sig5()", "c <FILL_ME>", "t")]
-    assert signature_coverage(test, train) == 0.25
+    assert coverage(test, train).signature_coverage == 0.25
 
 
 def test_signature_coverage_empty_test_raises():
     with pytest.raises(EmptyTestSet):
-        signature_coverage([], [inst("r", "a()", "c <FILL_ME>", "t")])
+        coverage([], [inst("r", "a()", "c <FILL_ME>", "t")])
 
 
 def test_vocabulary_elements_exclude_keywords_and_operators():
     elements = vocabulary_elements([
         java_instance("t", "m()", 'int total = compute(name, "label", 42);')
-    ])
+    ], {})
     assert "total" in elements
     assert "compute" in elements
     assert '"label"' in elements
@@ -67,15 +70,15 @@ def test_vocabulary_elements_exclude_keywords_and_operators():
 def test_vocab_coverage_identical_and_disjoint():
     a = [java_instance("a", "m()", "alpha = beta + 1;")]
     b = [java_instance("b", "m()", "gamma = delta + 2;")]
-    assert vocab_coverage(a, a) == 1.0
-    assert vocab_coverage(a, b) == pytest.approx(1 / 4)  # only "m" shared
+    assert coverage(a, a).vocab_coverage == 1.0
+    assert coverage(a, b).vocab_coverage == pytest.approx(1 / 4)  # only "m" shared
 
 
 def test_vocab_coverage_monotone_in_training_data():
     test = [java_instance("t", "m()", "alpha = beta + gamma;")]
     small = [java_instance("r0", "m()", "alpha = 1;")]
     bigger = small + [java_instance("r1", "m()", "beta = 2;")]
-    assert vocab_coverage(test, small) <= vocab_coverage(test, bigger)
+    assert coverage(test, small).vocab_coverage <= coverage(test, bigger).vocab_coverage
 
 
 def test_training_relevance_mirrors_and_orders_like_specific_data():
@@ -84,28 +87,28 @@ def test_training_relevance_mirrors_and_orders_like_specific_data():
     generic = [
         java_instance(f"g{i}", "m()", f"unrelated{i} = other{i} + {i};") for i in range(30)
     ] + [java_instance("g-hit", "m()", "alpha = 9;")]
-    specific_relevance = training_relevance(focused, test)
-    generic_relevance = training_relevance(generic, test)
+    specific_relevance = coverage(test, focused).training_relevance
+    generic_relevance = coverage(test, generic).training_relevance
     assert specific_relevance > generic_relevance
-    assert training_relevance(test, test) == 1.0
+    assert coverage(test, test).training_relevance == 1.0
 
 
 def test_training_relevance_disjoint_is_zero():
     # bare-sentinel contexts leave vocabulary to the targets alone
     test = [inst("t", "a()", "<FILL_ME>", "alpha = 1;")]
     train = [inst("r", "b()", "<FILL_ME>", "beta = 2;")]
-    assert training_relevance(train, test) == 0.0
-    assert vocab_coverage(test, train) == 0.0
+    assert coverage(test, train).training_relevance == 0.0
+    assert coverage(test, train).vocab_coverage == 0.0
 
 
 def test_training_relevance_empty_train_raises():
     with pytest.raises(EmptyTrainSet):
-        training_relevance([], [java_instance("t", "m()", "x = 1;")])
+        coverage([java_instance("t", "m()", "x = 1;")], [])
 
 
 def test_coverage_report_bundles_all_three():
     test = [java_instance("t", "sig()", "alpha = beta;")]
-    report = coverage_report(test, test)
+    report = coverage(test, test)
     assert report.signature_coverage == 1.0
     assert report.vocab_coverage == 1.0
     assert report.training_relevance == 1.0
@@ -115,7 +118,7 @@ def test_coverage_report_bundles_all_three():
 def test_coverage_report_same_with_precomputed_vocabularies_and_memo():
     test = [java_instance(f"t{i}", f"s{i % 3}()", f"alpha{i} = beta + {i};") for i in range(6)]
     train = [java_instance(f"r{i}", f"s{i % 4}()", f"alpha{i % 2} = gamma * {i};") for i in range(9)]
-    expected = coverage_report(test, train)
+    expected = coverage(test, train)
 
     def reference_vocab(instances):  # the per-token loop, no memo
         kinds = (IDENTIFIER, STRING_LITERAL, CHAR_LITERAL, NUMBER_LITERAL)
@@ -128,23 +131,19 @@ def test_coverage_report_same_with_precomputed_vocabularies_and_memo():
     assert expected.training_relevance == len(train_ref & test_ref) / len(train_ref)
     assert (expected.test_vocab_size, expected.train_vocab_size) == (len(test_ref), len(train_ref))
     memo = {}
-    assert coverage_report(test, train, memo=memo) == expected
-    assert memo  # filled, and reused below
+    vocabulary_elements(test + train, memo)  # filled, and reused below
     test_vocab = vocabulary_elements(test, memo)
     train_vocab = vocabulary_elements(train, memo)
-    assert test_vocab == vocabulary_elements(test) and train_vocab == vocabulary_elements(train)
-    assert coverage_report(test, train, test_vocab=test_vocab, train_vocab=train_vocab) == expected
-    assert coverage_report(test, train, test_vocab=test_vocab, memo=memo) == expected
-    assert expected.vocab_coverage == vocab_coverage(test, train)
-    assert expected.training_relevance == training_relevance(train, test)
+    assert (test_vocab, train_vocab) == (test_ref, train_ref)
+    assert coverage_report(test, train, test_vocab, train_vocab) == expected
 
 
 def test_coverage_report_empty_sets_raise():
     some = [java_instance("t", "m()", "x = 1;")]
     with pytest.raises(EmptyTestSet):
-        coverage_report([], [])
+        coverage_report([], [], set(), set())
     with pytest.raises(EmptyTrainSet):
-        coverage_report(some, [], test_vocab=vocabulary_elements(some), train_vocab=set())
+        coverage_report(some, [], vocabulary_elements(some, {}), set())
 
 
 def test_vocabulary_elements_lexes_each_distinct_text_once(monkeypatch):
@@ -156,7 +155,7 @@ def test_vocabulary_elements_lexes_each_distinct_text_once(monkeypatch):
     same = [java_instance(f"t{i}", "m()", "alpha = beta;") for i in range(4)]
     other = [java_instance("o", "m()", "gamma = 1;")]
     memo = {}
-    assert vocabulary_elements(same, memo) == vocabulary_elements(same)
+    assert vocabulary_elements(same, memo) == vocabulary_elements(same, {})
     vocabulary_elements(same + other, memo)
     # with the memo: the shared text, later only the new one; without: the shared text again
     assert len(calls) == 3

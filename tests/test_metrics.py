@@ -8,15 +8,13 @@ import pytest
 from repotailor.errors import DatasetMismatch
 from repotailor.javalex import token_texts
 from repotailor.metrics import (
+    DEFAULT_MAX_ORDER,
+    ModelReport,
     PredictionRecord,
     ScoreRow,
     corpus_report,
     count_ngrams,
-    crystal_bleu,
-    crystal_bleu_flagged,
-    exact_match,
-    plain_bleu,
-    score_model,
+    score_pair,
     trivially_shared_ngrams,
 )
 
@@ -28,6 +26,17 @@ from oracles import (
     reference_plain_bleu,
     reference_trivially_shared_ngrams,
 )
+
+
+def scores(cand, ref, trivial=frozenset(), max_order=DEFAULT_MAX_ORDER):
+    """(CrystalBLEU, BLEU, degenerate) of two token lists."""
+    return score_pair(count_ngrams(cand, max_order), count_ngrams(ref, max_order), len(cand), len(ref), trivial)
+
+
+def exact_match(prediction, target):
+    """The EM flag of ``prediction`` scored against a one-instance test set."""
+    inst = make_instance("d", tag="0", target=target)
+    return corpus_report([inst], {"m": [PredictionRecord(inst.instance_id, "m", prediction)]}, set())["m"].rows[0].em
 
 
 def test_exact_match_ignores_whitespace():
@@ -94,11 +103,11 @@ def test_trivial_ngrams_match_reference_at_ties_of_the_kth_count():
 
 def test_crystal_bleu_identity_is_one():
     tokens = token_texts("int x = compute(a, b);")
-    assert crystal_bleu(tokens, tokens, set()) == 1.0
+    assert scores(tokens, tokens) == (1.0, 1.0, False)
 
 
 def test_crystal_bleu_empty_candidate_is_zero():
-    assert crystal_bleu([], ["a"], set()) == 0.0
+    assert scores([], ["a"]) == (0.0, 0.0, False)
 
 
 def test_crystal_bleu_matches_plain_bleu_without_exclusions():
@@ -107,8 +116,8 @@ def test_crystal_bleu_matches_plain_bleu_without_exclusions():
     for _ in range(100):
         cand = [rng.choice(vocab) for _ in range(rng.randint(1, 30))]
         ref = [rng.choice(vocab) for _ in range(rng.randint(1, 30))]
-        cb = crystal_bleu(cand, ref, set())
-        assert cb == pytest.approx(plain_bleu(cand, ref), abs=1e-15)
+        cb, bleu, _ = scores(cand, ref)
+        assert cb == pytest.approx(bleu, abs=1e-15)
         assert cb == pytest.approx(bleu_oracle(cand, ref), abs=1e-12)
 
 
@@ -117,7 +126,8 @@ def test_crystal_bleu_discounts_trivial_overlap():
     cand = ["if", "(", "x", "==", "1", ")", "doA", "(", ")", ";"]
     ref = ["if", "(", "x", "==", "2", ")", "doB", "(", ")", ";"]
     trivial = trivially_shared_ngrams([["if", "(", "x", "=="]] * 50, k=10, max_order=4)
-    assert crystal_bleu(cand, ref, trivial) < plain_bleu(cand, ref)
+    cb, bleu, _ = scores(cand, ref, trivial)
+    assert cb < bleu
 
 
 def test_crystal_bleu_in_unit_interval_fuzz():
@@ -129,7 +139,7 @@ def test_crystal_bleu_in_unit_interval_fuzz():
         ref = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
         if not ref:
             continue
-        score = crystal_bleu(cand, ref, trivial)
+        score = scores(cand, ref, trivial)[0]
         assert 0.0 <= score <= 1.0
 
 
@@ -137,9 +147,8 @@ def test_crystal_bleu_degenerate_reference_falls_back():
     cand = ["p", "p"]
     ref = ["p", "p"]
     trivial = {("p",), ("p", "p")}
-    score, degenerate = crystal_bleu_flagged(cand, ref, trivial)
-    assert degenerate
-    assert score == plain_bleu(cand, ref) == 1.0
+    assert scores(cand, ref, trivial) == (1.0, 1.0, True)
+    assert scores(cand, ref) == (1.0, 1.0, False)
 
 
 def make_test_set():
@@ -211,7 +220,7 @@ def test_corpus_report_duplicate_prediction():
     test_set = make_test_set()
     preds = [PredictionRecord("d-0", "m", "x"), PredictionRecord("d-0", "m", "y")]
     with pytest.raises(DatasetMismatch):
-        score_model(test_set, preds, set())
+        corpus_report(test_set, {"m": preds}, set())
 
 
 def test_corpus_report_order_invariant():
@@ -229,7 +238,7 @@ def test_corpus_report_tokenizes_each_target_once(monkeypatch):
     test_set = make_test_set()
     texts = {"0": "a+b;", "1": "return y;", "2": "y=f(z);", "3": "count--;"}  # no text is a target
     preds = {m: predictions(m, texts) for m in ("m1", "m2", "m3")}
-    alone = {m: score_model(test_set, preds[m], set(), model_id=m) for m in preds}
+    alone = {m: corpus_report(test_set, {m: preds[m]}, set())[m] for m in preds}
     calls = []
     monkeypatch.setattr(
         metrics_module, "token_texts", lambda text: calls.append(text) or token_texts(text)
@@ -255,10 +264,9 @@ def test_count_ngrams_splits_the_reference_counter_by_order():
 
 def _assert_scores_equal_reference(cand, ref, trivial, max_order):
     """Bit-for-bit equality with the reference scorer, floats by ``==``."""
-    assert plain_bleu(cand, ref, max_order) == reference_plain_bleu(cand, ref, max_order)
-    flagged = crystal_bleu_flagged(cand, ref, trivial, max_order)
-    assert flagged == reference_crystal_bleu_flagged(cand, ref, trivial, max_order)
-    assert crystal_bleu(cand, ref, trivial, max_order) == flagged[0]
+    cb, bleu, degenerate = scores(cand, ref, trivial, max_order)
+    assert bleu == reference_plain_bleu(cand, ref, max_order)
+    assert (cb, degenerate) == reference_crystal_bleu_flagged(cand, ref, trivial, max_order)
 
 
 def test_scorer_matches_reference_on_random_pairs():
@@ -304,7 +312,7 @@ def test_score_model_matches_reference_per_row():
     words = ["x", "=", "y", ";", "return", "(", ")", "+", "1"]
     texts = {str(i): " ".join(rng.choice(words) for _ in range(rng.randint(0, 9))) for i in range(4)}
     texts["0"] = test_set[0].target
-    report = score_model(test_set, predictions("m", texts), trivial, max_order=4)
+    report = corpus_report(test_set, {"m": predictions("m", texts)}, trivial, max_order=4)["m"]
     targets = {i.instance_id: i.target for i in test_set}
     for row in report.rows:
         cand = token_texts(texts[row.instance_id.removeprefix("d-")])
@@ -326,7 +334,7 @@ def test_score_model_scores_exact_matches_as_the_reference(max_order):
     for target, trivial, expected in cases:
         inst = make_instance("d", tag="0", target=target)
         text = f" {target}  // reformatted"
-        row = score_model([inst], [PredictionRecord(inst.instance_id, "m", text)], trivial, max_order).rows[0]
+        row = corpus_report([inst], {"m": [PredictionRecord(inst.instance_id, "m", text)]}, trivial, max_order)["m"].rows[0]
         cand, ref = token_texts(text), token_texts(target)
         assert row.em and (row.crystal_bleu, row.bleu, row.degenerate) == expected, target
         assert (row.crystal_bleu, row.degenerate) == reference_crystal_bleu_flagged(cand, ref, trivial, max_order)
@@ -383,3 +391,11 @@ def test_corpus_report_counts_each_target_text_once(monkeypatch):
 def test_score_row_record_roundtrip():
     for row in (ScoreRow("a", True, 1.0, 1.0), ScoreRow("b", False, 0.25, 0.5, degenerate=True, missing=True)):
         assert ScoreRow.from_record(row.to_record()) == row
+
+
+def test_row_summary_means_are_exactly_rounded():
+    # the builtin sum of ten 0.1s is 0.9999999999999999 before Python 3.12
+    rows = tuple(ScoreRow(f"i{i}", False, 0.1, 0.1) for i in range(10))
+    summary = ModelReport.from_rows("m", rows)
+    assert (summary.mean_crystal_bleu, summary.mean_bleu) == (0.1, 0.1)
+    assert (summary.test_size, summary.em_count, summary.em_percent) == (10, 0, 0.0)

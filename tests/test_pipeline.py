@@ -22,7 +22,7 @@ from repotailor.assembly import (
 from repotailor.cli import main
 from repotailor.config import load_config
 from repotailor.errors import ConfigError, ConfigHashMismatch, DataError, MissingStage
-from repotailor.insight import coverage_report
+from repotailor.insight import coverage_report, vocabulary_elements
 from repotailor.masking import CompletionInstance
 from repotailor.pipeline import (
     run_assemble,
@@ -668,6 +668,36 @@ def test_compare_reports_a_wrong_typed_row_as_a_data_error(mined, tmp_path, caps
     assert err.startswith("data error: ") and str(bad) in err, err
 
 
+def test_compare_rejects_a_duplicate_instance_id_in_either_report(mined, tmp_path, capsys):
+    cfg, config_path, _, index = mined
+    dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    run_score(cfg, dataset_id, predictions_for(cfg, dataset_id, tmp_path / "preds.jsonl"))
+    good = Path(cfg.out_dir) / "reports" / f"{dataset_id}.score.json"
+    report = read_json(good)
+    rows = report["rows"]["echo"]
+    rows.append({**rows[0], "em": False, "crystal_bleu": 0.0})
+    twice = tmp_path / "twice.score.json"
+    twice.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    for a, b in ((good, twice), (twice, good)):
+        argv = ["compare", "--config", str(config_path), "--report-a", str(a), "--report-b", str(b),
+                "--model-a", "echo", "--model-b", "echo"]
+        assert main(argv) == 3, a
+        assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_compare_means_are_exactly_rounded(mined, tmp_path):
+    """compare reports the score summary's means: ten rows of 0.1 average
+    to 0.1, which the builtin sum misses before Python 3.12."""
+    cfg, config_path, _, _ = mined
+    rows = [{"id": f"i{i}", "em": False, "crystal_bleu": 0.1, "bleu": 0.1, "degenerate": False, "missing": False}
+            for i in range(10)]
+    report = tmp_path / "tenths.score.json"
+    report.write_text(json.dumps({"dataset_id": "tenths", "rows": {"m": rows}}), encoding="utf-8")
+    comparison = run_compare(load_config(config_path, out_dir=str(tmp_path / "out")), report, report)
+    assert (comparison["crystal_bleu"]["a_mean"], comparison["crystal_bleu"]["b_mean"]) == (0.1, 0.1)
+
+
 def test_score_reports_bad_predictions_as_a_data_error(mined, tmp_path, capsys):
     cfg, config_path, _, index = mined
     dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
@@ -786,7 +816,8 @@ def test_insight_generic_pool_is_the_generic_datasets_train_and_val(mined):
     assert coverage
     for author, per_role in coverage.items():
         test = _load(out, devs[author], "test")
-        assert per_role["generic-pool"] == coverage_report(test, pool).to_record()
+        vocabs = (vocabulary_elements(test, {}), vocabulary_elements(pool, {}))
+        assert per_role["generic-pool"] == coverage_report(test, pool, *vocabs).to_record()
     assert not (out / "generic_pool.jsonl").exists()
 
 

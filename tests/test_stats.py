@@ -194,7 +194,7 @@ def test_compare_models_dominance():
     n = 30
     rows_a = rows({f"i{i}": (True, 0.9) for i in range(n)})
     rows_b = rows({f"i{i}": (False, 0.2) for i in range(n)})
-    em_result, cb_result = compare_models(rows_a, rows_b)
+    _, em_result, cb_result = compare_models(rows_a, rows_b)
     assert em_result.direction == DIRECTION_A
     assert cb_result.direction == DIRECTION_A
     assert cb_result.effect == 1.0
@@ -203,7 +203,7 @@ def test_compare_models_dominance():
 def test_compare_models_identical_rows():
     n = 40
     shared = {f"i{i}": (i % 3 == 0, 0.5) for i in range(n)}
-    em_result, cb_result = compare_models(rows(shared), rows(shared))
+    _, em_result, cb_result = compare_models(rows(shared), rows(shared))
     assert em_result.effect == 1.0
     assert cb_result.effect == 0.0
     assert em_result.p_value >= 0.05 and cb_result.p_value >= 0.05
@@ -214,7 +214,8 @@ def test_compare_models_excludes_double_em():
     scores_a = {"i0": (True, 1.0), "i1": (True, 1.0), "i2": (False, 0.4), "i3": (True, 1.0)}
     scores_b = {"i0": (True, 1.0), "i1": (False, 0.3), "i2": (False, 0.6), "i3": (True, 1.0)}
     rows_a, rows_b = rows(scores_a), rows(scores_b)
-    em_result, cb_result = compare_models(rows_a, rows_b)
+    outcome, em_result, cb_result = compare_models(rows_a, rows_b)
+    assert outcome == PairedOutcome(n11=2, n10=1, n01=0, n00=1)
     # n11 = 2 -> CB comparison over the remaining 2 pairs
     assert cb_result.effect == pytest.approx((1 - 1) / 2)
     em_rec = em_result.to_record()
@@ -226,6 +227,10 @@ def test_compare_models_mismatched_ids():
     rows_b = rows({"iX": (True, 1.0)})
     with pytest.raises(InstanceSetMismatch):
         compare_models(rows_a, rows_b)
+    twice = rows_a + rows_a
+    for pair in ((rows_a, twice), (twice, rows_a)):  # a duplicate id on either side
+        with pytest.raises(InstanceSetMismatch):
+            compare_models(*pair)
 
 
 def test_model_swap_antisymmetry_on_comparison():
@@ -233,8 +238,8 @@ def test_model_swap_antisymmetry_on_comparison():
     ids = [f"i{i}" for i in range(60)]
     scores_a = {k: (rng.random() < 0.4, round(rng.random(), 3)) for k in ids}
     scores_b = {k: (rng.random() < 0.4, round(rng.random(), 3)) for k in ids}
-    em_ab, cb_ab = compare_models(rows(scores_a), rows(scores_b))
-    em_ba, cb_ba = compare_models(rows(scores_b), rows(scores_a))
+    _, em_ab, cb_ab = compare_models(rows(scores_a), rows(scores_b))
+    _, em_ba, cb_ba = compare_models(rows(scores_b), rows(scores_a))
     assert em_ab.p_value == em_ba.p_value
     assert cb_ab.p_value == pytest.approx(cb_ba.p_value, abs=1e-12)
     assert cb_ab.effect == pytest.approx(-cb_ba.effect)
