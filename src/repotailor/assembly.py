@@ -1,10 +1,12 @@
 """Assemble developer, organization, size-controlled, and pre-training
 datasets with temporal alignment and deduplication.
 
-The construction guarantee maintained throughout: training data for a
-dataset anchored on a developer is strictly older than that developer's
-validation and test data. Timestamp ties between the anchor's last
-training change and first held-out change are resolved by exclusion.
+The construction guarantee maintained throughout: training data for an
+organization, org-subset or baseline-plus dataset anchored on a
+developer is strictly older than that developer's validation and test
+data, timestamp ties being resolved by exclusion. A developer's own
+training data is never newer than its held-out data, and may share its
+first timestamp.
 """
 
 from __future__ import annotations

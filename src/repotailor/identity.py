@@ -10,12 +10,13 @@ review pass.
 from __future__ import annotations
 
 import hashlib
+import json
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .storage import read_jsonl, typed
+from .storage import typed
 
 MIN_LOCAL_PART_LEN = 5
 
@@ -150,10 +151,14 @@ def top_contributors(identities: list[AuthorIdentity], k: int) -> list[AuthorIde
     return ranked[:k]
 
 
-def load_overrides(path: str | Path) -> dict[tuple[str, str], str]:
-    """Read a JSONL override file of {name, email, author_id} string rows;
+def load_overrides(path: str | Path) -> tuple[dict[tuple[str, str], str], str]:
+    """Read a JSONL override file of {name, email, author_id} string rows
+    into overrides, with the sha256 of the bytes they were parsed from;
     an unreadable file or a malformed row is a ConfigError."""
     try:
-        return {(typed(r["name"], str), typed(r["email"], str)): typed(r["author_id"], str) for r in read_jsonl(path)}
+        data = Path(path).read_bytes()
+        rows = map(json.loads, filter(str.strip, data.decode("utf-8").split("\n")))
+        overrides = {(typed(r["name"], str), typed(r["email"], str)): typed(r["author_id"], str) for r in rows}
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read identity overrides {path}: {exc!r}") from exc
+    return overrides, hashlib.sha256(data).hexdigest()

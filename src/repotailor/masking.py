@@ -82,20 +82,22 @@ class CompletionInstance:
 
     @classmethod
     def from_record(cls, rec: dict) -> "CompletionInstance":
-        return cls(
-            instance_id=rec["id"],
-            context=rec["context"],
-            target=rec["target"],
-            n=rec["n"],
-            N=rec["N"],
-            kind=rec["kind"],
-            repo_id=rec["repo"],
-            commit_sha=rec["sha"],
-            author_id=rec["author"],
-            timestamp=rec["ts"],
-            file=rec["file"],
-            signature=rec["signature"],
-        )
+        """The instance a record holds; a TypeError names each value of
+        the wrong type (a JSON boolean is no int)."""
+        values = [rec[key] for key in _RECORD_TYPES]
+        if list(map(type, values)) != _FIELD_TYPES:
+            wrong = [key for key, value in zip(_RECORD_TYPES, values) if type(value) is not _RECORD_TYPES[key]]
+            raise TypeError(f"instance record values of the wrong type: {', '.join(wrong)}")
+        return cls(*values)
+
+
+# each record key, in the order of CompletionInstance's fields, and the
+# type of its value
+_RECORD_TYPES = {
+    "id": str, "context": str, "target": str, "n": int, "N": int, "kind": str,
+    "repo": str, "sha": str, "author": str, "ts": int, "file": str, "signature": str,
+}
+_FIELD_TYPES = list(_RECORD_TYPES.values())
 
 
 @dataclass(frozen=True, slots=True)

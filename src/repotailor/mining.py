@@ -1,13 +1,14 @@
 """Commit streaming and commit-level filters.
 
-Commits come from the first-parent chain of a branch in an on-disk
-clone, oldest first, with change stats taken against the first parent
-(the root commit is diffed against the empty tree). File contents come
-from one ``git cat-file --batch`` process per repository. Line-level
-change attribution reports only inserted lines: the same set as the
-greedy forward Myers search over the whole texts, found after trimming
-the common prefix and dropping the lines that occur on one side only,
-with one byte per (d, k) of the search on what is left.
+Commits come from the first-parent chain that ends at a branch head,
+resolved once, in an on-disk clone, oldest first, with change stats
+taken against the first parent (the root commit is diffed against the
+empty tree). File contents come from one ``git cat-file --batch``
+process per repository. Line-level change attribution reports only
+inserted lines: the same set as the greedy forward Myers search over
+the whole texts, found after trimming the common prefix and dropping
+the lines that occur on one side only, with one byte per (d, k) of the
+search on what is left.
 """
 
 from __future__ import annotations
@@ -73,51 +74,39 @@ def _run_git(repo_path: str | Path, *args: str) -> str:
     return result.stdout
 
 
-def branch_head(repo_path: str | Path, branch: str) -> str:
-    """The sha ``refs/heads/<branch>`` points at, or "" when there is no
-    such branch (or no repository at ``repo_path``). A `git` that cannot
-    be started raises `RepoUnreadable`."""
-    try:
-        probe = subprocess.run(
-            ["git", "-C", str(repo_path), "rev-parse", "--verify", "--quiet", f"refs/heads/{branch}"],
-            capture_output=True,
-            text=True,
-        )
-    except OSError as exc:
-        raise RepoUnreadable(f"{repo_path}: git rev-parse: {exc}") from exc
-    return probe.stdout.strip() if probe.returncode == 0 else ""
+def resolve_branch(repo_path: str | Path, branch: str) -> str:
+    """The sha ``refs/heads/<branch>`` points at, read by one ``git
+    for-each-ref``; "" when the repository has no branch at all, as
+    before its first commit. A repository without ``branch`` raises
+    `BranchMissing`, one that git cannot read `RepoUnreadable`."""
+    out = _run_git(repo_path, "for-each-ref", "--format=%(refname) %(objectname)", "refs/heads")
+    heads = dict(line.rsplit(" ", 1) for line in out.splitlines())
+    if heads and f"refs/heads/{branch}" not in heads:
+        raise BranchMissing(f"branch {branch!r} not found in {repo_path}")
+    return heads.get(f"refs/heads/{branch}", "")
 
 
-def stream_commits(repo_path: str | Path, branch: str, repo_id: str | None = None) -> list[CommitRecord]:
-    """First-parent chain of ``branch``, oldest first, with diff stats."""
+def stream_commits(repo_path: str | Path, head: str, repo_id: str | None = None) -> list[CommitRecord]:
+    """First-parent chain that ends at commit ``head``, oldest first, with
+    diff stats; none when ``head`` is "" (a repository without commits)."""
     path = Path(repo_path)
     if repo_id is None:
         repo_id = path.name
-    ref = f"refs/heads/{branch}"
-    try:
-        out = _run_git(
-            path,
-            "log",
-            "--first-parent",
-            "--reverse",
-            "--diff-merges=first-parent",
-            "--no-renames",  # keeps numstat paths literal
-            "--numstat",
-            # %x01/%x00 expand inside git, keeping NUL out of the argv
-            "--format=%x01%H%x00%an%x00%ae%x00%at%x00%P",
-            ref,
-            "--",
-        )
-    except RepoUnreadable:
-        # only now learn why: no commits at all, no such branch, or a
-        # failure reading a branch that exists; no repository at all
-        # fails here too, as RepoUnreadable
-        heads = _run_git(path, "for-each-ref", "--format=%(refname)", "refs/heads").split()
-        if not heads:
-            return []  # repository without commits
-        if ref not in heads:
-            raise BranchMissing(f"branch {branch!r} not found in {path}") from None
-        raise
+    if not head:
+        return []
+    out = _run_git(
+        path,
+        "log",
+        "--first-parent",
+        "--reverse",
+        "--diff-merges=first-parent",
+        "--no-renames",  # keeps numstat paths literal
+        "--numstat",
+        # %x01/%x00 expand inside git, keeping NUL out of the argv
+        "--format=%x01%H%x00%an%x00%ae%x00%at%x00%P",
+        head,
+        "--",
+    )
 
     commits: list[CommitRecord] = []
     # a record starts at a line that begins with the header mark: its
@@ -284,8 +273,6 @@ def _myers_inserted(a: list[int], b: list[int]) -> list[int]:
     n, m = len(a), len(b)
     if m == 0:
         return []
-    if n == 0:
-        return list(range(m))
 
     offset = n + m + 1  # v[offset + k]: furthest x on diagonal k
     v = [0] * (2 * offset + 1)

@@ -39,10 +39,10 @@ from .mining import (
     CommitRecord,
     OutlierThreshold,
     added_lines,
-    branch_head,
     filter_bots,
     filter_outliers,
     read_blob,
+    resolve_branch,
     stream_commits,
 )
 from .seeding import rng_for
@@ -50,7 +50,6 @@ from .storage import (
     dumps_canonical,
     read_json,
     read_jsonl,
-    sha256_file,
     typed,
     write_csv,
     write_json,
@@ -66,7 +65,10 @@ def _stamp_path(cfg: RunConfig, stage: str) -> Path:
 
 
 def _head_shas(cfg: RunConfig) -> dict[str, str]:
-    return {spec.resolved_id(): branch_head(spec.path, spec.branch) for spec in cfg.repos + cfg.generic_repos}
+    """The commit each repository's branch points at, by repository id;
+    "" for a repository without commits. ``mine`` logs these shas, not
+    the branches, so its stamp lists the heads it mined."""
+    return {spec.resolved_id(): resolve_branch(spec.path, spec.branch) for spec in cfg.repos + cfg.generic_repos}
 
 
 @contextmanager
@@ -170,12 +172,12 @@ def _method_record(commit: CommitRecord, file: str, method: MethodUnit) -> dict:
     }
 
 
-def _ingest(specs: tuple[RepoSpec, ...]) -> tuple[list[CommitRecord], dict, OutlierThreshold | None]:
-    """The first-parent commits of every spec's branch without bot and
-    outlier commits, sorted, with the commit counts after each filter
-    and the outlier threshold, which is fitted to this pool alone.
+def _ingest(specs: tuple[RepoSpec, ...], heads: dict) -> tuple[list[CommitRecord], dict, OutlierThreshold | None]:
+    """The first-parent commits up to each spec's head in ``heads``, without
+    bot and outlier commits, sorted, with the commit counts after each
+    filter and the outlier threshold, which is fitted to this pool alone.
     """
-    commits = [c for spec in specs for c in stream_commits(spec.path, spec.branch, spec.resolved_id())]
+    commits = [c for spec in specs for c in stream_commits(spec.path, heads[spec.resolved_id()], spec.resolved_id())]
     funnel = {"total": len(commits)}
     commits = filter_bots(commits)
     funnel["after_bot_filter"] = len(commits)
@@ -280,15 +282,15 @@ def run_mine(cfg: RunConfig) -> dict:
     generic-method stores plus a filter-attrition run report.
     """
     out_dir = Path(cfg.out_dir)
-    overrides = load_overrides(cfg.identity_overrides) if cfg.identity_overrides else None
+    overrides, overrides_sha256 = load_overrides(cfg.identity_overrides) if cfg.identity_overrides else (None, None)
     # the config hash covers the overrides file's path; its content is an input
-    inputs = {"heads": _head_shas(cfg), "overrides": cfg.identity_overrides and sha256_file(cfg.identity_overrides)}
+    inputs = {"heads": _head_shas(cfg), "overrides": cfg.identity_overrides and overrides_sha256}
     report = _unchanged_output(cfg, STAGE_MINE, inputs, "run_report.json")
     if report is not None:
         return report
 
     repo_paths = {spec.resolved_id(): spec.path for spec in cfg.repos + cfg.generic_repos}
-    commits, funnel, threshold = _ingest(cfg.repos)
+    commits, funnel, threshold = _ingest(cfg.repos, inputs["heads"])
     raw_authors = [(c.author_name, c.author_email, c.java_added_lines) for c in commits]
     identities = resolve_identities(raw_authors, overrides)
     pool = top_contributors(identities, cfg.caps.contributor_pool) if identities else []
@@ -304,7 +306,7 @@ def run_mine(cfg: RunConfig) -> dict:
         instances.extend(_mask_commit_methods(cfg, commit, author(commit), changed))
     instances.sort(key=lambda i: (i.repo_id, i.timestamp, i.commit_sha, i.file, i.instance_id))
 
-    gen_commits, gen_funnel, _ = _ingest(cfg.generic_repos)
+    gen_commits, gen_funnel, _ = _ingest(cfg.generic_repos, inputs["heads"])
     gen_counts: Counter = Counter()
     generic_methods = [
         _method_record(commit, file, method)

@@ -35,10 +35,6 @@ class PairedOutcome:
     n01: int  # only model B
     n00: int  # neither
 
-    @property
-    def total(self) -> int:
-        return self.n11 + self.n10 + self.n01 + self.n00
-
 
 @dataclass(frozen=True, slots=True)
 class StatResult:
@@ -163,9 +159,8 @@ def _approx_wilcoxon_p(ranks: list[float], w_plus: float) -> float:
         seen[r] = seen.get(r, 0) + 1
     for count in seen.values():
         tie_term += count**3 - count
+    # at least m (m + 1)^2 / 16 > 0, its value when all m ranks tie
     variance = m * (m + 1) * (2 * m + 1) / 24.0 - tie_term / 48.0
-    if variance <= 0:
-        return 1.0
     deviation = max(abs(w_plus - mean) - 0.5, 0.0)  # continuity correction
     z = deviation / math.sqrt(variance)
     return math.erfc(z / math.sqrt(2.0))

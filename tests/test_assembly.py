@@ -339,6 +339,44 @@ def test_temporal_leak_fuzz_small():
         assert audit_temporal_leak([developer_dataset(anchor, split, 7), org], 5, 10) == []
 
 
+def hand_built(role: str, train=(), val=(), test=(), cutoff_ts=None, anchor: str = "d") -> Dataset:
+    """A dataset anchored on ``anchor``, its manifest counting its parts."""
+    manifest = DatasetManifest(f"{role}-{anchor}", role, anchor, cutoff_ts, (len(train), len(val), len(test)), 0)
+    return Dataset(manifest, tuple(train), tuple(val), tuple(test))
+
+
+OWN = series("d", 10)  # 10 s apart; the holdout starts at OWN[5]
+OTHERS = series("o", 3)
+
+
+@pytest.mark.parametrize("datasets, expected", [
+    pytest.param(
+        [hand_built(ROLE_DEVELOPER, OWN[:5], OWN[5:7], OWN[7:]),
+         hand_built(ROLE_ORGANIZATION, OTHERS, cutoff_ts=OWN[5].timestamp - 1)],
+        [], id="clean",
+    ),
+    pytest.param(
+        [hand_built(ROLE_ORGANIZATION, OTHERS, cutoff_ts=OWN[5].timestamp - 1)],
+        ["organization-d: anchor d has no developer test set"], id="no-developer-test-set",
+    ),
+    pytest.param(
+        [hand_built(ROLE_DEVELOPER, OWN[:5], OWN[5:8], OWN[8:])], ["developer-d: test size 2 != 3"],
+        id="test-size",
+    ),
+    pytest.param(
+        [hand_built(ROLE_DEVELOPER, OWN[1:5], OWN[5:7], OWN[7:])], ["developer-d: train size below minimum"],
+        id="train-below-minimum",
+    ),
+    pytest.param(
+        [hand_built(ROLE_DEVELOPER, OWN[:5], OWN[5:7], OWN[7:]),
+         hand_built(ROLE_ORGANIZATION, OTHERS, cutoff_ts=OWN[5].timestamp)],
+        [f"organization-d: cutoff {OWN[5].timestamp} not older than anchor holdout"], id="cutoff-at-holdout",
+    ),
+])
+def test_audit_flags_each_size_and_cutoff_rule(datasets, expected):
+    assert audit_temporal_leak(datasets, test_size=3, min_train=5) == expected
+
+
 FAMILY_CAPS = Caps(top_developers=2, test_size=3, min_train=5)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -92,7 +93,8 @@ def test_overrides_split_and_force(tmp_path):
         '{"name": "Other Shared", "email": "team@x.com", "author_id": "person-two"}\n',
         encoding="utf-8",
     )
-    overrides = load_overrides(path)
+    overrides, sha256 = load_overrides(path)
+    assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
     identities = resolve_identities(
         [("Shared", "team@x.com", 3), ("Other Shared", "team@x.com", 4)],
         overrides,

@@ -21,6 +21,7 @@ from repotailor.mining import (
     filter_bots,
     filter_outliers,
     read_blob,
+    resolve_branch,
     stream_commits,
 )
 from repotailor.pipeline import run_mine
@@ -51,12 +52,16 @@ def make_commit(author="alice", email="a@x.com", files=1, ts=BASE_TS, sha="0" * 
     )
 
 
+def main_commits(repo) -> list[CommitRecord]:
+    return stream_commits(repo, resolve_branch(repo, "main"))
+
+
 def test_stream_linear_history(tmp_path):
     repo = init_repo(tmp_path / "lin")
     commit_files(repo, {"A.java": "class A {}\n"}, "one", "Alice", "a@x.com", BASE_TS)
     commit_files(repo, {"A.java": "class A { int x; }\n"}, "two", "Alice", "a@x.com", BASE_TS + 60)
     commit_files(repo, {"B.java": "class B {}\n"}, "three", "Bob", "b@y.com", BASE_TS + 120)
-    commits = stream_commits(repo, "main")
+    commits = main_commits(repo)
     assert [c.author_name for c in commits] == ["Alice", "Alice", "Bob"]
     assert [c.timestamp for c in commits] == [BASE_TS, BASE_TS + 60, BASE_TS + 120]
     assert commits[0].first_parent_sha is None
@@ -71,7 +76,7 @@ def test_stream_counts_empty_binary_and_non_java_changes(tmp_path):
     commit_files(repo, {}, "empty", "Alice", "a@x.com", BASE_TS + 60)
     (repo / "Blob.java").write_bytes(b"\x00\x01not text\x00")  # numstat reports "-" added lines
     commit_files(repo, {"notes.txt": "x\ny\n"}, "binary", "Bob", "b@y.com", BASE_TS + 120)
-    commits = stream_commits(repo, "main")
+    commits = main_commits(repo)
     assert [(c.files_changed_count, c.changed_java_files, c.java_added_lines) for c in commits] == [
         (2, ("A.java",), 2),
         (0, (), 0),
@@ -93,7 +98,7 @@ def test_stream_merge_commit_follows_first_parent(tmp_path):
         repo, "merge", "-q", "--no-ff", "-m", "merge side", "side",
         env={"GIT_AUTHOR_DATE": date, "GIT_COMMITTER_DATE": date},
     )
-    commits = stream_commits(repo, "main")
+    commits = main_commits(repo)
     shas = [c.sha for c in commits]
     assert side_sha not in shas  # side branch commits excluded from the chain
     assert len(commits) == 3
@@ -104,19 +109,22 @@ def test_stream_merge_commit_follows_first_parent(tmp_path):
 
 def test_stream_empty_repository(tmp_path):
     repo = init_repo(tmp_path / "empty")
-    assert stream_commits(repo, "main") == []
+    assert resolve_branch(repo, "main") == ""
+    assert stream_commits(repo, "") == []
 
 
 def test_stream_missing_branch(tmp_path):
     repo = init_repo(tmp_path / "mb")
     commit_files(repo, {"A.java": "class A {}\n"}, "one", "Alice", "a@x.com", BASE_TS)
     with pytest.raises(BranchMissing):
-        stream_commits(repo, "nope")
+        resolve_branch(repo, "nope")
 
 
 def test_stream_unreadable_repo(tmp_path):
     with pytest.raises(RepoUnreadable):
-        stream_commits(tmp_path / "missing", "main")
+        resolve_branch(tmp_path / "missing", "main")
+    with pytest.raises(RepoUnreadable):
+        stream_commits(tmp_path / "missing", "0" * 40)
 
 
 def test_filter_bots():
@@ -372,7 +380,7 @@ def test_read_blob_matches_git_show_on_fixture_repos(tmp_path):
     compared = 0
     for repo in repos:
         with BlobReader(repo) as reader:
-            for commit in stream_commits(repo, "main"):
+            for commit in main_commits(repo):
                 for file in commit.changed_java_files:
                     assert read_blob(reader, commit.sha, file) == _git_show(repo, commit.sha, file)
                     if commit.first_parent_sha is not None:
@@ -404,7 +412,7 @@ def edge_repo(tmp_path):
 
 
 def test_read_blob_edge_cases(edge_repo):
-    first, second = (c.sha for c in stream_commits(edge_repo, "main"))
+    first, second = (c.sha for c in main_commits(edge_repo))
     with BlobReader(edge_repo) as reader:
         assert read_blob(reader, first, "Empty.java") is None  # absent in the parent
         assert read_blob(reader, second, "Latin.java") is None  # not UTF-8
@@ -423,7 +431,7 @@ def test_undecodable_blob_is_counted(edge_repo, tmp_path):
 
 
 def test_reader_whose_child_died_raises(edge_repo):
-    sha = stream_commits(edge_repo, "main")[0].sha
+    sha = main_commits(edge_repo)[0].sha
     with BlobReader(edge_repo) as reader:
         assert read_blob(reader, sha, "A.java") == "class A {}\n"
         reader.process.kill()
@@ -437,7 +445,7 @@ def test_failing_git_log_is_repo_unreadable(edge_repo, tmp_path, capsys):
     blob = run_git(edge_repo, "rev-parse", "HEAD~1:A.java").strip()
     (edge_repo / ".git" / "objects" / blob[:2] / blob[2:]).unlink()  # numstat cannot diff it
     with pytest.raises(RepoUnreadable, match="git log failed"):
-        stream_commits(edge_repo, "main")
+        main_commits(edge_repo)
     config_path = write_fixture_config(tmp_path, tmp_path / "out", [edge_repo])
     assert main(["mine", "--config", str(config_path)]) == 3
     assert "data error" in capsys.readouterr().err

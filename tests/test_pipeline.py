@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shutil
@@ -36,6 +37,7 @@ from repotailor.storage import dumps_canonical, read_json, read_jsonl
 
 from conftest import (
     BASE_TS,
+    _method_source,
     build_generic_repo,
     build_org_repo,
     commit_files,
@@ -299,7 +301,21 @@ def test_a_stage_decodes_each_distinct_part_line_once(mined, monkeypatch, stage)
     assert sorted(decoded) == sorted(lines)
 
 
-@pytest.mark.parametrize("damage", ["missing", "not-jsonl"])
+def _set_in_first_row(key: str, value):
+    """A damage that sets ``key`` of the file's first row to ``value``."""
+    def damage(path: Path) -> None:
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(json.dumps({**json.loads(first), key: value}) + "\n" + rest, encoding="utf-8")
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(Path.unlink, id="missing"),
+    pytest.param(lambda part: part.write_text('{"id": ', encoding="utf-8"), id="not-jsonl"),
+    pytest.param(_set_in_first_row("ts", "soon"), id="ts-a-string"),
+    pytest.param(_set_in_first_row("target", 5), id="target-a-number"),
+    pytest.param(_set_in_first_row("n", True), id="n-a-boolean"),
+])
 def test_a_damaged_dataset_part_is_a_data_error_naming_it(mined, tmp_path, capsys, damage):
     cfg, config_path, _, index = mined
     out = tmp_path / "out"
@@ -308,17 +324,14 @@ def test_a_damaged_dataset_part_is_a_data_error_naming_it(mined, tmp_path, capsy
     dev = next(m for m in index["manifests"]
                if m["role"] == ROLE_DEVELOPER and m["anchor_developer"] == org["anchor_developer"])
     part = out / "datasets" / org["dataset_id"] / "train.jsonl"
-    if damage == "missing":
-        part.unlink()
-    else:
-        part.write_text('{"id": ', encoding="utf-8")
+    damage(part)
     preds = predictions_for(cfg, dev["dataset_id"], tmp_path / "preds.jsonl")
     capsys.readouterr()
     for argv in (["insight"], ["score", "--dataset", dev["dataset_id"], "--predictions", str(preds)]):
         assert main([argv[0], "--config", str(config_path), "--out", str(out), *argv[1:]]) == 3, argv
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(part) in err, err
-    if damage == "not-jsonl":  # test_verify_reports_a_missing_part covers a missing one
+    if damage is not Path.unlink:  # test_verify_reports_a_missing_part covers a missing one
         assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"violation: {org['dataset_id']}: cannot read dataset part {part}" in err, err
@@ -434,7 +447,7 @@ def test_score_needs_the_organization_dataset_of_its_anchor(mined, tmp_path, cap
     assert not (out / "reports" / f"{dev['dataset_id']}.score.json").exists()
 
 
-GIT_PROCESSES_PER_REPO = 3  # log, cat-file, and the stamp's rev-parse
+GIT_PROCESSES_PER_REPO = 3  # for-each-ref for the stamp's head, then log of that head, and cat-file
 
 
 @pytest.fixture
@@ -472,6 +485,116 @@ def test_mine_starts_a_few_git_processes_per_repository(fixture_repos, tmp_path,
     readers = [p for p in git if "cat-file" in p.args]
     assert len(readers) == len(org + generic)
     assert all(p.returncode is not None for p in readers)
+
+
+def test_run_report_counts_unparsable_files_and_commits_outside_the_pool(tmp_path):
+    """With a pool of one, the other author's Java commit is outside it; a
+    commit without a Java change is neither mined nor counted."""
+    repo = init_repo(tmp_path / "pool")
+    main_v1 = _method_source("Main", [f"int a{i} = seed + {i};" for i in range(6)])
+    main_v2 = _method_source("Main", [f"int a{i} = seed + {i};" for i in range(7)])
+    dana, eli = ("Dana Dev", "dana@example.com"), ("Eli Else", "eli@example.com")
+    commit_files(repo, {"src/Main.java": main_v1}, "add main", *dana, BASE_TS)
+    commit_files(repo, {"src/Broken.java": "class Broken {\n    void m() {\n"}, "add broken", *dana, BASE_TS + 60)
+    commit_files(repo, {"README.md": "notes\n"}, "add notes", *dana, BASE_TS + 120)
+    edit = commit_files(repo, {"src/Main.java": main_v2}, "edit main", *eli, BASE_TS + 180)
+    notes = commit_files(repo, {"README.md": "more notes\n"}, "edit notes", *eli, BASE_TS + 240)
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", [repo])
+    data = json.loads(config_path.read_text())
+    data["caps"]["contributor_pool"] = 1
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["mine", "--config", str(config_path)]) == 0
+    report = read_json(tmp_path / "out" / "run_report.json")
+    assert report["commits"]["after_outlier_filter"] == 5
+    assert report["identities"]["contributor_pool"] == 1
+    assert report["identities"]["commits_outside_pool"] == 1  # the Java edit, not the notes
+    assert report["files"] == {"undecodable": 0, "unparsable": 1}
+    shas = {rec["sha"] for rec in read_jsonl(tmp_path / "out" / "instances.jsonl")}
+    assert shas and not shas & {edit, notes}
+
+
+def test_mine_of_an_empty_repository_starts_one_git_process(tmp_path, started):
+    repo = init_repo(tmp_path / "empty")
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", [repo])
+    before = len(started)
+    assert main(["mine", "--config", str(config_path)]) == 0
+    assert [p.args[3] for p in started[before:]] == ["for-each-ref"]
+    assert read_json(tmp_path / "out" / "run_report.json")["commits"]["total"] == 0
+
+
+@pytest.mark.parametrize("entry, named", [
+    pytest.param(lambda repo: {"path": str(repo), "branch": "nope", "repo_id": "other"}, "branch 'nope' not found",
+                 id="missing-branch"),
+    pytest.param(lambda repo: {"path": str(repo.parent / "absent")}, "absent", id="missing-path"),
+])
+def test_mine_of_a_missing_branch_or_path_exits_3(fixture_repos, tmp_path, capsys, entry, named):
+    org, _ = fixture_repos
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", org)
+    data = json.loads(config_path.read_text())
+    data["repos"].append(entry(org[0]))
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["mine", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and named in err, err
+    assert not (tmp_path / "out" / "commits.jsonl").exists()
+
+
+def test_mine_logs_the_heads_its_stamp_lists(tmp_path, monkeypatch):
+    """A commit made after mine resolved the branch is not mined, and the
+    next mine mines it."""
+    repo = init_repo(tmp_path / "race")
+    commit_files(repo, {"A.java": "class A {}\n"}, "one", "Dana Dev", "dana@example.com", BASE_TS)
+    config_path = str(write_fixture_config(tmp_path, tmp_path / "out", [repo]))
+    head_shas = pipeline._head_shas
+    late = []
+
+    def then_commit(cfg):
+        heads = head_shas(cfg)
+        if not late:
+            late.append(commit_files(
+                repo, {"A.java": "class A { int x; }\n"}, "two", "Dana Dev", "dana@example.com", BASE_TS + 60,
+            ))
+        return heads
+
+    def mine() -> tuple[str, list[str]]:
+        """The head mine's stamp lists, and the shas of the mined commits."""
+        assert main(["mine", "--config", config_path]) == 0
+        stamp = read_json(tmp_path / "out" / "stamps" / "mine.json")
+        return stamp["inputs"]["heads"]["race"], [rec["sha"] for rec in read_jsonl(tmp_path / "out" / "commits.jsonl")]
+
+    monkeypatch.setattr(pipeline, "_head_shas", then_commit)
+    first, shas = mine()
+    assert shas == [first] and late and first != late[0]
+    head, shas = mine()
+    assert shas == [first, late[0]] and head == late[0]
+
+
+def test_mine_stamps_the_sha256_of_the_overrides_bytes_it_parsed(fixture_repos, tmp_path, monkeypatch):
+    org, _ = fixture_repos
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", org)
+    overrides = tmp_path / "overrides.jsonl"
+    row = {"name": "Alice Dev", "email": "alice.dev@example.com", "author_id": "pinned-by-override"}
+    overrides.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    parsed = overrides.read_bytes()
+    data = json.loads(config_path.read_text())
+    data["identity_overrides"] = str(overrides)
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    load_overrides = pipeline.load_overrides
+
+    def then_edit(path):
+        loaded = load_overrides(path)
+        overrides.write_text("", encoding="utf-8")
+        return loaded
+
+    monkeypatch.setattr(pipeline, "load_overrides", then_edit)
+    assert main(["mine", "--config", str(config_path)]) == 0
+    stamp = read_json(tmp_path / "out" / "stamps" / "mine.json")
+    assert stamp["inputs"]["overrides"] == hashlib.sha256(parsed).hexdigest()
+    identities = tmp_path / "out" / "identities.jsonl"
+    assert "pinned-by-override" in identities.read_text(encoding="utf-8")
+    monkeypatch.undo()
+    assert main(["mine", "--config", str(config_path)]) == 0  # the edit is seen
+    assert "pinned-by-override" not in identities.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("failing", ["_mask_commit_methods", "_method_record"], ids=["org", "generic"])
@@ -626,6 +749,31 @@ def test_score_and_compare_roundtrip(mined, tmp_path):
     assert same["em"]["odds_ratio"] == 1.0
     assert same["crystal_bleu"]["effect"] == 0.0
     assert same["em"]["p_value"] == 1.0
+
+
+def test_assemble_score_and_compare_print_what_they_did(mined, tmp_path, capsys):
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    preds = predictions_for(cfg, dataset_id, tmp_path / "preds.jsonl")
+    common = ["--config", str(config_path), "--out", str(out)]
+    capsys.readouterr()
+    assert main(["assemble", *common]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"assembled {len(index['manifests'])} manifests (2 eligible developers)"
+    assert lines[1:] == [f"note: {note}" for note in index["notes"]]
+    assert main(["score", *common, "--dataset", dataset_id, "--predictions", str(preds)]) == 0
+    echo, mangle = capsys.readouterr().out.splitlines()
+    assert echo == f"{dataset_id} echo: EM 100.0% CrystalBLEU 1.0000 (missing 0)"
+    assert re.fullmatch(rf"{dataset_id} mangle: EM \d+\.\d% CrystalBLEU [01]\.\d{{4}} \(missing 0\)", mangle)
+    report = str(out / "reports" / f"{dataset_id}.score.json")
+    argv = ["compare", *common, "--report-a", report, "--report-b", report, "--model-a", "echo", "--model-b", "echo"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "EM: 100.0% vs 100.0% (OR 1.0, p 1)",
+        "CrystalBLEU: 1.0000 vs 1.0000 (delta +0.000, p 1)",
+    ]
 
 
 def test_compare_reports_a_bad_report_as_a_data_error(mined, tmp_path, capsys):
@@ -932,13 +1080,20 @@ def test_load_config_validation(tmp_path):
     pytest.param("organization", ["x"], "organization", id="organization-not-str"),
     pytest.param("generic-repos", [], "generic-repos", id="key-misspelled"),
     pytest.param("repos", lambda repos: [{**repos[0], "brnach": "dev"}], "brnach", id="repo-key-misspelled"),
+    pytest.param("repos", {"path": "/clones/org0"}, "repos must be a list", id="repos-not-list"),
+    pytest.param("repos", [{"branch": "main"}], "'path'", id="repo-without-path"),
+    pytest.param("repos", lambda repos: repos + repos, "unique", id="repo-ids-duplicate"),
+    pytest.param(None, ["organization"], "JSON object", id="config-not-object"),
 ])
 def test_bad_config_values_exit_2(fixture_repos, tmp_path, monkeypatch, capsys, key, value, named):
     monkeypatch.chdir(tmp_path)  # where an empty out_dir would put the tree
     org, _ = fixture_repos
     config_path = write_fixture_config(tmp_path, tmp_path / "out", org)
     data = json.loads(config_path.read_text())
-    data[key] = value(data[key]) if callable(value) else value
+    if key is None:  # the whole config
+        data = value
+    else:
+        data[key] = value(data[key]) if callable(value) else value
     config_path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["mine", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
