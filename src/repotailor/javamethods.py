@@ -10,8 +10,10 @@ Sources whose significant braces do not balance are unparsable:
 learns that and the methods from one call. `method_spans` lexes only
 the header before a brace: one regex scan for braces steps over the
 rest at every depth, such as large table initializers and method
-bodies. `method_unit` lexes one span's body, so a caller lexes only the
-methods it reads; `parse_methods` lexes them all.
+bodies, and its caller's memo lets it lex and classify each distinct
+header once across the sources it is given. `method_unit` lexes one
+span's body, so a caller lexes only the methods it reads;
+`parse_methods` lexes them all.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class FilterVerdict:
 
 def is_parsable(source: str) -> bool:
     """Whether method recovery can work on this source (braces balance)."""
-    return method_spans(source) is not None
+    return method_spans(source, {}) is not None
 
 
 def _strip_annotations(tokens: list[SourceToken]) -> list[SourceToken]:
@@ -257,7 +259,7 @@ class MethodSpan(NamedTuple):
     end_line: int  # line of the '}'
 
 
-def method_spans(source: str) -> list[MethodSpan] | None:
+def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
     """Method declarations (constructors included) in Java source, as
     spans sorted by start line, enclosing spans first; None when its
     significant braces do not balance.
@@ -271,6 +273,13 @@ def method_spans(source: str) -> list[MethodSpan] | None:
     so a body without blocks costs no step per statement; otherwise the
     walk goes on inside the body. The '}' that pops a method closes its
     span, so innermost methods come first before the sort.
+
+    ``headers`` is a memo the caller owns and may share between sources.
+    It maps what a header's tokens and class depend on (its text, the
+    column it starts at, the enclosing type's decl, and whether the
+    source is ASCII, which picks the lexer's pattern) to that class and
+    those tokens, so each distinct header is lexed and classified once.
+    A hit moves the tokens to the header's line.
     """
     spans: list[MethodSpan] = []
     # per open brace: the decl of a type body, None for a block, or an
@@ -278,6 +287,8 @@ def method_spans(source: str) -> list[MethodSpan] | None:
     stack: list[str | tuple | None] = []
     seg = 0  # start of the current header: past the last '{', '}' or ';'
     line, counted = 1, 0  # the line number at offset `counted`
+    is_ascii = source.isascii()
+    new = tuple.__new__
     pos = 0
     while True:
         m = SCAN_BLOCKS.match(source, pos)
@@ -291,9 +302,18 @@ def method_spans(source: str) -> list[MethodSpan] | None:
             else:
                 line += source.count("\n", counted, seg)
                 counted = seg
-                header = lex(source, seg, brace, line)
-                kind, decl, info = _classify_header(header, parent)
+                key = (source[seg:brace], seg - source.rfind("\n", 0, seg) - 1, parent, is_ascii)
+                known = headers.get(key)
+                if known is None:
+                    header = lex(source, seg, brace, line)
+                    known = headers[key] = (*_classify_header(header, parent), tuple(header), line)
+                else:
+                    header = None
+                kind, decl, info, tokens, tokens_line = known
                 if kind == "method" and info is not None:
+                    if header is None:  # a hit: the memo's tokens, moved to this line
+                        shift = line - tokens_line
+                        header = [new(SourceToken, (k, t, at + shift, c)) for k, t, at, c in tokens]
                     line += source.count("\n", counted, brace)
                     counted = brace
                     stack.append((header, brace, line, info[0], info[1]))
@@ -338,7 +358,7 @@ def method_unit(source: str, span: MethodSpan, lines: list[str]) -> MethodUnit:
 def parse_methods(source: str) -> list[MethodUnit] | None:
     """Every method of `method_spans`, lexed, or None when the source's
     significant braces do not balance."""
-    spans = method_spans(source)
+    spans = method_spans(source, {})
     if spans is None:
         return None
     lines = source.split("\n")

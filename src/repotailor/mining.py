@@ -2,13 +2,14 @@
 
 Commits come from the first-parent chain that ends at a branch head,
 resolved once, in an on-disk clone, oldest first, with change stats
-taken against the first parent (the root commit is diffed against the
-empty tree). File contents come from one ``git cat-file --batch``
-process per repository. Line-level change attribution reports only
-inserted lines: the same set as the greedy forward Myers search over
-the whole texts, found after trimming the common prefix and dropping
-the lines that occur on one side only, with one byte per (d, k) of the
-search on what is left.
+and the blob ids of each changed Java file's two sides, both taken
+against the first parent (the root commit is diffed against the empty
+tree). File contents come from one ``git cat-file --batch`` process per
+repository and are read by blob id, so git walks no tree to find them.
+Line-level change attribution reports only inserted lines: the same
+set as the greedy forward Myers search over the whole texts, found
+after trimming the common prefix and dropping the lines that occur on
+one side only, with one byte per (d, k) of the search on what is left.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ class CommitRecord:
     changed_java_files: tuple[str, ...]
     files_changed_count: int
     java_added_lines: int  # numstat additions summed over changed .java files
+    # per changed .java file: (blob id in the first parent, blob id here),
+    # None on a side where the file does not exist (added or deleted)
+    java_blobs: tuple[tuple[str | None, str | None], ...]
 
     def to_record(self) -> dict:
         return {
@@ -88,7 +92,8 @@ def resolve_branch(repo_path: str | Path, branch: str) -> str:
 
 def stream_commits(repo_path: str | Path, head: str, repo_id: str | None = None) -> list[CommitRecord]:
     """First-parent chain that ends at commit ``head``, oldest first, with
-    diff stats; none when ``head`` is "" (a repository without commits)."""
+    diff stats and the blob ids of each changed Java file; none when
+    ``head`` is "" (a repository without commits)."""
     path = Path(repo_path)
     if repo_id is None:
         repo_id = path.name
@@ -102,6 +107,8 @@ def stream_commits(repo_path: str | Path, head: str, repo_id: str | None = None)
         "--diff-merges=first-parent",
         "--no-renames",  # keeps numstat paths literal
         "--numstat",
+        "--raw",  # each side's blob id, so no read walks a tree
+        "--no-abbrev",
         # %x01/%x00 expand inside git, keeping NUL out of the argv
         "--format=%x01%H%x00%an%x00%ae%x00%at%x00%P",
         head,
@@ -110,11 +117,20 @@ def stream_commits(repo_path: str | Path, head: str, repo_id: str | None = None)
 
     commits: list[CommitRecord] = []
     # a record starts at a line that begins with the header mark: its
-    # first line is the header, its numstat lines are the changed files
+    # first line is the header, then come a raw line (":<modes> <parent
+    # blob> <child blob> <status>\t<path>") and a numstat line per changed
+    # file; both spell a path alike, quoting it when it needs quotes
     for record in ("\n" + out).split("\n" + _LOG_HEADER)[1:]:
         header, *lines = record.split("\n")
         sha, name, email, ts, parents = header.split(_FIELD_SEP)
-        files = [parts for parts in (line.split("\t") for line in lines) if len(parts) >= 3]
+        blobs = {}
+        files = []
+        for line in lines:
+            if line.startswith(":"):
+                meta, path = line.split("\t", 1)
+                blobs[path] = tuple(blob if blob.strip("0") else None for blob in meta.split(" ")[2:4])
+            elif len(parts := line.split("\t")) >= 3:
+                files.append(parts)
         java = [(f[2], 0 if f[0] == "-" else int(f[0])) for f in files if f[2].endswith(".java")]
         commits.append(CommitRecord(
             repo_id=repo_id,
@@ -126,6 +142,7 @@ def stream_commits(repo_path: str | Path, head: str, repo_id: str | None = None)
             changed_java_files=tuple(p for p, _ in java),
             files_changed_count=len(files),
             java_added_lines=sum(a for _, a in java),
+            java_blobs=tuple(blobs[p] for p, _ in java),
         ))
     return commits
 
@@ -164,8 +181,9 @@ class BlobReader:
             self.process.communicate()
 
     def read(self, name: str) -> bytes | None:
-        """The contents of object ``name`` (such as ``<sha>:<path>``), or
-        None when it is missing or not a blob."""
+        """The contents of object ``name`` (a blob id, or any name git
+        resolves, such as ``<sha>:<path>``), or None when it is missing or
+        not a blob."""
         proc = self.process
         try:
             proc.stdin.write(os.fsencode(name) + b"\n")
@@ -187,9 +205,9 @@ class BlobReader:
         return data if fields[1] == b"blob" else None
 
 
-def read_blob(reader: BlobReader, sha: str, file: str) -> str | None:
-    """File content at a commit; None for missing or undecodable blobs."""
-    data = reader.read(f"{sha}:{file}")
+def read_blob(reader: BlobReader, blob_id: str) -> str | None:
+    """The text of blob ``blob_id``; None for missing or undecodable blobs."""
+    data = reader.read(blob_id)
     if data is None:
         return None
     try:

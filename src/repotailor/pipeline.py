@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import quote
@@ -194,21 +194,54 @@ ChangedMethods = list[tuple[str, MethodUnit, list[int]]]
 _DROPPED = "dropped:"  # a counts key: the prefix, then a method filter's reason
 
 
-def _mine_changed_methods(commit: CommitRecord, reader: BlobReader, counts: Counter) -> ChangedMethods:
-    """(file, kept method, added line numbers) triples for one commit."""
+def _files_read(commit: CommitRecord) -> list[tuple[str, str | None, str]]:
+    """(path, parent blob id, child blob id) of each Java file that
+    ``commit`` changes, by path. A deleted file is not read: no method of
+    it gains a line."""
+    pairs = zip(commit.changed_java_files, commit.java_blobs)
+    return sorted(((file, parent, child) for file, (parent, child) in pairs if child is not None), key=itemgetter(0))
+
+
+class _BlobTexts:
+    """The texts of one repository's blobs, each read once by id: a text
+    is kept only until the last of the reads that ``commits`` make of it
+    (see `_files_read`)."""
+
+    def __init__(self, reader: BlobReader, commits: list[CommitRecord]):
+        self.reader = reader
+        self.uses = Counter(
+            blob_id for commit in commits for _, *ids in _files_read(commit) for blob_id in ids if blob_id
+        )
+        self.kept: dict[str, str | None] = {}
+
+    def text(self, blob_id: str | None) -> str | None:
+        """The decoded blob, None when there is none (``blob_id`` None) or
+        it is missing or undecodable; spends one counted use."""
+        if blob_id is None:
+            return None
+        self.uses[blob_id] -= 1
+        if blob_id in self.kept:
+            return self.kept[blob_id] if self.uses[blob_id] > 0 else self.kept.pop(blob_id)
+        text = read_blob(self.reader, blob_id)
+        if self.uses[blob_id] > 0:
+            self.kept[blob_id] = text
+        return text
+
+
+def _mine_changed_methods(commit: CommitRecord, blobs: _BlobTexts, headers: dict, counts: Counter) -> ChangedMethods:
+    """(file, kept method, added line numbers) triples for one commit;
+    ``headers`` is `method_spans`'s memo."""
     out: ChangedMethods = []
-    for file in sorted(commit.changed_java_files):
-        child = read_blob(reader, commit.sha, file)
+    for file, parent_id, child_id in _files_read(commit):
+        child = blobs.text(child_id)
+        parent = blobs.text(parent_id) or ""  # before the check below: this read was counted
         if child is None:
             counts["undecodable_files"] += 1
             continue
-        parent = ""
-        if commit.first_parent_sha is not None:
-            parent = read_blob(reader, commit.first_parent_sha, file) or ""
         lines = added_lines(parent, child)
         if not lines:
             continue
-        spans = method_spans(child)
+        spans = method_spans(child, headers)
         if spans is None:
             counts["unparsable_files"] += 1
             continue
@@ -241,17 +274,24 @@ def _mine_commits(
     method attrition, and ``unwanted_commits``.
 
     Commits are sorted by repository: one blob reader per repository,
-    each closed and reaped before the next opens.
+    each closed and reaped before the next opens. Each repository's
+    loop owns its two memos, so none outlives it: the blob texts that a
+    later commit of it still reads, and `method_spans`'s headers.
     """
     for repo_id, repo_commits in groupby(commits, key=attrgetter("repo_id")):
+        mined = []
+        for commit in repo_commits:
+            if not commit.changed_java_files:
+                continue
+            if not wanted(commit):
+                counts["unwanted_commits"] += 1
+                continue
+            mined.append(commit)
+        headers: dict = {}
         with BlobReader(repo_paths[repo_id]) as reader:
-            for commit in repo_commits:
-                if not commit.changed_java_files:
-                    continue
-                if not wanted(commit):
-                    counts["unwanted_commits"] += 1
-                    continue
-                yield commit, _mine_changed_methods(commit, reader, counts)
+            blobs = _BlobTexts(reader, mined)
+            for commit in mined:
+                yield commit, _mine_changed_methods(commit, blobs, headers, counts)
 
 
 def _mask_commit_methods(

@@ -235,3 +235,71 @@ def write_fixture_config(
     path = tmp_path / name
     path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return path
+
+
+def _two_method_source(class_name: str, stmts: list[str]) -> str:
+    body = "\n".join(f"        {s}" for s in stmts)
+    return (
+        f"class {class_name} {{\n"
+        f"    int total(int seed, int scale) {{\n"
+        f"        return seed * scale + seed - scale + 1 + 2 + 3;\n"
+        f"    }}\n"
+        f"    int work(int seed, int scale) {{\n"
+        f"{body}\n"
+        f"        return seed * scale;\n"
+        f"    }}\n"
+        f"}}\n"
+    )
+
+
+def _latin_bytes(word: str) -> bytes:
+    return (
+        "class Latin {\n"
+        "    String name(int seed) {\n"
+        f"        return \"{word}\" + seed + 1 + 2 + 3 + 4 + 5;\n"
+        "    }\n"
+        "}\n"
+    ).encode("latin-1")
+
+
+def build_edge_history(path: Path) -> Path:
+    """A history with each case that decides which blobs `mine` reads: a
+    root commit, a Latin-1 file, a non-ASCII path, one file edited in
+    five human commits with a bot commit between the second and the
+    third, a file added after the root, and a merge whose first-parent
+    diff brings in a side branch's new file and Latin-1 edit."""
+    repo = init_repo(path)
+    dana, eli = ("Dana Dev", "dana@example.com"), ("Eli Else", "eli@example.com")
+    ts = BASE_TS
+    stmts = ["int c0 = seed + scale + 7;"]
+    (repo / "src").mkdir()
+    (repo / "src" / "Latin.java").write_bytes(_latin_bytes("café"))
+    commit_files(repo, {"src/Calc.java": _two_method_source("Calc", stmts)}, "root", *dana, ts)
+    for edit in range(5):
+        if edit == 2:
+            stmts = stmts + ["int bot = seed + scale + 99;"]
+            ts += 3600
+            commit_files(repo, {"src/Calc.java": _two_method_source("Calc", stmts)},
+                         "automated bump", "dependabot[bot]", "bot@example.com", ts)
+        stmts = stmts + [f"int c{edit + 1}a = seed * {edit + 2} + scale;", f"int c{edit + 1}b = c{edit + 1}a - {edit};"]
+        ts += 3600
+        # a second file in each edit keeps every commit under the outlier cutoff
+        commit_files(repo, {"src/Calc.java": _two_method_source("Calc", stmts), "notes.txt": f"edit {edit}\n"},
+                     f"edit {edit}", *(dana if edit % 2 else eli), ts)
+    ts += 3600
+    commit_files(repo, {
+        "src/Added.java": _two_method_source("Added", stmts[:3]),
+        "src/Naïve.java": _two_method_source("Naive", stmts[:2]),
+    }, "add", *eli, ts)
+    run_git(repo, "checkout", "-q", "-b", "side")
+    (repo / "src" / "Latin.java").write_bytes(_latin_bytes("naïve"))
+    ts += 3600
+    commit_files(repo, {"src/Side.java": _two_method_source("Side", stmts[:5])}, "side", *dana, ts)
+    run_git(repo, "checkout", "-q", "main")
+    ts += 3600
+    commit_files(repo, {"src/Added.java": _two_method_source("Added", stmts[:4])}, "edit added", *eli, ts)
+    ts += 3600
+    date = f"{ts} +0000"
+    run_git(repo, "merge", "-q", "--no-ff", "-m", "merge side", "side",
+            env={"GIT_AUTHOR_DATE": date, "GIT_COMMITTER_DATE": date})
+    return repo

@@ -6,16 +6,20 @@ keeps a copy of its V array for every round, a BLEU scorer that
 counts every order into one Counter and filters it by n-gram length,
 a method extractor that lexes the whole source and walks every token,
 a brace-balance check over a whole lex, a method rebuilder with its
-own body-token count, and a Latin-1 check that tests one character
-at a time.
+own body-token count, a Latin-1 check that tests one character
+at a time, and a mining loop that reads every changed file at
+``<sha>:<path>`` and its first parent's, again at each commit.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,8 +35,16 @@ from repotailor.javalex import (
     SourceToken,
     lex,
 )
-from repotailor.javamethods import MethodUnit, _classify_header
+from repotailor.javamethods import (
+    MethodUnit,
+    _classify_header,
+    apply_method_filters,
+    map_added_lines,
+    method_spans,
+    method_unit,
+)
 from repotailor.metrics import _EPSILON, DEFAULT_MAX_ORDER, DEFAULT_TRIVIAL_K, Ngram
+from repotailor.mining import BlobReader, added_lines
 
 
 def bleu_oracle(candidate: list[str], reference: list[str], max_order: int = 4) -> float:
@@ -567,3 +579,66 @@ def reference_latin_only(text: str) -> bool:
             continue
         return False
     return True
+
+
+def _reference_read(reader: BlobReader, sha: str, file: str) -> str | None:
+    data = reader.read(f"{sha}:{file}")
+    if data is None:
+        return None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def _reference_changed_methods(commit, reader: BlobReader, counts: Counter) -> list:
+    out = []
+    for file in sorted(commit.changed_java_files):
+        child = _reference_read(reader, commit.sha, file)
+        if child is None:
+            counts["undecodable_files"] += 1
+            continue
+        parent = ""
+        if commit.first_parent_sha is not None:
+            parent = _reference_read(reader, commit.first_parent_sha, file) or ""
+        lines = added_lines(parent, child)
+        if not lines:
+            continue
+        spans = method_spans(child, {})
+        if spans is None:
+            counts["unparsable_files"] += 1
+            continue
+        counts["methods_extracted"] += len(spans)
+        source_lines = child.split("\n")
+        kept = []
+        for span in spans:
+            at = bisect_left(lines, span.start_line)
+            if at == len(lines) or lines[at] > span.end_line:
+                continue
+            m = method_unit(child, span, source_lines)
+            verdict = apply_method_filters(m)
+            if verdict.kept:
+                kept.append(m)
+            else:
+                counts["dropped:" + verdict.reason] += 1
+        counts["methods_kept"] += len(kept)
+        out.extend((file, method, line_numbers) for method, line_numbers in map_added_lines(kept, lines))
+    return out
+
+
+def reference_mine_commits(commits, repo_paths: dict, counts: Counter, wanted=lambda commit: True):
+    """`pipeline._mine_commits` without memos: each changed Java file is
+    read at ``<sha>:<path>`` and at ``<first parent>:<path>``, so git
+    walks the tree on every read and a text is read again at each commit
+    that needs it, and every source's headers are lexed afresh. It reads
+    a deleted file too, at the commit that deleted it, and counts it as
+    undecodable."""
+    for repo_id, repo_commits in groupby(commits, key=attrgetter("repo_id")):
+        with BlobReader(repo_paths[repo_id]) as reader:
+            for commit in repo_commits:
+                if not commit.changed_java_files:
+                    continue
+                if not wanted(commit):
+                    counts["unwanted_commits"] += 1
+                    continue
+                yield commit, _reference_changed_methods(commit, reader, counts)

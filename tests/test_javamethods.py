@@ -807,7 +807,7 @@ def test_method_spans_lex_no_body_and_build_the_parsed_methods(monkeypatch):
             return lex(source, start, end, line)
 
         monkeypatch.setattr(javamethods, "lex", recording)
-        spans = method_spans(src)
+        spans = method_spans(src, {})
         monkeypatch.undo()
         parsed = parse_methods(src)
         assert (spans is None) == (parsed is None), src
@@ -823,6 +823,52 @@ def test_method_spans_lex_no_body_and_build_the_parsed_methods(monkeypatch):
             assert src[span.open] == "{" and src[span.close] == "}"
         methods += len(spans)
     assert methods >= 500, methods
+
+
+# One header text in two places that differ in one part of what a header's
+# tokens and class depend on: its line, its column, the enclosing type's
+# kind, and whether the source is ASCII.
+SHARED_HEADERS = [
+    "class A {\n    int f(int a) {\n        return a + 1;\n    }\n}\n",
+    "// one line lower\nclass A {\n    int f(int a) {\n        return a + 1;\n    }\n}\n",
+    "class C {\n    void g() {\n    } int f(int a) {\n        return a;\n    }\n"
+    "    void h() {\n        } int f(int a) {\n        return a;\n    }\n}\n",
+    # a constant with a body under an enum, a constructor-shaped method under a class
+    "enum Ee {\n    A(1) {\n        int v() { return 1; }\n    };\n    Ee(int v) {\n    }\n}\n",
+    "class K {\n    A(1) {\n        return;\n    }\n}\n",
+    "class A {\n    int f(int a) {\n        return a + 1; // größe\n    }\n}\n",
+]
+
+
+def test_method_spans_with_one_memo_equal_those_with_a_fresh_one(monkeypatch):
+    """One memo shared across many sources gives each the spans, header
+    tokens included, that a fresh memo gives it, while lexing fewer
+    headers."""
+    import random
+
+    rng = random.Random(4243)
+    sources = _fixture_sources()
+    inputs = sources + _fragments(sources) + [_fuzz_source(rng) for _ in range(300)]
+    inputs += [NESTED_BLOCKS, _table_class(200), *SHARED_HEADERS, *reversed(SHARED_HEADERS)]
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return lex(*args)
+
+    monkeypatch.setattr(javamethods, "lex", counting)
+    memo: dict = {}
+    fresh_calls = shared_calls = spans = 0
+    for src in inputs:
+        before = calls
+        fresh = method_spans(src, {})
+        fresh_calls += calls - before
+        before = calls
+        assert method_spans(src, memo) == fresh, src
+        shared_calls += calls - before
+        spans += len(fresh or ())
+    assert spans >= 500 and shared_calls < fresh_calls / 2, (spans, shared_calls, fresh_calls)
 
 
 EDGE_METHOD_TEXTS = [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import repotailor
+from repotailor import pipeline
 from repotailor.cli import main
 from repotailor.config import load_config
 from repotailor.errors import BranchMissing, EmptyInput, RepoUnreadable
@@ -28,6 +30,7 @@ from repotailor.pipeline import run_mine
 
 from conftest import (
     BASE_TS,
+    build_edge_history,
     build_generic_repo,
     build_org_repo,
     commit_files,
@@ -35,7 +38,7 @@ from conftest import (
     run_git,
     write_fixture_config,
 )
-from oracles import q3_iqr_oracle, reference_inserted
+from oracles import q3_iqr_oracle, reference_inserted, reference_mine_commits
 
 
 def make_commit(author="alice", email="a@x.com", files=1, ts=BASE_TS, sha="0" * 40):
@@ -49,6 +52,7 @@ def make_commit(author="alice", email="a@x.com", files=1, ts=BASE_TS, sha="0" * 
         changed_java_files=(),
         files_changed_count=files,
         java_added_lines=0,
+        java_blobs=(),
     )
 
 
@@ -188,7 +192,7 @@ _NUMPY_PROBE = """
 import sys
 import repotailor
 from repotailor.mining import CommitRecord, filter_outliers
-commits = [CommitRecord("r", f"{i:040x}", "a", "a@x", i, None, (), c, 0) for i, c in enumerate([1, 2, 9, 40])]
+commits = [CommitRecord("r", f"{i:040x}", "a", "a@x", i, None, (), c, 0, ()) for i, c in enumerate([1, 2, 9, 40])]
 filter_outliers(commits)
 print("numpy" in sys.modules)
 """
@@ -381,10 +385,10 @@ def test_read_blob_matches_git_show_on_fixture_repos(tmp_path):
     for repo in repos:
         with BlobReader(repo) as reader:
             for commit in main_commits(repo):
-                for file in commit.changed_java_files:
-                    assert read_blob(reader, commit.sha, file) == _git_show(repo, commit.sha, file)
+                for file, (parent_id, child_id) in zip(commit.changed_java_files, commit.java_blobs):
+                    assert read_blob(reader, child_id) == _git_show(repo, commit.sha, file)
                     if commit.first_parent_sha is not None:
-                        parent = read_blob(reader, commit.first_parent_sha, file)
+                        parent = read_blob(reader, parent_id) if parent_id else None
                         assert parent == _git_show(repo, commit.first_parent_sha, file)
                     compared += 1
     assert compared > 25  # the outlier commit alone adds 25 new files
@@ -412,16 +416,19 @@ def edge_repo(tmp_path):
 
 
 def test_read_blob_edge_cases(edge_repo):
-    first, second = (c.sha for c in main_commits(edge_repo))
+    second = main_commits(edge_repo)[1]
+    ids = dict(zip(second.changed_java_files, second.java_blobs))
     with BlobReader(edge_repo) as reader:
-        assert read_blob(reader, first, "Empty.java") is None  # absent in the parent
-        assert read_blob(reader, second, "Latin.java") is None  # not UTF-8
-        assert read_blob(reader, second, "Empty.java") == ""
-        assert read_blob(reader, second, "pkg/NoEol.java") == "class N {}"
-        assert read_blob(reader, second, "Multi.java") == MULTI_BYTE
-        assert read_blob(reader, second, "Header.java") == LOOKS_LIKE_HEADER
-        assert read_blob(reader, first, "A.java") == "class A {}\n"  # still in step after them
-        assert read_blob(reader, second, "pkg") is None  # a tree, not a blob
+        assert ids["Empty.java"][0] is None  # absent in the parent
+        assert read_blob(reader, "f" * 40) is None  # no such object
+        assert read_blob(reader, ids["Latin.java"][1]) is None  # not UTF-8
+        assert read_blob(reader, ids["Empty.java"][1]) == ""
+        assert read_blob(reader, ids["pkg/NoEol.java"][1]) == "class N {}"
+        assert read_blob(reader, ids["Multi.java"][1]) == MULTI_BYTE
+        assert read_blob(reader, ids["Header.java"][1]) == LOOKS_LIKE_HEADER
+        assert read_blob(reader, ids["A.java"][0]) == "class A {}\n"  # still in step after them
+        tree = run_git(edge_repo, "rev-parse", f"{second.sha}:pkg").strip()
+        assert read_blob(reader, tree) is None  # a tree, not a blob
 
 
 def test_undecodable_blob_is_counted(edge_repo, tmp_path):
@@ -430,14 +437,58 @@ def test_undecodable_blob_is_counted(edge_repo, tmp_path):
     assert report["files"]["undecodable"] == 1
 
 
+def test_deleted_java_file_is_not_read(tmp_path):
+    """A Java file that a commit deletes has no blob on its child side: it
+    is not read, so it is not counted as undecodable."""
+    repos = []
+    for name in ("org", "gen"):
+        repo = init_repo(tmp_path / name)
+        commit_files(repo, {"A.java": "class A {}\n", "Gone.java": "class G {}\n"}, "one", "Alice", "a@x.com", BASE_TS)
+        (repo / "Gone.java").unlink()
+        commit_files(repo, {"A.java": "class A { int x; }\n"}, "two", "Alice", "a@x.com", BASE_TS + 60)
+        repos.append(repo)
+    second = main_commits(repos[0])[1]
+    gone = run_git(repos[0], "rev-parse", f"{second.first_parent_sha}:Gone.java").strip()
+    assert dict(zip(second.changed_java_files, second.java_blobs))["Gone.java"] == (gone, None)
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", repos[:1], repos[1:])
+    assert main(["mine", "--config", str(config_path)]) == 0
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text(encoding="utf-8"))
+    assert report["files"]["undecodable"] == 0
+    assert report["generic"]["undecodable_files"] == 0
+
+
+def test_mine_by_blob_id_equals_mining_by_commit_and_path(tmp_path, monkeypatch):
+    """Reading each blob once by id, and each header once, mines what
+    reading every file at ``<sha>:<path>`` and lexing every header did."""
+    org = build_edge_history(tmp_path / "edge")
+    generic = build_edge_history(tmp_path / "edge-gen")
+    trees = {}
+    for side in ("by-id", "by-path"):
+        if side == "by-path":
+            monkeypatch.setattr(pipeline, "_mine_commits", reference_mine_commits)
+        out = tmp_path / side
+        config_path = write_fixture_config(tmp_path, out, [org], [generic], name=f"{side}.json")
+        assert main(["mine", "--config", str(config_path)]) == 0
+        trees[side] = {name: (out / name).read_bytes()
+                       for name in ("instances.jsonl", "generic_methods.jsonl", "run_report.json", "commits.jsonl")}
+    assert trees["by-id"] == trees["by-path"]
+    report = json.loads(trees["by-id"]["run_report.json"])
+    assert report["commits"]["total"] == 10 and report["commits"]["after_outlier_filter"] == 9  # only the bot's goes
+    assert report["files"]["undecodable"] == 2 and report["generic"]["undecodable_files"] == 2
+    shas = {json.loads(line)["sha"] for line in trees["by-id"]["instances.jsonl"].splitlines()}
+    merge = run_git(org, "rev-parse", "HEAD").strip()
+    root = run_git(org, "rev-list", "--max-parents=0", "HEAD").strip()
+    assert {merge, root} <= shas and len(shas) == 9
+
+
 def test_reader_whose_child_died_raises(edge_repo):
-    sha = main_commits(edge_repo)[0].sha
+    (_, blob_id), = main_commits(edge_repo)[0].java_blobs
     with BlobReader(edge_repo) as reader:
-        assert read_blob(reader, sha, "A.java") == "class A {}\n"
+        assert read_blob(reader, blob_id) == "class A {}\n"
         reader.process.kill()
         reader.process.wait(timeout=10)
         with pytest.raises(RepoUnreadable):
-            read_blob(reader, sha, "A.java")
+            read_blob(reader, blob_id)
     assert reader.process.returncode is not None
 
 

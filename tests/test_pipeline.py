@@ -38,6 +38,7 @@ from repotailor.storage import dumps_canonical, read_json, read_jsonl
 from conftest import (
     BASE_TS,
     _method_source,
+    build_edge_history,
     build_generic_repo,
     build_org_repo,
     commit_files,
@@ -485,6 +486,50 @@ def test_mine_starts_a_few_git_processes_per_repository(fixture_repos, tmp_path,
     readers = [p for p in git if "cat-file" in p.args]
     assert len(readers) == len(org + generic)
     assert all(p.returncode is not None for p in readers)
+
+
+def _blob_ids(repo: Path, names: list[str]) -> list[str | None]:
+    """The blob id each ``<sha>:<path>`` names, None where it names none."""
+    result = subprocess.run(
+        ["git", "-C", str(repo), "cat-file", "--batch-check"],
+        input="".join(f"{n}\n" for n in names), capture_output=True, text=True, check=True,
+    )
+    return [None if line.endswith(" missing") else line.split()[0] for line in result.stdout.splitlines()]
+
+
+def test_mine_reads_each_blob_once_per_repository(fixture_repos, tmp_path, monkeypatch):
+    """`read_blob` runs once per distinct blob id among the (parent, child)
+    sides of each repository's mined files, found here by path with git,
+    and never for the parent of a file that a commit adds."""
+    org, generic = fixture_repos
+    org = [*org, build_edge_history(tmp_path / "edge")]
+    cfg = load_config(write_fixture_config(tmp_path, tmp_path / "out", org, generic))
+    reads: Counter = Counter()
+    read_blob = pipeline.read_blob
+
+    def counted(reader, blob_id):
+        reads[reader.repo_path.name, blob_id] += 1
+        return read_blob(reader, blob_id)
+
+    monkeypatch.setattr(pipeline, "read_blob", counted)
+    run_mine(cfg)
+
+    expected: set = set()
+    added = 0
+    heads = pipeline._head_shas(cfg)
+    for specs in (cfg.repos, cfg.generic_repos):
+        commits, _, _ = pipeline._ingest(specs, heads)  # every commit is wanted: the pool holds every author
+        for commit in commits:
+            repo = Path(next(spec.path for spec in specs if spec.resolved_id() == commit.repo_id))
+            files = sorted(commit.changed_java_files)
+            children = _blob_ids(repo, [f"{commit.sha}:{f}" for f in files])
+            parents = []
+            if commit.first_parent_sha:
+                parents = _blob_ids(repo, [f"{commit.first_parent_sha}:{f}" for f in files])
+            added += parents.count(None)
+            expected.update((repo.name, blob) for blob in children + parents if blob)
+    assert added >= 2  # the edge history adds files after its root commit
+    assert reads == Counter(dict.fromkeys(expected, 1))
 
 
 def test_run_report_counts_unparsable_files_and_commits_outside_the_pool(tmp_path):
@@ -1202,16 +1247,16 @@ SHOP_V2 = SHOP_V1.replace("run() { tick(); }", "run() { tock(); }").replace(
 )
 
 
-def _mine_changed_methods_by_parse_methods(commit, reader, counts):
+def _mine_changed_methods_by_parse_methods(commit, blobs, headers, counts):
     """`mine`'s method step as it was when every method of a changed file
     was lexed: parse_methods -> apply_method_filters -> map_added_lines."""
     from repotailor.javamethods import apply_method_filters, map_added_lines, parse_methods
-    from repotailor.mining import added_lines, read_blob
+    from repotailor.mining import added_lines
 
     out = []
-    for file in sorted(commit.changed_java_files):
-        child = read_blob(reader, commit.sha, file)
-        parent = read_blob(reader, commit.first_parent_sha, file) or "" if commit.first_parent_sha else ""
+    for file, (parent_id, child_id) in sorted(zip(commit.changed_java_files, commit.java_blobs)):
+        child = blobs.text(child_id)
+        parent = blobs.text(parent_id) or ""
         lines = added_lines(parent, child)
         if not lines:
             continue
@@ -1257,7 +1302,7 @@ def test_mine_lexes_only_methods_that_gain_a_line(tmp_path, monkeypatch):
     # the added file, then `task` and its anonymous `run`
     assert methods == {"extracted": 10, "kept": 4, "dropped_by_reason": {"test-name": 1, "too-short": 2}}
 
-    untouched = [s for s in method_spans(SHOP_V2) if s.name in ("price", "testShop", "weight")]
+    untouched = [s for s in method_spans(SHOP_V2, {}) if s.name in ("price", "testShop", "weight")]
     assert len(untouched) == 3
     lexed = [(start, end) for source, start, end in ranges if source == SHOP_V2]
     assert lexed
