@@ -17,18 +17,22 @@ A number starts with a `str.isdigit` character, an identifier with a
 `str.isalnum` holds. `re`'s own classes differ from the first two on
 about 1,300 code points (`²` is a digit, `½` and `Ⅷ` are neither
 digits nor letters). ASCII text uses ASCII classes, which are exact
-there; the Unicode pattern is built on first use of non-ASCII text.
+there; the Unicode pattern is built on first use of non-ASCII text,
+from the code points read a chunk at a time.
 
 `lex` takes a range of its source, so a caller can lex only the parts it
-reads. `SCAN_BLOCKS` steps from one significant brace or ";" to the
-next without making tokens; `SCAN_BRACES` is one step to the next brace,
-which tells whether a method body holds a block. Both are built from
-the master pattern's comment, string and char pieces. A range that
-starts and ends at such a stop lexes to the same tokens as the whole
-source has there.
+reads. Two scanners step through a source without making tokens, built
+from the master pattern's comment, string and char pieces. `SCAN_BLOCKS`
+steps from one significant brace or ";" to the next. `SCAN_CODE` skips
+statements and every brace group that holds no other brace, a bounded
+run of them per step, and stops at a group that nests, at a '}', or
+where the run is cut. Each step also gives the start of the header
+before its stop. A range that starts and ends at such a stop lexes to
+the same tokens as the whole source has there.
 
 `token_texts` runs the same pattern for callers that read only token
-texts: it keeps no line or column and builds no token.
+texts: it keeps no line or column and builds no token. `count_tokens`
+counts a range's tokens without building them.
 """
 
 from __future__ import annotations
@@ -124,6 +128,21 @@ def _escaped(chars: str) -> str:
     return "".join(f"\\U{ord(c):08x}" for c in chars)
 
 
+_CHUNK = 4096  # code points per string in `_non_letter_words`
+
+
+def _non_letter_words() -> str:
+    """The word characters (``\\w``) that are neither decimal digits nor
+    "_" nor `str.isalpha` letters, read a chunk of code points at a time
+    so that no string of every code point is held at once."""
+    found = []
+    for low in range(0, sys.maxunicode + 1, _CHUNK):
+        codes = array.array("I", range(low, min(low + _CHUNK, sys.maxunicode + 1)))
+        chunk = codes.tobytes().decode("utf-32-le", "surrogatepass")
+        found += (c for c in "".join(re.findall(r"[^\W\d_]+", chunk)) if not c.isalpha())
+    return "".join(found)
+
+
 @functools.cache
 def _unicode_pattern() -> re.Pattern:
     """The master pattern for non-ASCII text, built on first use.
@@ -132,26 +151,38 @@ def _unicode_pattern() -> re.Pattern:
     `str.isdecimal`. What `str.isdigit` and `str.isalpha` add or remove
     is found among the word characters that are not decimal digits.
     """
-    every = array.array("I", range(sys.maxunicode + 1)).tobytes().decode("utf-32-le", "surrogatepass")
-    other = "".join(c for c in "".join(re.findall(r"[^\W\d_]+", every)) if not c.isalpha())
+    other = _non_letter_words()
     digit = r"\d" + _escaped(filter(str.isdigit, other))
     return _pattern(digit, f"(?:(?![{_escaped(other)}])[^\\W\\d]|\\$)", r"\w$")
 
 
-def _skip_to(stops: str) -> re.Pattern:
-    """One anchored step of a scan for the significant characters in
-    ``stops``: group 1 is the next one, or empty at end of input.
+def _text(stops: str) -> str:
+    """Any run of text without a significant character of ``stops``.
 
     Comments, strings, chars and text blocks are skipped whole with the
     master pattern's own pieces, and nothing else in a token can hold a
-    brace, a ";", a quote or a "/", so the scan stops exactly where `lex`
-    yields those separators.
+    brace, a ";", a quote or a "/", so the run ends exactly where `lex`
+    yields one of those separators.
     """
-    return re.compile(rf"""(?:[^{stops}"'/]++|{_COMMENT}|{_STRING}|{_CHAR}|/)*+([{stops}]|\Z)""")
+    return rf"""(?:[^{stops}"'/]++|{_COMMENT}|{_STRING}|{_CHAR}|/)*+"""
 
 
-SCAN_BLOCKS = _skip_to("{};")  # braces and the ";" that ends a declaration
-SCAN_BRACES = _skip_to("{}")
+# Groups of a scan step: 1 is empty and starts the header of the stop,
+# 2 is the stop, or empty at end of input.
+# In a type body, one step to the next significant brace or ";".
+SCAN_BLOCKS = re.compile(rf"(){_text('{};')}([{{}};]|\Z)")
+# In code (a method body, a block, or the top level), one step skips
+# statements and every brace group that holds no other brace, at most
+# `_RUN` of them, and stops at a '{' that opens a nesting or unclosed
+# group, at a '}', or at the ";" or '{' where the run is cut. Python's
+# `re` misreports a group captured inside a possessive repeat (or raises
+# SystemError on it), so group 1 sits after the repeat. The repeat is
+# possessive, so it keeps no backtracking state: a greedy one raised the
+# peak memory of a walk over a 200,000-row table by about 20 MB. Its
+# bound caps the work of one step whatever the engine keeps.
+_RUN = 512
+_FLAT_GROUP = rf"\{{{_text('{}')}\}}"
+SCAN_CODE = re.compile(rf"(?:{_text('{};')}(?:;|{_FLAT_GROUP})){{0,{_RUN}}}+(){_text('{};')}([{{}};]|\Z)")
 
 
 def lex(source: str, start: int = 0, end: int | None = None, line: int = 1) -> list[SourceToken]:
@@ -218,3 +249,14 @@ def token_texts(text: str, kinds: Collection[str] | None = None) -> list[str]:
             if keywords if word in KEYWORDS else identifiers:
                 append(word)
     return out
+
+
+_NO_TOKEN = ("",) * _ASCII_PATTERN.groups  # a match of the end of input, by `findall`
+
+
+def count_tokens(source: str, start: int, end: int) -> int:
+    """``len(lex(source, start, end))``, without building a token."""
+    pattern = _ASCII_PATTERN if source.isascii() else _unicode_pattern()
+    groups = pattern.findall(source, start, end)
+    # only the end of input matches empty: once, or twice after trailing trivia
+    return len(groups) - groups[-2:].count(_NO_TOKEN)

@@ -8,12 +8,15 @@ may itself sit in a method, as an anonymous or local class does).
 Sources whose significant braces do not balance are unparsable:
 `method_spans` and `parse_methods` return None for them, so a caller
 learns that and the methods from one call. `method_spans` lexes only
-the header before a brace: one regex scan for braces steps over the
-rest at every depth, such as large table initializers and method
-bodies, and its caller's memo lets it lex and classify each distinct
+the header before a brace. Regex steps go over the rest: in a type body
+from brace to brace, elsewhere past whole statements and past every
+brace group that holds no other brace (such as table rows and most
+method bodies), since a method and the type around it each need their
+own '{'. Its caller's memo lets it lex and classify each distinct
 header once across the sources it is given. `method_unit` lexes one
 span's body, so a caller lexes only the methods it reads;
-`parse_methods` lexes them all.
+`method_counts` counts its tokens instead, for a caller that filters
+methods but keeps only their text; `parse_methods` lexes them all.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .javalex import IDENTIFIER, KEYWORD, SCAN_BLOCKS, SCAN_BRACES, SourceToken, lex
+from .javalex import IDENTIFIER, KEYWORD, SCAN_BLOCKS, SCAN_CODE, SourceToken, count_tokens, lex
 
 REASON_OK = "ok"
 REASON_TEST_NAME = "test-name"
@@ -264,15 +267,18 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
     spans sorted by start line, enclosing spans first; None when its
     significant braces do not balance.
 
-    One anchored step at a time jumps to the next significant '{', '}'
-    or ';', at every depth. Only the header before a '{' is lexed and
-    classified, and only where it may open a type or a method: in a
-    block or a method body, a header without a type-declaring word opens
-    a block, so table rows are never lexed. At a method's '{', one step
-    finds the next brace: if it is the method's '}', the walk jumps to it,
-    so a body without blocks costs no step per statement; otherwise the
-    walk goes on inside the body. The '}' that pops a method closes its
-    span, so innermost methods come first before the sort.
+    One anchored step at a time goes to the next stop. In a type body,
+    where a '{' may open a method, that is the next significant '{',
+    '}' or ';' (`SCAN_BLOCKS`). Elsewhere (the top level, a block, a
+    method body) a step skips statements and every group that holds no
+    other brace, since such a group can declare no method, and stops at
+    a '{' that opens a nesting group or at the enclosing '}'
+    (`SCAN_CODE`): a method body without nested blocks is one step, and
+    table rows are never stopped at. Only the header before a '{' is
+    lexed and classified, and only where it may open a type or a method:
+    outside a type body, a header without a type-declaring word opens a
+    block. The '}' that pops a method closes its span, so innermost
+    methods come first before the sort.
 
     ``headers`` is a memo the caller owns and may share between sources.
     It maps what a header's tokens and class depend on (its text, the
@@ -285,17 +291,18 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
     # per open brace: the decl of a type body, None for a block, or an
     # open method's (header tokens, '{' offset, line at '{', name, signature)
     stack: list[str | tuple | None] = []
-    seg = 0  # start of the current header: past the last '{', '}' or ';'
     line, counted = 1, 0  # the line number at offset `counted`
     is_ascii = source.isascii()
     new = tuple.__new__
+    scan = SCAN_CODE
     pos = 0
     while True:
-        m = SCAN_BLOCKS.match(source, pos)
-        stop = m[1]
+        m = scan.match(source, pos)
+        seg = m.end(1)  # start of the stop's header
+        stop = m[2]
         pos = m.end()
         if stop == "{":
-            parent = stack[-1] if stack and stack[-1].__class__ is str else None  # a type body's decl
+            parent = stack[-1] if scan is SCAN_BLOCKS else None  # a type body's decl
             brace = pos - 1
             if parent is None and not _TYPE_WORD.search(source, seg, brace):
                 stack.append(None)
@@ -317,9 +324,6 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
                     line += source.count("\n", counted, brace)
                     counted = brace
                     stack.append((header, brace, line, info[0], info[1]))
-                    m = SCAN_BRACES.match(source, pos)
-                    if m[1] == "}":  # no block inside: step straight to the '}'
-                        pos = m.start(1)
                 else:
                     stack.append(decl if kind == "type" else None)
         elif stop == "}":
@@ -332,7 +336,9 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
                 spans.append(MethodSpan(name, signature, header, brace, pos - 1, brace_line, header[0].line, end_line))
         elif not stop:
             break
-        seg = pos
+        else:
+            continue  # a ";" changes no scope
+        scan = SCAN_BLOCKS if stack and stack[-1].__class__ is str else SCAN_CODE
 
     if stack:
         return None
@@ -351,6 +357,33 @@ def method_unit(source: str, span: MethodSpan, lines: list[str]) -> MethodUnit:
         end_line=span.end_line,
         tokens=toks,
         body_token_count=_body_token_count(toks),
+        text="\n".join(lines[span.start_line - 1 : span.end_line]),
+    )
+
+
+class MethodCounts(NamedTuple):
+    """What the filters and `map_added_lines` read of a method, counted
+    without building its tokens."""
+    name: str
+    signature: str
+    start_line: int
+    end_line: int
+    token_count: int
+    body_token_count: int
+    text: str
+
+
+def method_counts(source: str, span: MethodSpan, lines: list[str]) -> MethodCounts:
+    """The MethodCounts of ``span``, equal to its MethodUnit's; ``lines``
+    is ``source.split("\n")``."""
+    body = count_tokens(source, span.open, span.close + 1)  # the braces included
+    return MethodCounts(
+        name=span.name,
+        signature=span.signature,
+        start_line=span.start_line,
+        end_line=span.end_line,
+        token_count=len(span.header) + body,
+        body_token_count=body - 2,
         text="\n".join(lines[span.start_line - 1 : span.end_line]),
     )
 
@@ -386,7 +419,7 @@ def _latin_only(text: str) -> bool:
     return _NON_LATIN.search(text) is None
 
 
-def apply_method_filters(m: MethodUnit) -> FilterVerdict:
+def apply_method_filters(m: MethodUnit | MethodCounts) -> FilterVerdict:
     """Apply the keep/drop rules for one extracted method."""
     if any(w.lower() == "test" for w in name_words(m.name)):
         return FilterVerdict(False, REASON_TEST_NAME)
@@ -402,8 +435,8 @@ def apply_method_filters(m: MethodUnit) -> FilterVerdict:
 
 
 def map_added_lines(
-    methods: list[MethodUnit], line_numbers: list[int]
-) -> list[tuple[MethodUnit, list[int]]]:
+    methods: list[MethodUnit | MethodCounts], line_numbers: list[int]
+) -> list[tuple[MethodUnit | MethodCounts, list[int]]]:
     """Assign each added line (a 1-based line number) to its innermost
     enclosing method.
 

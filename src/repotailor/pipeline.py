@@ -25,9 +25,12 @@ from .config import RepoSpec, RunConfig
 from .errors import ConfigHashMismatch, DataError, EmptyInput, MissingStage
 from .identity import load_overrides, resolve_identities, top_contributors
 from .javamethods import (
+    MethodCounts,
+    MethodSpan,
     MethodUnit,
     apply_method_filters,
     map_added_lines,
+    method_counts,
     # not called here: perfbench traces `assemble`'s re-lex under this name
     method_from_text,
     method_spans,
@@ -160,7 +163,7 @@ def _write_stamp(cfg: RunConfig, stage: str, inputs: dict[str, str], outputs: di
     })
 
 
-def _method_record(commit: CommitRecord, file: str, method: MethodUnit) -> dict:
+def _method_record(commit: CommitRecord, file: str, method: MethodCounts) -> dict:
     return {
         "repo": commit.repo_id,
         "sha": commit.sha,
@@ -189,7 +192,9 @@ def _ingest(specs: tuple[RepoSpec, ...], heads: dict) -> tuple[list[CommitRecord
     return commits, funnel, threshold
 
 
-ChangedMethods = list[tuple[str, MethodUnit, list[int]]]
+ChangedMethods = list[tuple[str, MethodUnit | MethodCounts, list[int]]]
+# `method_unit`, which lexes a method, or `method_counts`, which counts its tokens
+MethodReader = Callable[[str, MethodSpan, list[str]], MethodUnit | MethodCounts]
 
 _DROPPED = "dropped:"  # a counts key: the prefix, then a method filter's reason
 
@@ -228,9 +233,11 @@ class _BlobTexts:
         return text
 
 
-def _mine_changed_methods(commit: CommitRecord, blobs: _BlobTexts, headers: dict, counts: Counter) -> ChangedMethods:
-    """(file, kept method, added line numbers) triples for one commit;
-    ``headers`` is `method_spans`'s memo."""
+def _mine_changed_methods(
+    commit: CommitRecord, blobs: _BlobTexts, headers: dict, counts: Counter, unit: MethodReader
+) -> ChangedMethods:
+    """(file, kept method, added line numbers) triples for one commit, each
+    method read by ``unit``; ``headers`` is `method_spans`'s memo."""
     out: ChangedMethods = []
     for file, parent_id, child_id in _files_read(commit):
         child = blobs.text(child_id)
@@ -254,7 +261,7 @@ def _mine_changed_methods(commit: CommitRecord, blobs: _BlobTexts, headers: dict
             at = bisect_left(lines, span.start_line)
             if at == len(lines) or lines[at] > span.end_line:
                 continue
-            m = method_unit(child, span, source_lines)
+            m = unit(child, span, source_lines)
             verdict = apply_method_filters(m)
             if verdict.kept:
                 kept.append(m)
@@ -266,12 +273,12 @@ def _mine_changed_methods(commit: CommitRecord, blobs: _BlobTexts, headers: dict
 
 
 def _mine_commits(
-    commits: list[CommitRecord], repo_paths: dict[str, str], counts: Counter,
+    commits: list[CommitRecord], repo_paths: dict[str, str], counts: Counter, unit: MethodReader,
     wanted: Callable[[CommitRecord], bool] = lambda commit: True,
 ) -> Iterator[tuple[CommitRecord, ChangedMethods]]:
     """Each commit that changes Java files and that ``wanted`` accepts,
-    with its changed methods. ``counts`` gains this pool's file and
-    method attrition, and ``unwanted_commits``.
+    with its changed methods, read by ``unit``. ``counts`` gains this
+    pool's file and method attrition, and ``unwanted_commits``.
 
     Commits are sorted by repository: one blob reader per repository,
     each closed and reaped before the next opens. Each repository's
@@ -291,7 +298,7 @@ def _mine_commits(
         with BlobReader(repo_paths[repo_id]) as reader:
             blobs = _BlobTexts(reader, mined)
             for commit in mined:
-                yield commit, _mine_changed_methods(commit, blobs, headers, counts)
+                yield commit, _mine_changed_methods(commit, blobs, headers, counts, unit)
 
 
 def _mask_commit_methods(
@@ -342,15 +349,16 @@ def run_mine(cfg: RunConfig) -> dict:
 
     counts: Counter = Counter()
     instances: list[CompletionInstance] = []
-    for commit, changed in _mine_commits(commits, repo_paths, counts, lambda c: author(c) in pool_ids):
+    for commit, changed in _mine_commits(commits, repo_paths, counts, method_unit, lambda c: author(c) in pool_ids):
         instances.extend(_mask_commit_methods(cfg, commit, author(commit), changed))
     instances.sort(key=lambda i: (i.repo_id, i.timestamp, i.commit_sha, i.file, i.instance_id))
 
     gen_commits, gen_funnel, _ = _ingest(cfg.generic_repos, inputs["heads"])
     gen_counts: Counter = Counter()
+    # a generic method is stored as text: only its token counts are read
     generic_methods = [
         _method_record(commit, file, method)
-        for commit, changed in _mine_commits(gen_commits, repo_paths, gen_counts)
+        for commit, changed in _mine_commits(gen_commits, repo_paths, gen_counts, method_counts)
         for file, method, _ in changed
     ]
     generic_methods.sort(key=lambda r: (r["repo"], r["ts"], r["sha"], r["file"], r["signature"]))

@@ -28,6 +28,24 @@ def run_git(repo: Path, *args: str, env: dict | None = None) -> str:
     return result.stdout
 
 
+def run_python(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    this checkout's repotailor."""
+    import os
+    import sys
+
+    import repotailor
+
+    src = str(Path(repotailor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
+# A Python expression for a child script: its peak resident set in KB so far (Linux)
+PEAK_KB = "int(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))"
+HAS_PEAK_KB = Path("/proc/self/status").exists()
+
+
 def init_repo(path: Path, branch: str = "main") -> Path:
     path.mkdir(parents=True, exist_ok=True)
     run_git(path, "init", "-q", "-b", branch, ".")

@@ -626,13 +626,13 @@ def _reference_changed_methods(commit, reader: BlobReader, counts: Counter) -> l
     return out
 
 
-def reference_mine_commits(commits, repo_paths: dict, counts: Counter, wanted=lambda commit: True):
+def reference_mine_commits(commits, repo_paths: dict, counts: Counter, unit, wanted=lambda commit: True):
     """`pipeline._mine_commits` without memos: each changed Java file is
     read at ``<sha>:<path>`` and at ``<first parent>:<path>``, so git
     walks the tree on every read and a text is read again at each commit
     that needs it, and every source's headers are lexed afresh. It reads
     a deleted file too, at the commit that deleted it, and counts it as
-    undecodable."""
+    undecodable. Every touched method is lexed, whatever ``unit`` asks."""
     for repo_id, repo_commits in groupby(commits, key=attrgetter("repo_id")):
         with BlobReader(repo_paths[repo_id]) as reader:
             for commit in repo_commits:

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import array
 import ast
-import os
 import random
-import subprocess
+import re
 import sys
 from pathlib import Path
 
-import repotailor
+import pytest
+
+from repotailor import javalex
 from repotailor.javalex import (
     CHAR_LITERAL,
     IDENTIFIER,
@@ -16,13 +18,15 @@ from repotailor.javalex import (
     OPERATOR,
     SEPARATOR,
     SCAN_BLOCKS,
-    SCAN_BRACES,
+    SCAN_CODE,
     STRING_LITERAL,
+    _RUN,
+    count_tokens,
     lex,
     token_texts,
 )
 
-from conftest import _method_source, random_method
+from conftest import HAS_PEAK_KB, PEAK_KB, _method_source, random_method, run_python
 from oracles import COMMENT, assert_tokens_cover, reference_lex
 
 
@@ -176,11 +180,39 @@ def test_lex_matches_reference_lexer():
         assert [(t.kind, t.text, t.line, t.col) for t in lex(src)] == want, src
 
 
+def _code_step(marks: list[tuple[int, str]], at: int, pos: int) -> tuple[int, int]:
+    """What one `SCAN_CODE` step from ``pos`` must find, read off the whole
+    lex: ``marks`` are the offsets and texts of its '{', '}' and ';'
+    tokens, and ``marks[at]`` is the first at or after ``pos``. Returns
+    (header start, index in ``marks`` of the stop, len(marks) at end)."""
+    start, run = pos, 0
+    while at < len(marks) and run < _RUN:
+        offset, text = marks[at]
+        if text == "}":
+            break
+        if text == "{":
+            close = next((i for i in range(at + 1, len(marks)) if marks[i][1] != ";"), None)
+            if close is None or marks[close][1] == "{":
+                break  # the group is left open or nests
+            at = close  # a group holding no brace
+        start, at, run = marks[at][0] + 1, at + 1, run + 1
+    return start, at
+
+
 def test_scan_stops_and_ranges_agree_with_the_whole_lex():
-    """`SCAN_BLOCKS` and `SCAN_BRACES` stop exactly at the '{', '}' (and
-    ';') tokens of the whole lex, and a range between two stops lexes
-    to the whole lex's tokens there."""
+    """`SCAN_BLOCKS` stops exactly at the '{', '}' and ';' tokens of the
+    whole lex. `SCAN_CODE` skips each ';' and each group holding no other
+    brace, `_RUN` at most, and stops at the next of those tokens; its
+    header start is just past the last thing it skipped. A range between
+    two stops, or from a header start to its stop, lexes to the whole
+    lex's tokens there."""
     inputs = _fixture_corpus() + _test_string_literals() + _fuzz(31, 3000, EDGE_PIECES, 30)
+    # runs past the repeat's bound, with a nesting group and a string among them
+    inputs += [
+        "int[][] t = {" + "{1, 2}, " * (_RUN + 5) + "{ {} } };",
+        "void f() {" + "x();" * (2 * _RUN) + ' s = "}{"; { { } } }',
+        "{" * 3 + "a;{}" * (_RUN - 1) + "}" * 3,
+    ]
     for src in inputs:
         starts = [0]
         for nl, ch in enumerate(src):
@@ -188,13 +220,26 @@ def test_scan_stops_and_ranges_agree_with_the_whole_lex():
                 starts.append(nl + 1)
         whole = lex(src)
         offsets = [starts[t.line - 1] + t.col for t in whole]
-        for scan, stops in ((SCAN_BRACES, "{}"), (SCAN_BLOCKS, "{};")):
-            found, pos = [], 0
-            while (m := scan.match(src, pos))[1]:
-                pos = m.end()
-                found.append(pos)
-            assert found == [o + 1 for o, t in zip(offsets, whole) if t.text in stops], src
-        cuts = [0, *found, len(src)]  # the stops of SCAN_BLOCKS
+        marks = [(o, t.text) for o, t in zip(offsets, whole) if t.text in ("{", "}", ";")]
+        found, pos = [], 0
+        while (m := SCAN_BLOCKS.match(src, pos))[2]:
+            assert m.end(1) == pos, src
+            pos = m.end()
+            found.append(pos)
+        assert found == [o + 1 for o, _ in marks], src
+        cuts = [0, *found, len(src)]
+        pos = at = 0
+        while True:
+            m = SCAN_CODE.match(src, pos)
+            start, at = _code_step(marks, at, pos)
+            assert m.end(1) == start, (src, pos)
+            if at == len(marks):
+                assert m[2] == "" and m.end() == len(src), (src, pos)
+                break
+            assert (m[2], m.end()) == (marks[at][1], marks[at][0] + 1), (src, pos)
+            cuts += [start, m.end()]
+            pos, at = m.end(), at + 1
+        cuts = sorted(set(cuts))
         for a, b in zip(cuts, cuts[1:]):
             line = src.count("\n", 0, a) + 1
             assert lex(src, a, b, line) == [t for o, t in zip(offsets, whole) if a <= o < b], (src, a, b)
@@ -220,7 +265,7 @@ def test_unicode_classes_follow_str_predicates():
 
 
 def test_ascii_text_never_builds_the_unicode_pattern():
-    """Building the Unicode classes costs a fifth of a second; an
+    """Building the Unicode classes costs a tenth of a second; an
     import or ASCII-only text must not pay it."""
     probe = (
         "import repotailor\n"
@@ -230,10 +275,25 @@ def test_ascii_text_never_builds_the_unicode_pattern():
         "javalex.lex('int é;')\n"
         "print(javalex._unicode_pattern.cache_info().currsize)\n"
     )
-    src = str(Path(repotailor.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.split() == ["0", "1"]
+    assert run_python(probe).split() == ["0", "1"]
+
+
+def test_unicode_classes_equal_those_read_from_one_string():
+    """`_non_letter_words` reads the code points a chunk at a time and
+    finds what one string of every code point gives."""
+    every = array.array("I", range(sys.maxunicode + 1)).tobytes().decode("utf-32-le", "surrogatepass")
+    want = "".join(c for c in "".join(re.findall(r"[^\W\d_]+", every)) if not c.isalpha())
+    assert want and javalex._non_letter_words() == want
+
+
+@pytest.mark.skipif(not HAS_PEAK_KB, reason="reads the peak resident set from /proc")
+def test_unicode_pattern_adds_little_to_peak_memory():
+    """Lexing non-ASCII text, which builds the Unicode pattern, raises a
+    process's peak memory by less than 2 MB over lexing ASCII only."""
+    probe = "from repotailor import javalex\njavalex.lex('class A { int x = 1; }')\n"
+    ascii_only = int(run_python(f"{probe}print({PEAK_KB})"))
+    non_ascii = int(run_python(f"{probe}javalex.lex('class Ä {{ int größe = 1; }}')\nprint({PEAK_KB})"))
+    assert non_ascii - ascii_only < 2048, (ascii_only, non_ascii)
 
 
 def test_token_texts_strips_comments_and_whitespace():
@@ -247,6 +307,20 @@ KIND_SETS = [frozenset({k}) for k in ALL_KINDS] + [
     frozenset({IDENTIFIER, KEYWORD}),
     frozenset(),
 ]
+
+
+def test_count_tokens_equals_the_length_of_lex():
+    """On whole sources and on arbitrary ranges, with trailing comments
+    and whitespace, unterminated literals and non-ASCII text."""
+    rng = random.Random(8)
+    inputs = ["", " ", "a", "a ", "a /* open", "// only", "x² + ½ * é;  // c\n", '"""\nblock']
+    inputs += _fixture_corpus() + _fuzz(78, 1000, EDGE_PIECES, 30)
+    assert any(not s.isascii() for s in inputs)
+    for src in inputs:
+        assert count_tokens(src, 0, len(src)) == len(lex(src)), src
+        start = rng.randint(0, len(src))
+        end = rng.randint(start, len(src))
+        assert count_tokens(src, start, end) == len(lex(src, start, end)), (src, start, end)
 
 
 def test_token_texts_equal_the_texts_of_lex():

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repotailor import javamethods
-from repotailor.javalex import lex
+from repotailor.javalex import _RUN, lex
 from repotailor.javamethods import (
     REASON_EMPTY_BODY,
     REASON_NON_LATIN,
@@ -16,6 +18,7 @@ from repotailor.javamethods import (
     extract_methods,
     is_parsable,
     map_added_lines,
+    method_counts,
     method_from_text,
     method_spans,
     method_unit,
@@ -23,7 +26,7 @@ from repotailor.javamethods import (
     parse_methods,
 )
 
-from conftest import _method_source, method_of
+from conftest import HAS_PEAK_KB, PEAK_KB, _method_source, method_of, run_python
 from oracles import (
     _braces_balanced,
     assert_tokens_cover,
@@ -650,6 +653,113 @@ def test_parse_methods_walks_into_method_bodies():
         assert parse_methods(src) is None and reference_parse_methods(src) is None, src
 
 
+# Brace groups that hold no other brace, which the walk skips whole in
+# code (see `SCAN_CODE`); as string constants of this module they are
+# fixture sources too.
+GROUPS_TWO_DEEP = """class Cube {
+    static final int[][][] CUBE = {
+        { {1, 2}, {3, 4} },
+        { {5}, {} },
+    };
+
+    int corner(int[][][] c) {
+        int[][] face = { {1, 2}, {3, 4} };
+        int[][][] more = { { {0} }, { {1}, {2, 3} } };
+        return c[0][0][0] + face[1][1] + more.length;
+    }
+}
+"""
+
+GROUPS_ANONYMOUS = """class Anon2 {
+    Object none = new Object() {};
+    Object one = new Object() { public int hashCode() { return 7; } };
+
+    Object both(int k) {
+        Object a = new Foo() {};
+        Object b = new Foo() { int size() { return k; } };
+        Object c = new Foo(new int[] {k}) { };
+        return k > 0 ? a : b;
+    }
+}
+"""
+
+GROUPS_QUOTED = r'''class Quoted {
+    String[] marks(int x) {
+        String[] s = { "}", "{", ";", "/*", "\"}" };
+        char[] c = { '}', '{', ';', '\\' };
+        int[] n = { 1 /* } { ; */, 2 // } {
+        };
+        String t = call({ """
+            } { ; " }
+            """, "" });
+        return s;
+    }
+
+    int after() { return 2; }
+}
+'''
+
+GROUPS_LEFT_OPEN = [
+    "class A {\n    void f() {\n        int[] a = { 1, 2;\n    }\n}\n",
+    "class A {\n    void f() {\n        int[] a = { 1, 2\n",
+    "class A {\n    void f() {\n        x = { {1}, {2 };\n    }\n}\n",
+    "int[] a = { 1, 2",
+]
+
+
+def _long_runs() -> str:
+    """A method body and a table each longer than one step's run bound."""
+    return (
+        "class Long {\n    int many(int x) {\n"
+        + "        x += 1; if (x > 9) { x = 0; }\n" * (_RUN + 10)
+        + "        class Inner { int deep() { return x; } }\n"
+        + "        return x;\n    }\n\n    static final int[][] ROWS = {\n"
+        + "        {1, 2},\n" * (2 * _RUN + 3)
+        + "    };\n\n    int after() { return 3; }\n}\n"
+    )
+
+
+def test_walk_skips_groups_that_hold_no_brace():
+    """A group without an inner brace declares no method, so skipping it
+    finds the methods the reference does: in tables two levels deep,
+    after anonymous classes with and without methods, around braces and
+    ";" in strings, chars, text blocks and comments, and past the bound
+    of one step. A group left open is unparsable."""
+    n = _RUN + 10
+    expected = {
+        GROUPS_TWO_DEEP: [("corner", 7, 11)],
+        GROUPS_ANONYMOUS: [("hashCode", 3, 3), ("both", 5, 10), ("size", 7, 7)],
+        GROUPS_QUOTED: [("marks", 2, 11), ("after", 13, 13)],
+        _long_runs(): [("many", 2, n + 5), ("deep", n + 3, n + 3), ("after", n + 2 * _RUN + 13, n + 2 * _RUN + 13)],
+    }
+    for src, spans in expected.items():
+        parsed = parse_methods(src)
+        assert parsed == reference_parse_methods(src), src
+        assert [(m.name, m.start_line, m.end_line) for m in parsed] == spans
+    for src in GROUPS_LEFT_OPEN:
+        assert parse_methods(src) is None and reference_parse_methods(src) is None, src
+
+
+@pytest.mark.skipif(not HAS_PEAK_KB, reason="reads the peak resident set from /proc")
+def test_walk_over_a_huge_table_holds_little_memory():
+    """Walking a 200,000-row table keeps no state that grows with it: a
+    process's peak memory rises by less than 2 MB over the source, and
+    the method after the table is found. (A greedy repeat in
+    `SCAN_CODE` raised it by about 20 MB.)"""
+    probe = (
+        "from repotailor.javamethods import method_spans\n"
+        "rows = ''.join(f'        {{{i}, {i * 7 % 100}, -{i}}},\\n' for i in range(200_000))\n"
+        "src = 'class T {\\n    static final int[][] ROWS = {\\n' + rows + '    };\\n'\n"
+        "src += '    int after(int x) {\\n        return x + 1;\\n    }\\n}\\n'\n"
+        "del rows\n"
+        f"before = {PEAK_KB}\n"
+        "spans = method_spans(src, {})\n"
+        f"print({PEAK_KB} - before, *[s.name for s in spans])\n"
+    )
+    growth, *names = run_python(probe).split()
+    assert names == ["after"] and int(growth) < 2048, (growth, names)
+
+
 _FUZZ_TRIVIA = [
     '"{"', '"}"', '";"', '"a/b"', "'{'", "'}'", "';'", "'/'", "'\\''", '"\\"{"',
     '"""\n  { } ; " \n  """', "// { } ; /* \n", "/* { } ; // */", "/** } { */",
@@ -823,6 +933,41 @@ def test_method_spans_lex_no_body_and_build_the_parsed_methods(monkeypatch):
             assert src[span.open] == "{" and src[span.close] == "}"
         methods += len(spans)
     assert methods >= 500, methods
+
+
+DROP_REASONS = """class Reasons {
+    void testSomething() { int a = 1 + 2 + 3 + 4 + 5 + 6; }
+    void empty() { /* only a comment */ }
+    int tiny() { return 1; }
+    int kept(int a) { return a + a * 2 - a / 3 + 1; }
+    String greet() { return "名前" + 1 + 2 + 3 + 4 + 5 + 6; }
+    int huge(int a) {
+""" + "        a += 1 + 2 + 3;\n" * 80 + "        return a;\n    }\n}\n"
+
+
+def test_method_counts_equal_the_lexed_unit_and_its_verdict():
+    """`method_counts` gives the counts, lines and text of the span's
+    MethodUnit, so the filters drop a method for the same reason, on
+    ASCII and non-ASCII sources and for every reason."""
+    import random
+
+    rng = random.Random(4244)
+    inputs = [DROP_REASONS, DROP_REASONS.replace("名前", "name")] + _fixture_sources()
+    inputs += [_fuzz_source(rng) for _ in range(500)] + TABLE_HEAVY
+    reasons = {True: set(), False: set()}  # by whether the source is ASCII
+    for src in inputs:
+        lines = src.split("\n")
+        for span in method_spans(src, {}) or ():
+            unit, counts = method_unit(src, span, lines), method_counts(src, span, lines)
+            assert counts == (
+                unit.name, unit.signature, unit.start_line, unit.end_line,
+                unit.token_count, unit.body_token_count, unit.text,
+            ), src
+            verdict = apply_method_filters(counts)
+            assert verdict == apply_method_filters(unit), src
+            reasons[src.isascii()].add(verdict.reason)
+    every = {REASON_OK, REASON_TEST_NAME, REASON_EMPTY_BODY, REASON_TOO_SHORT, REASON_TOO_LONG, REASON_NON_LATIN}
+    assert reasons == {True: every - {REASON_NON_LATIN}, False: every}
 
 
 # One header text in two places that differ in one part of what a header's

@@ -1247,9 +1247,10 @@ SHOP_V2 = SHOP_V1.replace("run() { tick(); }", "run() { tock(); }").replace(
 )
 
 
-def _mine_changed_methods_by_parse_methods(commit, blobs, headers, counts):
+def _mine_changed_methods_by_parse_methods(commit, blobs, headers, counts, unit):
     """`mine`'s method step as it was when every method of a changed file
-    was lexed: parse_methods -> apply_method_filters -> map_added_lines."""
+    was lexed, whatever ``unit`` asks: parse_methods ->
+    apply_method_filters -> map_added_lines."""
     from repotailor.javamethods import apply_method_filters, map_added_lines, parse_methods
     from repotailor.mining import added_lines
 
@@ -1277,7 +1278,9 @@ def _mine_changed_methods_by_parse_methods(commit, blobs, headers, counts):
 def test_mine_lexes_only_methods_that_gain_a_line(tmp_path, monkeypatch):
     """A commit that edits one method of a multi-method file lexes no body
     of the others, counts only the touched methods as kept or dropped,
-    and mines the instances that lexing every method gave."""
+    and mines the instances that lexing every method gave. A generic
+    repository's methods are filtered on token counts: no body of them
+    is lexed, and the same generic methods are mined."""
     from repotailor import javamethods
     from repotailor.javalex import lex
     from repotailor.javamethods import method_spans
@@ -1285,6 +1288,10 @@ def test_mine_lexes_only_methods_that_gain_a_line(tmp_path, monkeypatch):
     repo = init_repo(tmp_path / "shop")
     commit_files(repo, {"src/Shop.java": SHOP_V1}, "add shop", "Dana Dev", "dana@example.com", BASE_TS)
     edit = commit_files(repo, {"src/Shop.java": SHOP_V2}, "edit task", "Dana Dev", "dana@example.com", BASE_TS + 3600)
+    stock_v1, stock_v2 = (v.replace("Shop", "Stock") for v in (SHOP_V1, SHOP_V2))
+    generic = init_repo(tmp_path / "stock")
+    commit_files(generic, {"src/Stock.java": stock_v1}, "add stock", "Gus Gen", "gus@example.com", BASE_TS)
+    commit_files(generic, {"src/Stock.java": stock_v2}, "edit task", "Gus Gen", "gus@example.com", BASE_TS + 3600)
 
     ranges = []
 
@@ -1294,7 +1301,7 @@ def test_mine_lexes_only_methods_that_gain_a_line(tmp_path, monkeypatch):
 
     monkeypatch.setattr(javamethods, "lex", recording)
     out = tmp_path / "out"
-    assert main(["mine", "--config", str(write_fixture_config(tmp_path, out, [repo]))]) == 0
+    assert main(["mine", "--config", str(write_fixture_config(tmp_path, out, [repo], [generic]))]) == 0
     monkeypatch.undo()
 
     methods = read_json(out / "run_report.json")["methods"]
@@ -1308,14 +1315,24 @@ def test_mine_lexes_only_methods_that_gain_a_line(tmp_path, monkeypatch):
     assert lexed
     for span in untouched:
         assert all(end <= span.open + 1 or start >= span.close for start, end in lexed), span
+    assert any(source == stock_v1 for source, _, _ in ranges)  # its headers; stock_v2's hit the memo
+    for src in (stock_v1, stock_v2):
+        lexed = [(start, end) for source, start, end in ranges if source == src]
+        for span in method_spans(src, {}):
+            assert all(end != span.close + 1 for start, end in lexed), span
 
     # one instance per edited line of `task`, the line of `run` included
     rows = read_jsonl(out / "instances.jsonl")
     assert [r["signature"] for r in rows if r["sha"] == edit] == ["task(int)", "task(int)"]
+    # the kept methods of the added file, then `task`
+    generic_rows = read_jsonl(out / "generic_methods.jsonl")
+    assert [r["signature"] for r in generic_rows] == ["price(int)", "task(int)", "weight(int)", "task(int)"]
 
     monkeypatch.setattr(pipeline, "_mine_changed_methods", _mine_changed_methods_by_parse_methods)
     chain_out = tmp_path / "chain"
-    assert main(["mine", "--config", str(write_fixture_config(tmp_path, chain_out, [repo], name="chain.json"))]) == 0
-    assert (out / "instances.jsonl").read_bytes() == (chain_out / "instances.jsonl").read_bytes()
+    config = write_fixture_config(tmp_path, chain_out, [repo], [generic], name="chain.json")
+    assert main(["mine", "--config", str(config)]) == 0
+    for name in ("instances.jsonl", "generic_methods.jsonl"):
+        assert (out / name).read_bytes() == (chain_out / name).read_bytes()
     chain_methods = read_json(chain_out / "run_report.json")["methods"]
     assert chain_methods["extracted"] == 10 and chain_methods["kept"] == 6
