@@ -17,10 +17,8 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, EmptyTestSet, EmptyTrainSet, NonPositiveDelta
-from .javalex import CHAR_LITERAL, IDENTIFIER, NUMBER_LITERAL, STRING_LITERAL, token_texts
+from .javalex import vocabulary
 from .masking import SENTINEL, CompletionInstance
-
-_VOCAB_KINDS = frozenset({IDENTIFIER, STRING_LITERAL, CHAR_LITERAL, NUMBER_LITERAL})
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,7 +59,7 @@ def vocabulary_elements(instances: list[CompletionInstance], memo: dict[str, fro
         text = reconstruct_method_text(inst)
         vocab = memo.get(text)
         if vocab is None:
-            vocab = frozenset(token_texts(text, _VOCAB_KINDS))
+            vocab = vocabulary(text)
             memo[text] = vocab
         elements.update(vocab)
     return elements

@@ -7,32 +7,41 @@ skipped. Each token keeps the 1-based line and 0-based column of its
 first character; that position, not the token texts, locates a token
 in its source (see `masking.offset_in_text`).
 
-One compiled pattern does the work, one named group per token kind. A
-possessive prefix absorbs the whitespace and comments before a token,
-so each match is one significant token, and a final end-of-input
-alternative keeps trailing trivia from being scanned again.
+Three scanners, built from the same pieces by one builder, read a
+source in one `re` call each. In every one a possessive prefix absorbs
+what comes before the next token it yields, so each match is one such
+token, and a final end-of-input alternative keeps trailing text from
+being scanned again.
+
+- The token scanner, which `lex` runs, has one named group per token
+  kind, and its prefix absorbs whitespace and comments.
+- The text scanner, which `token_texts` and `count_tokens` run with
+  `findall`, has the same prefix and alternatives in one group.
+- The vocabulary scanner, which `vocabulary` runs with `findall`, also
+  absorbs in its prefix every separator and operator: every character
+  that starts no word, number, string or char, "...", and a "." that
+  no digit follows. Its one group captures a word or a literal.
+
+Every capture group sits outside the possessive repeats: CPython's `re`
+misreports a group captured inside one (or raises SystemError on it).
 
 A number starts with a `str.isdigit` character, an identifier with a
 `str.isalpha` one (or "_", "$"), and an identifier goes on while
 `str.isalnum` holds. `re`'s own classes differ from the first two on
 about 1,300 code points (`²` is a digit, `½` and `Ⅷ` are neither
 digits nor letters). ASCII text uses ASCII classes, which are exact
-there; the Unicode pattern is built on first use of non-ASCII text,
-from the code points read a chunk at a time.
+there; the Unicode scanners are built together on first use of
+non-ASCII text, from the code points read a chunk at a time.
 
 `lex` takes a range of its source, so a caller can lex only the parts it
-reads. Two scanners step through a source without making tokens, built
-from the master pattern's comment, string and char pieces. `SCAN_BLOCKS`
+reads. Two more patterns step through a source without making tokens,
+built from the scanners' comment, string and char pieces. `SCAN_BLOCKS`
 steps from one significant brace or ";" to the next. `SCAN_CODE` skips
 statements and every brace group that holds no other brace, a bounded
 run of them per step, and stops at a group that nests, at a '}', or
 where the run is cut. Each step also gives the start of the header
 before its stop. A range that starts and ends at such a stop lexes to
 the same tokens as the whole source has there.
-
-`token_texts` runs the same pattern for callers that read only token
-texts: it keeps no line or column and builds no token. `count_tokens`
-counts a range's tokens without building them.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ import array
 import functools
 import re
 import sys
-from typing import Collection, NamedTuple
+from typing import NamedTuple
 
 IDENTIFIER = "identifier"
 KEYWORD = "keyword"
@@ -91,9 +100,19 @@ _STRING = r'"""[\s\S]*?(?:"""|\Z)|' + _QUOTED.format(q='"')
 _CHAR = _QUOTED.format(q="'")
 
 
-def _pattern(digit: str, ident_start: str, ident_part: str) -> re.Pattern:
-    """The master pattern. ``digit`` and ``ident_part`` are bodies of
-    character classes; ``ident_start`` matches one character."""
+class _Scanners(NamedTuple):
+    """The three scans of one character set."""
+    tokens: re.Pattern  # one named group per token kind (`lex`)
+    texts: re.Pattern  # group 1 is each token's text
+    vocabulary: re.Pattern  # group 1 is each word, number, string or char
+
+
+def _scanners(digit: str, ident_start: str, ident_part: str, no_start: str) -> _Scanners:
+    """The scanners of one character set. ``digit`` and ``ident_part``
+    are bodies of character classes; ``ident_start`` matches one
+    character, and ``no_start`` one that is not "/" or "." and starts no
+    word, number, string or char: any other character of a separator or
+    operator, and whitespace."""
     digits = f"[{digit}][{digit}_]*+"
     exponent = f"(?:[eE][+-]?{digits})?"
     number = (
@@ -103,9 +122,10 @@ def _pattern(digit: str, ident_start: str, ident_part: str) -> re.Pattern:
         f"|{digits}(?:\\.{digits}|\\.(?!{ident_start}))?{exponent}"
         f"|\\.{digits}{exponent})[lLfFdD]?"
     )
+    word = f"{ident_start}[{ident_part}]*+"
     groups = (
         ("number", number),
-        ("word", f"{ident_start}[{ident_part}]*+"),
+        ("word", word),
         ("separator", "|".join(map(re.escape, _SEPARATORS))),
         ("string", _STRING),
         ("char", _CHAR),
@@ -113,15 +133,25 @@ def _pattern(digit: str, ident_start: str, ident_part: str) -> re.Pattern:
         ("end", r"\Z"),
     )
     body = "|".join(f"(?P<{name}>{alt})" for name, alt in groups)
-    return re.compile(f"{_TRIVIA}(?:{body})")
+    # A "." starts a number exactly when a digit follows it, and "..." is
+    # tried first, so that "...5" skips "..." as `lex` does
+    skip = rf"(?:(?:{no_start})++|{_COMMENT}|/|\.\.\.|\.(?![{digit}]))*+"
+    return _Scanners(
+        re.compile(f"{_TRIVIA}(?:{body})"),
+        re.compile(f"{_TRIVIA}({'|'.join(alt for _, alt in groups)})"),
+        re.compile(rf"{skip}({number}|{word}|{_STRING}|{_CHAR}|\Z)"),
+    )
 
 
-_ASCII_PATTERN = _pattern("0-9", "[A-Za-z_$]", "0-9A-Za-z_$")
-# Kind of each group, by group number in `_pattern`; a word is a keyword
-# or an identifier.
+_ASCII = _scanners("0-9", "[A-Za-z_$]", "0-9A-Za-z_$", r"""[^0-9A-Za-z_$"'./]""")
+# Kind of each group, by group number in `_scanners`' token pattern; a
+# word is a keyword or an identifier.
 _KINDS = (None, NUMBER_LITERAL, None, SEPARATOR, STRING_LITERAL, CHAR_LITERAL, OPERATOR, None)
-_WORD = _ASCII_PATTERN.groupindex["word"]
-_END = _ASCII_PATTERN.groupindex["end"]
+_WORD = _ASCII.tokens.groupindex["word"]
+_END = _ASCII.tokens.groupindex["end"]
+# what `vocabulary` drops of the texts it scans: keywords and the empty
+# match at end of input
+_NOT_VOCABULARY = KEYWORDS | {""}
 
 
 def _escaped(chars: str) -> str:
@@ -144,23 +174,26 @@ def _non_letter_words() -> str:
 
 
 @functools.cache
-def _unicode_pattern() -> re.Pattern:
-    """The master pattern for non-ASCII text, built on first use.
+def _unicode_scanners() -> _Scanners:
+    """The scanners for non-ASCII text, built on first use.
 
     ``\\w`` is exactly `str.isalnum` plus "_", and ``\\d`` exactly
     `str.isdecimal`. What `str.isdigit` and `str.isalpha` add or remove
-    is found among the word characters that are not decimal digits.
+    is found among the word characters that are not decimal digits; those
+    that are not digits either start no token but a one-character
+    operator.
     """
     other = _non_letter_words()
     digit = r"\d" + _escaped(filter(str.isdigit, other))
-    return _pattern(digit, f"(?:(?![{_escaped(other)}])[^\\W\\d]|\\$)", r"\w$")
+    no_start = rf"""[^\w$"'./]|[{_escaped(c for c in other if not c.isdigit())}]"""
+    return _scanners(digit, f"(?:(?![{_escaped(other)}])[^\\W\\d]|\\$)", r"\w$", no_start)
 
 
 def _text(stops: str) -> str:
     """Any run of text without a significant character of ``stops``.
 
     Comments, strings, chars and text blocks are skipped whole with the
-    master pattern's own pieces, and nothing else in a token can hold a
+    scanners' own pieces, and nothing else in a token can hold a
     brace, a ";", a quote or a "/", so the run ends exactly where `lex`
     yields one of those separators.
     """
@@ -197,7 +230,7 @@ def lex(source: str, start: int = 0, end: int | None = None, line: int = 1) -> l
     if end is None:
         end = len(source)
     # `str.isascii` reads a flag CPython keeps on the string: O(1)
-    pattern = _ASCII_PATTERN if source.isascii() else _unicode_pattern()
+    pattern = (_ASCII if source.isascii() else _unicode_scanners()).tokens
     tokens: list[SourceToken] = []
     append = tokens.append
     new = tuple.__new__
@@ -224,39 +257,25 @@ def lex(source: str, start: int = 0, end: int | None = None, line: int = 1) -> l
     return tokens
 
 
-def token_texts(text: str, kinds: Collection[str] | None = None) -> list[str]:
+def token_texts(text: str) -> list[str]:
     """Texts of the significant tokens of ``text`` (the metric and dedup
-    unit), or of those of ``kinds`` only; the same texts as `lex` yields,
-    without tracking positions or building tokens.
+    unit); the same texts as `lex` yields, without tracking positions or
+    building tokens.
     """
-    pattern = _ASCII_PATTERN if text.isascii() else _unicode_pattern()
-    if kinds is None:
-        texts = [m[m.lastindex] for m in pattern.finditer(text)]
-        # only the end of input matches empty: once, or twice after trailing trivia
-        while texts and not texts[-1]:
-            texts.pop()
-        return texts
-    wanted = [kind in kinds for kind in _KINDS]
-    identifiers, keywords = IDENTIFIER in kinds, KEYWORD in kinds
-    out: list[str] = []
-    append = out.append
-    for m in pattern.finditer(text):
-        group = m.lastindex
-        if wanted[group]:
-            append(m[group])
-        elif group == _WORD:
-            word = m[group]
-            if keywords if word in KEYWORDS else identifiers:
-                append(word)
-    return out
-
-
-_NO_TOKEN = ("",) * _ASCII_PATTERN.groups  # a match of the end of input, by `findall`
+    texts = (_ASCII if text.isascii() else _unicode_scanners()).texts.findall(text)
+    # only the end of input matches empty: once, or twice after trailing trivia
+    del texts[len(texts) - texts[-2:].count(""):]
+    return texts
 
 
 def count_tokens(source: str, start: int, end: int) -> int:
     """``len(lex(source, start, end))``, without building a token."""
-    pattern = _ASCII_PATTERN if source.isascii() else _unicode_pattern()
-    groups = pattern.findall(source, start, end)
-    # only the end of input matches empty: once, or twice after trailing trivia
-    return len(groups) - groups[-2:].count(_NO_TOKEN)
+    texts = (_ASCII if source.isascii() else _unicode_scanners()).texts.findall(source, start, end)
+    return len(texts) - texts[-2:].count("")
+
+
+def vocabulary(text: str) -> frozenset[str]:
+    """The distinct identifier and literal texts of ``text``: the texts
+    of `lex`'s identifier, number, string and char tokens."""
+    found = (_ASCII if text.isascii() else _unicode_scanners()).vocabulary.findall(text)
+    return frozenset(found).difference(_NOT_VOCABULARY)

@@ -15,8 +15,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable
+from itertools import accumulate, groupby
+from operator import attrgetter
+from typing import Callable, Sequence
 
 from .javalex import SourceToken
 from .javamethods import MethodUnit
@@ -38,6 +39,7 @@ class MaskSegment:
     line_numbers: tuple[int, ...]
     counted_line_count: int
     kind: str
+    tokens: tuple[SourceToken, ...]  # the method's tokens on these lines, in order
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,8 +135,10 @@ class MaskLengthDistribution:
 APACHE_MASK_DISTRIBUTION = MaskLengthDistribution(mean=11.0, median=8.0, min=3, max=50)
 
 
-def _line_token_counts(method: MethodUnit) -> Counter:
-    return Counter(t.line for t in method.tokens)
+def _tokens_by_line(method: MethodUnit) -> dict[int, list[SourceToken]]:
+    """Each line's tokens of ``method``, in order: one pass over its
+    tokens, which are in source order."""
+    return {line: list(toks) for line, toks in groupby(method.tokens, attrgetter("line"))}
 
 
 def segment(added: list[int], method: MethodUnit) -> list[MaskSegment]:
@@ -143,12 +147,16 @@ def segment(added: list[int], method: MethodUnit) -> list[MaskSegment]:
     Maximal runs of contiguous lines become blocks split greedily
     left-to-right so that at most three counted lines (non-empty, at
     least two tokens) fall in each; a lone line is an isolated-line
-    segment.
+    segment. Each segment carries its tokens, which `mask` reads.
     """
-    counts = _line_token_counts(method)
+    by_line = _tokens_by_line(method)
 
     def is_counted(line: int) -> bool:
-        return counts.get(line, 0) >= 2
+        return len(by_line.get(line, ())) >= 2
+
+    def new(lines: list[int], counted: int, kind: str) -> MaskSegment:
+        tokens = tuple(t for line in lines for t in by_line.get(line, ()))
+        return MaskSegment(tuple(lines), counted, kind, tokens)
 
     runs: list[list[int]] = []
     for line in added:
@@ -161,14 +169,14 @@ def segment(added: list[int], method: MethodUnit) -> list[MaskSegment]:
     for run in runs:
         if len(run) == 1:
             line = run[0]
-            segments.append(MaskSegment((line,), 1 if is_counted(line) else 0, ISOLATED_LINE))
+            segments.append(new(run, 1 if is_counted(line) else 0, ISOLATED_LINE))
             continue
         cur: list[int] = []
         counted = 0
         for line in run:
             if is_counted(line):
                 if counted == 3:
-                    segments.append(MaskSegment(tuple(cur), counted, BLOCK))
+                    segments.append(new(cur, counted, BLOCK))
                     cur = []
                     counted = 0
                 cur.append(line)
@@ -176,7 +184,7 @@ def segment(added: list[int], method: MethodUnit) -> list[MaskSegment]:
             else:
                 cur.append(line)
         if cur:
-            segments.append(MaskSegment(tuple(cur), counted, BLOCK))
+            segments.append(new(cur, counted, BLOCK))
     return segments
 
 
@@ -207,7 +215,7 @@ def _instance_id(context: str, target: str, provenance: Provenance, signature: s
 
 def _mask_last_tokens(
     method: MethodUnit,
-    segment_tokens: list,
+    segment_tokens: Sequence[SourceToken],
     n: int,
     kind: str,
     provenance: Provenance,
@@ -242,14 +250,13 @@ def mask(
     rng: random.Random,
     provenance: Provenance = Provenance(),
 ) -> CompletionInstance | None:
-    """Mask the last n tokens of a segment; None when no legal n exists."""
-    lines = set(seg.line_numbers)
-    toks = [t for t in method.tokens if t.line in lines]
-    big_n = len(toks)
+    """Mask the last n tokens of a segment of ``method``; None when no
+    legal n exists."""
+    big_n = len(seg.tokens)
     if big_n <= MIN_MASK_TOKENS:
         return None
     n = rng.randint(MIN_MASK_TOKENS, min(MAX_MASK_TOKENS, big_n - 1))
-    return _mask_last_tokens(method, toks, n, seg.kind, provenance)
+    return _mask_last_tokens(method, seg.tokens, n, seg.kind, provenance)
 
 
 def fit_log_normal(dist: MaskLengthDistribution) -> tuple[float, float]:
@@ -292,6 +299,7 @@ def generate_generic(
     start_lines = sorted(line for line, c in body_counts.items() if c >= 2)
     if not start_lines:
         return []
+    by_line = _tokens_by_line(method)
     out: dict[tuple[int, ...], CompletionInstance] = {}
     # first prefer spans wide enough to carry the target median, then
     # fall back to any maskable span so short methods still contribute
@@ -300,12 +308,11 @@ def generate_generic(
             if len(out) >= MAX_GENERIC_PER_METHOD:
                 break
             start = rng.choice(start_lines)
-            window = set(range(start, start + 3))
-            toks = [t for t in method.tokens if t.line in window]
+            span = tuple(line for line in range(start, start + 3) if line in by_line)
+            toks = [t for line in span for t in by_line[line]]
             big_n = len(toks)
             if big_n <= MIN_MASK_TOKENS or big_n - 1 < floor:
                 continue
-            span = tuple(sorted({t.line for t in toks}))
             if span in out:  # same line/block already masked
                 continue
             n = draw_mask_length(dist, big_n - 1, rng)

@@ -2,6 +2,7 @@
 
 Commits come from the first-parent chain that ends at a branch head,
 resolved once, in an on-disk clone, oldest first, with change stats
+(from git's Myers diff, whatever diff algorithm git's config names)
 and the blob ids of each changed Java file's two sides, both taken
 against the first parent (the root commit is diffed against the empty
 tree). File contents come from one ``git cat-file --batch`` process per
@@ -106,6 +107,7 @@ def stream_commits(repo_path: str | Path, head: str, repo_id: str | None = None)
         "--reverse",
         "--diff-merges=first-parent",
         "--no-renames",  # keeps numstat paths literal
+        "--diff-algorithm=myers",  # numstat counts must not follow diff.algorithm in git's config
         "--numstat",
         "--raw",  # each side's blob id, so no read walks a tree
         "--no-abbrev",

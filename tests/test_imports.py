@@ -21,7 +21,7 @@ _PROBE = """
 import importlib, sys
 importlib.import_module(sys.argv[1])
 javalex = sys.modules.get("repotailor.javalex")
-print("numpy" in sys.modules, bool(javalex and javalex._unicode_pattern.cache_info().currsize))
+print("numpy" in sys.modules, bool(javalex and javalex._unicode_scanners.cache_info().currsize))
 """
 
 

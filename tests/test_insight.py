@@ -150,8 +150,8 @@ def test_vocabulary_elements_lexes_each_distinct_text_once(monkeypatch):
     import repotailor.insight as insight_module
 
     calls = []
-    real_scan = insight_module.token_texts
-    monkeypatch.setattr(insight_module, "token_texts", lambda text, kinds: calls.append(text) or real_scan(text, kinds))
+    real_scan = insight_module.vocabulary
+    monkeypatch.setattr(insight_module, "vocabulary", lambda text: calls.append(text) or real_scan(text))
     same = [java_instance(f"t{i}", "m()", "alpha = beta;") for i in range(4)]
     other = [java_instance("o", "m()", "gamma = 1;")]
     memo = {}

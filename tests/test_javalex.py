@@ -24,6 +24,7 @@ from repotailor.javalex import (
     count_tokens,
     lex,
     token_texts,
+    vocabulary,
 )
 
 from conftest import HAS_PEAK_KB, PEAK_KB, _method_source, random_method, run_python
@@ -169,13 +170,19 @@ EDGE_PIECES = [
 ]
 
 
-def test_lex_matches_reference_lexer():
-    """Same (kind, text, line, col) stream as the reference lexer's
-    significant tokens."""
+def _reference_corpus() -> list[str]:
+    """The fixture shapes, this suite's strings, and fuzz and pairs of
+    the edge pieces, non-ASCII text among them."""
     inputs = _fixture_corpus() + _test_string_literals() + _fuzz(20_240, 4000, EDGE_PIECES, 30)
     inputs += [p + q for p in EDGE_PIECES for q in EDGE_PIECES]
     assert any(not s.isascii() for s in inputs)
-    for src in inputs:
+    return inputs
+
+
+def test_lex_matches_reference_lexer():
+    """Same (kind, text, line, col) stream as the reference lexer's
+    significant tokens."""
+    for src in _reference_corpus():
         want = [(t.kind, t.text, t.line, t.col) for t in reference_lex(src) if t.significant]
         assert [(t.kind, t.text, t.line, t.col) for t in lex(src)] == want, src
 
@@ -271,9 +278,11 @@ def test_ascii_text_never_builds_the_unicode_pattern():
         "import repotailor\n"
         "from repotailor import javalex\n"
         "assert javalex.lex('class A { int x = 1; }')\n"
-        "print(javalex._unicode_pattern.cache_info().currsize)\n"
+        "assert javalex.token_texts('x = 1;') and javalex.vocabulary('x = 1;')\n"
+        "assert javalex.count_tokens('x = 1;', 0, 6)\n"
+        "print(javalex._unicode_scanners.cache_info().currsize)\n"
         "javalex.lex('int é;')\n"
-        "print(javalex._unicode_pattern.cache_info().currsize)\n"
+        "print(javalex._unicode_scanners.cache_info().currsize)\n"
     )
     assert run_python(probe).split() == ["0", "1"]
 
@@ -288,11 +297,18 @@ def test_unicode_classes_equal_those_read_from_one_string():
 
 @pytest.mark.skipif(not HAS_PEAK_KB, reason="reads the peak resident set from /proc")
 def test_unicode_pattern_adds_little_to_peak_memory():
-    """Lexing non-ASCII text, which builds the Unicode pattern, raises a
-    process's peak memory by less than 2 MB over lexing ASCII only."""
-    probe = "from repotailor import javalex\njavalex.lex('class A { int x = 1; }')\n"
-    ascii_only = int(run_python(f"{probe}print({PEAK_KB})"))
-    non_ascii = int(run_python(f"{probe}javalex.lex('class Ä {{ int größe = 1; }}')\nprint({PEAK_KB})"))
+    """Scanning non-ASCII text with every scanner, which builds each
+    Unicode one, raises a process's peak memory by less than 2 MB over
+    scanning ASCII only."""
+    probe = "from repotailor import javalex\n"
+    scans = (
+        "text = {!r}\n"
+        "javalex.lex(text), javalex.token_texts(text), javalex.vocabulary(text)\n"
+        "javalex.count_tokens(text, 0, len(text))\n"
+        f"print({PEAK_KB})\n"
+    )
+    ascii_only = int(run_python(probe + scans.format("class A { int x = 1; }")))
+    non_ascii = int(run_python(probe + scans.format("class Ä { int größe = 1; }")))
     assert non_ascii - ascii_only < 2048, (ascii_only, non_ascii)
 
 
@@ -300,21 +316,16 @@ def test_token_texts_strips_comments_and_whitespace():
     assert token_texts("a + b; // trailing") == ["a", "+", "b", ";"]
 
 
-ALL_KINDS = (IDENTIFIER, KEYWORD, STRING_LITERAL, CHAR_LITERAL, NUMBER_LITERAL, OPERATOR, SEPARATOR)
-# every kind alone, the vocabulary kinds, words only, and none
-KIND_SETS = [frozenset({k}) for k in ALL_KINDS] + [
-    frozenset({IDENTIFIER, STRING_LITERAL, CHAR_LITERAL, NUMBER_LITERAL}),
-    frozenset({IDENTIFIER, KEYWORD}),
-    frozenset(),
-]
+VOCABULARY_KINDS = (IDENTIFIER, STRING_LITERAL, CHAR_LITERAL, NUMBER_LITERAL)
 
 
 def test_count_tokens_equals_the_length_of_lex():
     """On whole sources and on arbitrary ranges, with trailing comments
-    and whitespace, unterminated literals and non-ASCII text."""
+    and whitespace, unterminated literals and non-ASCII text, and on the
+    inputs `lex` is checked on against the reference lexer."""
     rng = random.Random(8)
     inputs = ["", " ", "a", "a ", "a /* open", "// only", "x² + ½ * é;  // c\n", '"""\nblock']
-    inputs += _fixture_corpus() + _fuzz(78, 1000, EDGE_PIECES, 30)
+    inputs += _fuzz(78, 1000, EDGE_PIECES, 30) + _reference_corpus()
     assert any(not s.isascii() for s in inputs)
     for src in inputs:
         assert count_tokens(src, 0, len(src)) == len(lex(src)), src
@@ -324,18 +335,42 @@ def test_count_tokens_equals_the_length_of_lex():
 
 
 def test_token_texts_equal_the_texts_of_lex():
-    """With and without ``kinds``, the texts `lex` yields, in order, on
-    trailing comments and whitespace, unterminated literals and
-    non-ASCII digits and letters too."""
+    """The texts `lex` yields, in order, and `vocabulary` the distinct
+    identifier and literal ones, on trailing comments and whitespace,
+    unterminated literals and non-ASCII digits and letters too, and on
+    the inputs `lex` is checked on against the reference lexer."""
     edges = [
         "a + b; // trailing", "// only", "", " ", "a ", "a /* open", 'x = "oops\ny', '"""\nblock',
         "'c", "²", "½", "é", "x² + ½ * é;", "\\",
     ]
-    inputs = edges + _fixture_corpus() + SNIPPETS + _fuzz(99, 500, FUZZ_ALPHABET, 60)
-    inputs += _fuzz(77, 1000, EDGE_PIECES, 30)
-    assert any(not s.isascii() for s in inputs)
+    inputs = edges + SNIPPETS + _fuzz(99, 500, FUZZ_ALPHABET, 60)
+    inputs += _fuzz(77, 1000, EDGE_PIECES, 30) + _reference_corpus()
     for src in inputs:
         tokens = lex(src)
         assert token_texts(src) == [t.text for t in tokens], src
-        for kinds in KIND_SETS:
-            assert token_texts(src, kinds) == [t.text for t in tokens if t.kind in kinds], (src, kinds)
+        assert vocabulary(src) == {t.text for t in tokens if t.kind in VOCABULARY_KINDS}, src
+
+
+@pytest.mark.parametrize(
+    "src, words",
+    [
+        ("a...5", {"a", "5"}),  # "..." is skipped whole, so "5" is not ".5"
+        ("a..5", {"a", ".5"}),
+        ("1..2", {"1.", ".2"}),
+        (".5d", {".5d"}),
+        ("x.y", {"x", "y"}),
+        ("x/*y*/z", {"x", "z"}),
+        ("x//y\nz", {"x", "z"}),
+        ("a/b", {"a", "b"}),
+        ('s = "oops\ny', {"s", '"oops', "y"}),
+        ("c = 'x", {"c", "'x"}),
+        ('"""\nblock', {'"""\nblock'}),
+        ("if (true) return null;", set()),
+        ("٣", {"٣"}),
+        ("²", {"²"}),
+        ("½ + Ⅷ", set()),
+    ],
+)
+def test_vocabulary_pins(src, words):
+    assert vocabulary(src) == words
+    assert {t.text for t in lex(src) if t.kind in VOCABULARY_KINDS} == words

@@ -111,6 +111,61 @@ def test_stream_merge_commit_follows_first_parent(tmp_path):
     assert merge.changed_java_files == ("B.java",)  # diffed vs first parent
 
 
+# Two methods swapped and one added: Myers and histogram diffs count
+# different added lines for this edit
+SWAP_BEFORE = """class A {
+    void f() {
+        x();
+        y();
+    }
+
+    void g() {
+        x();
+        y();
+    }
+}
+"""
+SWAP_AFTER = """class A {
+    void g() {
+        x();
+        y();
+    }
+
+    void f() {
+        x();
+        y();
+    }
+
+    void h() {
+        z();
+    }
+}
+"""
+
+
+def test_mine_counts_added_lines_by_myers_whatever_the_configured_diff_algorithm(tmp_path):
+    """`diff.algorithm` in a repository's config changes what `git log
+    --numstat` counts on an ambiguous edit, not what `mine` writes."""
+    repo = init_repo(tmp_path / "swap")
+    commit_files(repo, {"A.java": SWAP_BEFORE}, "one", "Alice", "a@x.com", BASE_TS)
+    commit_files(repo, {"A.java": SWAP_AFTER}, "two", "Alice", "a@x.com", BASE_TS + 60)
+
+    def added(algorithm: str) -> int:
+        numstat = run_git(repo, "-c", f"diff.algorithm={algorithm}", "log", "-1", "--numstat", "--format=")
+        return int(numstat.split()[0])
+
+    def mined(name: str) -> bytes:
+        out = tmp_path / name
+        run_mine(load_config(write_fixture_config(tmp_path, out, [repo], name=f"{name}.json")))
+        return (out / "commits.jsonl").read_bytes()
+
+    assert added("histogram") != added("myers")
+    default = mined("default")
+    assert json.loads(default.splitlines()[-1])["java_added"] == added("myers")
+    run_git(repo, "config", "diff.algorithm", "histogram")
+    assert mined("histogram") == default
+
+
 def test_stream_empty_repository(tmp_path):
     repo = init_repo(tmp_path / "empty")
     assert resolve_branch(repo, "main") == ""

@@ -1032,8 +1032,8 @@ def test_insight_lexes_each_distinct_method_text_once(mined, monkeypatch):
         for path in parts for rec in read_jsonl(path)
     }
     calls = []
-    real_scan = insight.token_texts
-    monkeypatch.setattr(insight, "token_texts", lambda text, kinds: calls.append(text) or real_scan(text, kinds))
+    real_scan = insight.vocabulary
+    monkeypatch.setattr(insight, "vocabulary", lambda text: calls.append(text) or real_scan(text))
     coverage = run_insight(cfg)["coverage"]
     assert "generic-pool" in next(iter(coverage.values()))
     assert 0 < len(calls) <= len(texts)
