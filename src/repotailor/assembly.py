@@ -26,7 +26,6 @@ from .masking import (
     MaskLengthDistribution,
     Provenance,
     generate_generic,
-    offset_in_text,
 )
 from .seeding import derive_seed, rng_for
 from .storage import typed
@@ -39,6 +38,7 @@ DEFAULT_MIN_TRAIN = 1000
 TRAIN_FRACTION = 0.9
 DEFAULT_METHODS_PER_REPO = 1500
 MLM_MASK_RATE = 0.15
+MLM_SENTINEL = "<MASK_"  # then the mask's index and ">"
 PRETRAIN_REPO_FRACTION = 0.4
 
 ROLE_DEVELOPER = "developer"
@@ -311,23 +311,25 @@ class MlmInstance:
         }
 
 
-def mlm_pretrain_instances(method: MethodUnit, rng: random.Random) -> MlmInstance:
-    """Mask 15% of a method's tokens (ceiling) with indexed sentinels."""
-    tokens = method.tokens
-    k = math.ceil(MLM_MASK_RATE * len(tokens))
-    positions = sorted(rng.sample(range(len(tokens)), k))
+def mlm_pretrain_instances(method: MethodUnit, rng: random.Random) -> MlmInstance | None:
+    """Mask 15% of a method's tokens (ceiling) with indexed sentinels;
+    None when its text already holds one, which would make the masked
+    text ambiguous."""
+    if MLM_SENTINEL in method.text:
+        return None
+    texts = method.texts
+    k = math.ceil(MLM_MASK_RATE * len(texts))
+    positions = sorted(rng.sample(range(len(texts)), k))
 
-    offset = offset_in_text(method)
     pieces: list[str] = []
     targets: list[str] = []
     cursor = 0
     for i, pos in enumerate(positions):
-        tok = tokens[pos]
-        start = offset(tok)
+        start = method.offsets[pos]
         pieces.append(method.text[cursor:start])
-        pieces.append(f"<MASK_{i}>")
-        targets.append(tok.text)
-        cursor = start + len(tok.text)
+        pieces.append(f"{MLM_SENTINEL}{i}>")
+        targets.append(texts[pos])
+        cursor = start + len(texts[pos])
     pieces.append(method.text[cursor:])
     masked_text = "".join(pieces)
 
@@ -444,7 +446,9 @@ def _generic_instances(
             method = method_from_text(rec["text"], rec["name"], rec["signature"])
             if repo in pretrain_repos:
                 rng = rng_for(seed, "mlm", repo, rec["sha"], rec["file"], rec["signature"])
-                pretrain.append(mlm_pretrain_instances(method, rng))
+                instance = mlm_pretrain_instances(method, rng)
+                if instance is not None:
+                    pretrain.append(instance)
             else:
                 rng = rng_for(seed, "generic", repo, rec["sha"], rec["file"], rec["signature"])
                 provenance = Provenance(

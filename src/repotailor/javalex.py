@@ -5,9 +5,10 @@ tokens, unterminated strings and chars close at end of line, and text
 blocks and block comments at end of input. Whitespace and comments are
 skipped. Each token keeps the 1-based line and 0-based column of its
 first character; that position, not the token texts, locates a token
-in its source (see `masking.offset_in_text`).
+in its source. `token_offsets` gives the same tokens' offsets and texts,
+which is all that masking reads.
 
-Three scanners, built from the same pieces by one builder, read a
+Four scanners, built from the same pieces by one builder, read a
 source in one `re` call each. In every one a possessive prefix absorbs
 what comes before the next token it yields, so each match is one such
 token, and a final end-of-input alternative keeps trailing text from
@@ -17,6 +18,10 @@ being scanned again.
   kind, and its prefix absorbs whitespace and comments.
 - The text scanner, which `token_texts` and `count_tokens` run with
   `findall`, has the same prefix and alternatives in one group.
+- The offset scanner, which `token_offsets` runs with `findall`, also
+  captures that prefix: group 1 is the whitespace and comments before a
+  token and group 2 its text, so their lengths, summed in order, place
+  each token.
 - The vocabulary scanner, which `vocabulary` runs with `findall`, also
   absorbs in its prefix every separator and operator: every character
   that starts no word, number, string or char, "...", and a "." that
@@ -50,6 +55,8 @@ import array
 import functools
 import re
 import sys
+from itertools import accumulate, chain, islice
+from operator import itemgetter
 from typing import NamedTuple
 
 IDENTIFIER = "identifier"
@@ -101,9 +108,10 @@ _CHAR = _QUOTED.format(q="'")
 
 
 class _Scanners(NamedTuple):
-    """The three scans of one character set."""
+    """The four scans of one character set."""
     tokens: re.Pattern  # one named group per token kind (`lex`)
     texts: re.Pattern  # group 1 is each token's text
+    offsets: re.Pattern  # group 1 is the trivia before each token, group 2 its text
     vocabulary: re.Pattern  # group 1 is each word, number, string or char
 
 
@@ -136,9 +144,11 @@ def _scanners(digit: str, ident_start: str, ident_part: str, no_start: str) -> _
     # A "." starts a number exactly when a digit follows it, and "..." is
     # tried first, so that "...5" skips "..." as `lex` does
     skip = rf"(?:(?:{no_start})++|{_COMMENT}|/|\.\.\.|\.(?![{digit}]))*+"
+    alternatives = "|".join(alt for _, alt in groups)
     return _Scanners(
         re.compile(f"{_TRIVIA}(?:{body})"),
-        re.compile(f"{_TRIVIA}({'|'.join(alt for _, alt in groups)})"),
+        re.compile(f"{_TRIVIA}({alternatives})"),
+        re.compile(f"({_TRIVIA})({alternatives})"),
         re.compile(rf"{skip}({number}|{word}|{_STRING}|{_CHAR}|\Z)"),
     )
 
@@ -272,6 +282,23 @@ def count_tokens(source: str, start: int, end: int) -> int:
     """``len(lex(source, start, end))``, without building a token."""
     texts = (_ASCII if source.isascii() else _unicode_scanners()).texts.findall(source, start, end)
     return len(texts) - texts[-2:].count("")
+
+
+def token_offsets(source: str, start: int = 0, end: int | None = None) -> tuple[list[int], list[str]]:
+    """The offset in ``source`` and the text of each significant token of
+    ``source[start:end]``: the tokens of `lex` on that range, each
+    (line, col) given as an offset, without building a token."""
+    if end is None:
+        end = len(source)
+    pairs = (_ASCII if source.isascii() else _unicode_scanners()).offsets.findall(source, start, end)
+    # only the end of input matches an empty text: once, or twice after trailing trivia
+    cut = len(pairs) - 1
+    if cut and not pairs[cut - 1][1]:
+        cut -= 1
+    del pairs[cut:]
+    # the end of each trivia and each text, in turn: a token starts where its trivia ends
+    ends = accumulate(map(len, chain.from_iterable(pairs)), initial=start)
+    return list(islice(ends, 1, None, 2)), list(map(itemgetter(1), pairs))
 
 
 def vocabulary(text: str) -> frozenset[str]:

@@ -13,10 +13,11 @@ from brace to brace, elsewhere past whole statements and past every
 brace group that holds no other brace (such as table rows and most
 method bodies), since a method and the type around it each need their
 own '{'. Its caller's memo lets it lex and classify each distinct
-header once across the sources it is given. `method_unit` lexes one
-span's body, so a caller lexes only the methods it reads;
-`method_counts` counts its tokens instead, for a caller that filters
-methods but keeps only their text; `parse_methods` lexes them all.
+header once across the sources it is given. `method_unit` scans one
+span's tokens to their offsets and texts, so a caller scans only the
+methods it reads; `method_counts` counts its tokens instead, for a
+caller that filters methods but keeps only their text; `parse_methods`
+scans them all.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .javalex import IDENTIFIER, KEYWORD, SCAN_BLOCKS, SCAN_CODE, SourceToken, count_tokens, lex
+from .javalex import IDENTIFIER, KEYWORD, SCAN_BLOCKS, SCAN_CODE, SourceToken, count_tokens, lex, token_offsets
 
 REASON_OK = "ok"
 REASON_TEST_NAME = "test-name"
@@ -57,13 +58,16 @@ class MethodUnit:
     signature: str
     start_line: int
     end_line: int
-    tokens: tuple[SourceToken, ...]  # significant tokens, header through closing brace
+    # the significant tokens, header through closing brace: each one's
+    # offset in `text` and its text
+    offsets: tuple[int, ...]
+    texts: tuple[str, ...]
     body_token_count: int
     text: str  # full source lines start_line..end_line
 
     @property
     def token_count(self) -> int:
-        return len(self.tokens)
+        return len(self.texts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,25 +231,25 @@ def _classify_header(header: list[SourceToken], parent_decl: str | None) -> tupl
     return "block", "", None
 
 
-def _body_token_count(toks: tuple[SourceToken, ...]) -> int:
+def _body_token_count(texts: list[str]) -> int:
     """Tokens after the first '{' and before the last, which closes it;
     0 without a '{'."""
-    open_pos = next((i for i, t in enumerate(toks) if t.text == "{"), None)
-    return 0 if open_pos is None else max(0, len(toks) - open_pos - 2)
+    return max(0, len(texts) - texts.index("{") - 2) if "{" in texts else 0
 
 
 def method_from_text(text: str, name: str, signature: str) -> MethodUnit:
     """Rebuild a maskable MethodUnit from the stored `text` of a method,
     its lines numbered from 1. The text holds whole lines, so it need not
     lex to the method's own tokens alone (or hold a '{' at all)."""
-    toks = tuple(lex(text))
+    offsets, texts = token_offsets(text)
     return MethodUnit(
         name=name,
         signature=signature,
         start_line=1,
         end_line=text.count("\n") + 1,
-        tokens=toks,
-        body_token_count=_body_token_count(toks),
+        offsets=tuple(offsets),
+        texts=tuple(texts),
+        body_token_count=_body_token_count(texts),
         text=text,
     )
 
@@ -255,6 +259,7 @@ class MethodSpan(NamedTuple):
     name: str
     signature: str
     header: list[SourceToken]
+    start: int  # offset the header's range starts at, just past the ';', brace or group before it
     open: int  # offset of the body's '{'
     close: int  # offset of the body's '}'
     open_line: int  # line of the '{'
@@ -288,8 +293,8 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
     A hit moves the tokens to the header's line.
     """
     spans: list[MethodSpan] = []
-    # per open brace: the decl of a type body, None for a block, or an
-    # open method's (header tokens, '{' offset, line at '{', name, signature)
+    # per open brace: the decl of a type body, None for a block, or an open
+    # method's (header tokens, header start, '{' offset, line at '{', name, signature)
     stack: list[str | tuple | None] = []
     line, counted = 1, 0  # the line number at offset `counted`
     is_ascii = source.isascii()
@@ -323,7 +328,7 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
                         header = [new(SourceToken, (k, t, at + shift, c)) for k, t, at, c in tokens]
                     line += source.count("\n", counted, brace)
                     counted = brace
-                    stack.append((header, brace, line, info[0], info[1]))
+                    stack.append((header, seg, brace, line, info[0], info[1]))
                 else:
                     stack.append(decl if kind == "type" else None)
         elif stop == "}":
@@ -331,9 +336,11 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
                 return None
             top = stack.pop()
             if top.__class__ is tuple:  # a method: its span ends here
-                header, brace, brace_line, name, signature = top
+                header, seg, brace, brace_line, name, signature = top
                 end_line = brace_line + source.count("\n", brace, pos - 1)
-                spans.append(MethodSpan(name, signature, header, brace, pos - 1, brace_line, header[0].line, end_line))
+                spans.append(MethodSpan(
+                    name, signature, header, seg, brace, pos - 1, brace_line, header[0].line, end_line
+                ))
         elif not stop:
             break
         else:
@@ -347,16 +354,18 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
 
 
 def method_unit(source: str, span: MethodSpan, lines: list[str]) -> MethodUnit:
-    """The MethodUnit of ``span``, which lexes its body; ``lines`` is
-    ``source.split("\n")``."""
-    toks = tuple(span.header + lex(source, span.open, span.close + 1, span.open_line))
+    """The MethodUnit of ``span``, from one scan of its header and body;
+    ``lines`` is ``source.split("\n")``."""
+    offsets, texts = token_offsets(source, span.start, span.close + 1)
+    base = source.rfind("\n", 0, offsets[0]) + 1  # where the text's first line starts
     return MethodUnit(
         name=span.name,
         signature=span.signature,
         start_line=span.start_line,
         end_line=span.end_line,
-        tokens=toks,
-        body_token_count=_body_token_count(toks),
+        offsets=tuple([offset - base for offset in offsets]),
+        texts=tuple(texts),
+        body_token_count=_body_token_count(texts),
         text="\n".join(lines[span.start_line - 1 : span.end_line]),
     )
 
@@ -389,7 +398,7 @@ def method_counts(source: str, span: MethodSpan, lines: list[str]) -> MethodCoun
 
 
 def parse_methods(source: str) -> list[MethodUnit] | None:
-    """Every method of `method_spans`, lexed, or None when the source's
+    """Every method of `method_spans`, scanned, or None when the source's
     significant braces do not balance."""
     spans = method_spans(source, {})
     if spans is None:

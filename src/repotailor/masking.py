@@ -13,13 +13,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, groupby
-from operator import attrgetter
-from typing import Callable, Sequence
+from itertools import accumulate
 
-from .javalex import SourceToken
 from .javamethods import MethodUnit
 
 SENTINEL = "<FILL_ME>"
@@ -39,7 +36,9 @@ class MaskSegment:
     line_numbers: tuple[int, ...]
     counted_line_count: int
     kind: str
-    tokens: tuple[SourceToken, ...]  # the method's tokens on these lines, in order
+    # the method's tokens on these lines, which are contiguous: indices first..end - 1
+    first: int
+    end: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,10 +134,14 @@ class MaskLengthDistribution:
 APACHE_MASK_DISTRIBUTION = MaskLengthDistribution(mean=11.0, median=8.0, min=3, max=50)
 
 
-def _tokens_by_line(method: MethodUnit) -> dict[int, list[SourceToken]]:
-    """Each line's tokens of ``method``, in order: one pass over its
-    tokens, which are in source order."""
-    return {line: list(toks) for line, toks in groupby(method.tokens, attrgetter("line"))}
+def _line_firsts(method: MethodUnit) -> list[int]:
+    """The index of the first token on or after each line of ``method``,
+    from its first line to one past its last, where it is the token
+    count: the line ``k`` lines below ``method.start_line`` holds the
+    tokens ``firsts[k]`` up to ``firsts[k + 1]``. One bisect over the
+    token offsets per line."""
+    starts = accumulate(len(line) + 1 for line in method.text.split("\n"))  # of the second line on
+    return [0, *(bisect_left(method.offsets, start) for start in starts)]
 
 
 def segment(added: list[int], method: MethodUnit) -> list[MaskSegment]:
@@ -147,16 +150,20 @@ def segment(added: list[int], method: MethodUnit) -> list[MaskSegment]:
     Maximal runs of contiguous lines become blocks split greedily
     left-to-right so that at most three counted lines (non-empty, at
     least two tokens) fall in each; a lone line is an isolated-line
-    segment. Each segment carries its tokens, which `mask` reads.
+    segment. Each segment carries the range of its tokens, which `mask`
+    reads.
     """
-    by_line = _tokens_by_line(method)
+    firsts = _line_firsts(method)
+    top = len(firsts) - 1
+
+    def first(line: int) -> int:  # a line outside the method holds no token
+        return firsts[min(max(line - method.start_line, 0), top)]
 
     def is_counted(line: int) -> bool:
-        return len(by_line.get(line, ())) >= 2
+        return first(line + 1) - first(line) >= 2
 
     def new(lines: list[int], counted: int, kind: str) -> MaskSegment:
-        tokens = tuple(t for line in lines for t in by_line.get(line, ()))
-        return MaskSegment(tuple(lines), counted, kind, tokens)
+        return MaskSegment(tuple(lines), counted, kind, first(lines[0]), first(lines[-1] + 1))
 
     runs: list[list[int]] = []
     for line in added:
@@ -188,14 +195,6 @@ def segment(added: list[int], method: MethodUnit) -> list[MaskSegment]:
     return segments
 
 
-def offset_in_text(method: MethodUnit) -> Callable[[SourceToken], int]:
-    """Maps a token of ``method`` to its character offset in ``method.text``;
-    line starts are computed once, each lookup is constant time."""
-    starts = [0, *accumulate(len(line) + 1 for line in method.text.split("\n"))]
-    first = method.start_line
-    return lambda tok: starts[tok.line - first] + tok.col
-
-
 def _instance_id(context: str, target: str, provenance: Provenance, signature: str) -> str:
     h = hashlib.sha256()
     for part in (
@@ -215,25 +214,26 @@ def _instance_id(context: str, target: str, provenance: Provenance, signature: s
 
 def _mask_last_tokens(
     method: MethodUnit,
-    segment_tokens: Sequence[SourceToken],
+    first: int,
+    end: int,
     n: int,
     kind: str,
     provenance: Provenance,
 ) -> CompletionInstance | None:
+    """Mask the last ``n`` of the tokens ``first..end - 1`` of ``method``."""
     if SENTINEL in method.text:  # cannot place an unambiguous sentinel
         return None
-    masked = segment_tokens[-n:]
-    offset = offset_in_text(method)
-    start = offset(masked[0])
-    end = offset(masked[-1]) + len(masked[-1].text)
-    target = method.text[start:end]
-    context = method.text[:start] + SENTINEL + method.text[end:]
+    text = method.text
+    start = method.offsets[end - n]
+    stop = method.offsets[end - 1] + len(method.texts[end - 1])
+    target = text[start:stop]
+    context = text[:start] + SENTINEL + text[stop:]
     return CompletionInstance(
         instance_id=_instance_id(context, target, provenance, method.signature),
         context=context,
         target=target,
         n=n,
-        N=len(segment_tokens),
+        N=end - first,
         kind=kind,
         repo_id=provenance.repo_id,
         commit_sha=provenance.commit_sha,
@@ -252,11 +252,11 @@ def mask(
 ) -> CompletionInstance | None:
     """Mask the last n tokens of a segment of ``method``; None when no
     legal n exists."""
-    big_n = len(seg.tokens)
+    big_n = seg.end - seg.first
     if big_n <= MIN_MASK_TOKENS:
         return None
     n = rng.randint(MIN_MASK_TOKENS, min(MAX_MASK_TOKENS, big_n - 1))
-    return _mask_last_tokens(method, seg.tokens, n, seg.kind, provenance)
+    return _mask_last_tokens(method, seg.first, seg.end, n, seg.kind, provenance)
 
 
 def fit_log_normal(dist: MaskLengthDistribution) -> tuple[float, float]:
@@ -292,14 +292,18 @@ def generate_generic(
     generated instances mirrors the target mean and median; spans that
     collide are deduplicated.
     """
-    open_idx = next((i for i, t in enumerate(method.tokens) if t.text == "{"), None)
-    if open_idx is None:
+    if "{" not in method.texts:
         return []
-    body_counts = Counter(t.line for t in method.tokens[open_idx + 1 : -1])
-    start_lines = sorted(line for line, c in body_counts.items() if c >= 2)
+    # the body: after the first '{', before the last token
+    body, body_end = method.texts.index("{") + 1, len(method.texts) - 1
+    firsts = _line_firsts(method)
+    start_lines = [
+        method.start_line + k for k, (first, end) in enumerate(zip(firsts, firsts[1:]))
+        if min(end, body_end) - max(first, body) >= 2
+    ]
     if not start_lines:
         return []
-    by_line = _tokens_by_line(method)
+    firsts += firsts[-1:] * 2  # the two lines past the method, which a span may reach, hold no token
     out: dict[tuple[int, ...], CompletionInstance] = {}
     # first prefer spans wide enough to carry the target median, then
     # fall back to any maskable span so short methods still contribute
@@ -308,9 +312,11 @@ def generate_generic(
             if len(out) >= MAX_GENERIC_PER_METHOD:
                 break
             start = rng.choice(start_lines)
-            span = tuple(line for line in range(start, start + 3) if line in by_line)
-            toks = [t for line in span for t in by_line[line]]
-            big_n = len(toks)
+            # the lines that hold tokens, and the tokens, of lines start..start + 2
+            k = start - method.start_line
+            span = tuple(start + i for i in range(3) if firsts[k + i] < firsts[k + i + 1])
+            first_token, end = firsts[k], firsts[k + 3]
+            big_n = end - first_token
             if big_n <= MIN_MASK_TOKENS or big_n - 1 < floor:
                 continue
             if span in out:  # same line/block already masked
@@ -319,7 +325,7 @@ def generate_generic(
             if n is None:
                 continue
             kind = ISOLATED_LINE if len(span) == 1 else BLOCK
-            instance = _mask_last_tokens(method, toks, n, kind, provenance)
+            instance = _mask_last_tokens(method, first_token, end, n, kind, provenance)
             if instance is not None:
                 out[span] = instance
         if out:

@@ -31,7 +31,7 @@ from .javamethods import (
     apply_method_filters,
     map_added_lines,
     method_counts,
-    # not called here: perfbench traces `assemble`'s re-lex under this name
+    # not called here: perfbench traces `assemble`'s re-scan under this name
     method_from_text,
     method_spans,
     method_unit,
@@ -193,7 +193,7 @@ def _ingest(specs: tuple[RepoSpec, ...], heads: dict) -> tuple[list[CommitRecord
 
 
 ChangedMethods = list[tuple[str, MethodUnit | MethodCounts, list[int]]]
-# `method_unit`, which lexes a method, or `method_counts`, which counts its tokens
+# `method_unit`, which scans a method's tokens, or `method_counts`, which counts them
 MethodReader = Callable[[str, MethodSpan, list[str]], MethodUnit | MethodCounts]
 
 _DROPPED = "dropped:"  # a counts key: the prefix, then a method filter's reason
@@ -254,7 +254,7 @@ def _mine_changed_methods(
             continue
         counts["methods_extracted"] += len(spans)
         # a method whose span holds no added line never receives one, so
-        # only the others are lexed and filtered
+        # only the others are scanned and filtered
         source_lines = child.split("\n")
         kept = []
         for span in spans:

@@ -6,19 +6,22 @@ keeps a copy of its V array for every round, a BLEU scorer that
 counts every order into one Counter and filters it by n-gram length,
 a method extractor that lexes the whole source and walks every token,
 a brace-balance check over a whole lex, a method rebuilder with its
-own body-token count, a Latin-1 check that tests one character
-at a time, and a mining loop that reads every changed file at
-``<sha>:<path>`` and its first parent's, again at each commit.
+own body-token count, masking over tuples of `lex` tokens grouped by
+line, a Latin-1 check that tests one character at a time, and a mining
+loop that reads every changed file at ``<sha>:<path>`` and its first
+parent's, again at each commit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 import statistics
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import attrgetter
 
 import numpy as np
@@ -35,6 +38,7 @@ from repotailor.javalex import (
     SourceToken,
     lex,
 )
+from repotailor.assembly import MLM_MASK_RATE, MlmInstance
 from repotailor.javamethods import (
     MethodUnit,
     _classify_header,
@@ -42,6 +46,20 @@ from repotailor.javamethods import (
     map_added_lines,
     method_spans,
     method_unit,
+)
+from repotailor.masking import (
+    BLOCK,
+    ISOLATED_LINE,
+    MAX_GENERIC_PER_METHOD,
+    MAX_MASK_TOKENS,
+    MIN_MASK_TOKENS,
+    SENTINEL,
+    CompletionInstance,
+    MaskLengthDistribution,
+    Provenance,
+    _GENERIC_ATTEMPTS,
+    _instance_id,
+    draw_mask_length,
 )
 from repotailor.metrics import _EPSILON, DEFAULT_MAX_ORDER, DEFAULT_TRIVIAL_K, Ngram
 from repotailor.mining import BlobReader, added_lines
@@ -501,7 +519,36 @@ def _braces_balanced(sig: list[SourceToken]) -> bool:
     return depth == 0
 
 
-def reference_parse_methods(source: str) -> list[MethodUnit] | None:
+@dataclass(frozen=True, slots=True)
+class TokenMethod:
+    """A method with `lex`'s tokens: the shape methods had before they
+    held token offsets, which the reference masking below reads."""
+    name: str
+    signature: str
+    start_line: int
+    end_line: int
+    tokens: tuple[SourceToken, ...]  # significant tokens, header through closing brace
+    body_token_count: int
+    text: str  # full source lines start_line..end_line
+
+
+def unit_of_tokens(method: TokenMethod) -> MethodUnit:
+    """The MethodUnit of ``method``: each token's (line, col) mapped to
+    its offset in ``method.text``."""
+    starts = [0, *accumulate(len(line) + 1 for line in method.text.split("\n"))]
+    return MethodUnit(
+        name=method.name,
+        signature=method.signature,
+        start_line=method.start_line,
+        end_line=method.end_line,
+        offsets=tuple(starts[t.line - method.start_line] + t.col for t in method.tokens),
+        texts=tuple(t.text for t in method.tokens),
+        body_token_count=method.body_token_count,
+        text=method.text,
+    )
+
+
+def reference_token_methods(source: str) -> list[TokenMethod] | None:
     """Method declarations (constructors included) in Java source, or
     None when its significant braces do not balance; lexes once."""
     sig = lex(source)
@@ -509,7 +556,7 @@ def reference_parse_methods(source: str) -> list[MethodUnit] | None:
         return None
     lines = source.split("\n")
 
-    methods: list[MethodUnit] = []
+    methods: list[TokenMethod] = []
     # stack entries: (kind, decl, header_start_idx, name, signature)
     stack: list[tuple[str, str, int, str, str]] = []
     seg_start = 0
@@ -535,7 +582,7 @@ def reference_parse_methods(source: str) -> list[MethodUnit] | None:
                 body_count = len(toks) - open_pos - 2
                 start_line = start_tok.line
                 end_line = tok.line
-                methods.append(MethodUnit(
+                methods.append(TokenMethod(
                     name=name,
                     signature=signature,
                     start_line=start_line,
@@ -552,12 +599,18 @@ def reference_parse_methods(source: str) -> list[MethodUnit] | None:
     return methods
 
 
-def reference_method_from_text(text: str, name: str, signature: str) -> MethodUnit:
-    """Rebuild a maskable MethodUnit from stored method source."""
+def reference_parse_methods(source: str) -> list[MethodUnit] | None:
+    """`reference_token_methods`, as MethodUnits."""
+    methods = reference_token_methods(source)
+    return None if methods is None else [unit_of_tokens(m) for m in methods]
+
+
+def reference_token_method_from_text(text: str, name: str, signature: str) -> TokenMethod:
+    """Rebuild a maskable method from stored method source."""
     tokens = tuple(lex(text))
     open_idx = next((i for i, t in enumerate(tokens) if t.text == "{"), None)
     body = max(0, len(tokens) - open_idx - 2) if open_idx is not None else 0
-    return MethodUnit(
+    return TokenMethod(
         name=name,
         signature=signature,
         start_line=1,
@@ -566,6 +619,175 @@ def reference_method_from_text(text: str, name: str, signature: str) -> MethodUn
         body_token_count=body,
         text=text,
     )
+
+
+def reference_method_from_text(text: str, name: str, signature: str) -> MethodUnit:
+    return unit_of_tokens(reference_token_method_from_text(text, name, signature))
+
+
+# Masking over token tuples, as it was before methods held token offsets:
+# tokens grouped by their line, a segment carrying its tokens, and every
+# masked token placed by splitting the method text into lines again.
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceSegment:
+    line_numbers: tuple[int, ...]
+    counted_line_count: int
+    kind: str
+    tokens: tuple[SourceToken, ...]  # the method's tokens on these lines, in order
+
+
+def _reference_tokens_by_line(method: TokenMethod) -> dict[int, list[SourceToken]]:
+    return {line: list(toks) for line, toks in groupby(method.tokens, attrgetter("line"))}
+
+
+def reference_segment(added: list[int], method: TokenMethod) -> list[ReferenceSegment]:
+    by_line = _reference_tokens_by_line(method)
+
+    def is_counted(line: int) -> bool:
+        return len(by_line.get(line, ())) >= 2
+
+    def new(lines: list[int], counted: int, kind: str) -> ReferenceSegment:
+        tokens = tuple(t for line in lines for t in by_line.get(line, ()))
+        return ReferenceSegment(tuple(lines), counted, kind, tokens)
+
+    runs: list[list[int]] = []
+    for line in added:
+        if runs and line == runs[-1][-1] + 1:
+            runs[-1].append(line)
+        else:
+            runs.append([line])
+
+    segments: list[ReferenceSegment] = []
+    for run in runs:
+        if len(run) == 1:
+            line = run[0]
+            segments.append(new(run, 1 if is_counted(line) else 0, ISOLATED_LINE))
+            continue
+        cur: list[int] = []
+        counted = 0
+        for line in run:
+            if is_counted(line):
+                if counted == 3:
+                    segments.append(new(cur, counted, BLOCK))
+                    cur = []
+                    counted = 0
+                cur.append(line)
+                counted += 1
+            else:
+                cur.append(line)
+        if cur:
+            segments.append(new(cur, counted, BLOCK))
+    return segments
+
+
+def reference_offset_in_text(method: TokenMethod):
+    """Maps a token of ``method`` to its character offset in ``method.text``."""
+    starts = [0, *accumulate(len(line) + 1 for line in method.text.split("\n"))]
+    first = method.start_line
+    return lambda tok: starts[tok.line - first] + tok.col
+
+
+def _reference_mask_last_tokens(
+    method: TokenMethod, segment_tokens, n: int, kind: str, provenance: Provenance
+) -> CompletionInstance | None:
+    if SENTINEL in method.text:
+        return None
+    masked = segment_tokens[-n:]
+    offset = reference_offset_in_text(method)
+    start = offset(masked[0])
+    end = offset(masked[-1]) + len(masked[-1].text)
+    target = method.text[start:end]
+    context = method.text[:start] + SENTINEL + method.text[end:]
+    return CompletionInstance(
+        instance_id=_instance_id(context, target, provenance, method.signature),
+        context=context,
+        target=target,
+        n=n,
+        N=len(segment_tokens),
+        kind=kind,
+        repo_id=provenance.repo_id,
+        commit_sha=provenance.commit_sha,
+        author_id=provenance.author_id,
+        timestamp=provenance.timestamp,
+        file=provenance.file,
+        signature=method.signature,
+    )
+
+
+def reference_mask(
+    seg: ReferenceSegment, method: TokenMethod, rng: random.Random, provenance: Provenance = Provenance()
+) -> CompletionInstance | None:
+    big_n = len(seg.tokens)
+    if big_n <= MIN_MASK_TOKENS:
+        return None
+    n = rng.randint(MIN_MASK_TOKENS, min(MAX_MASK_TOKENS, big_n - 1))
+    return _reference_mask_last_tokens(method, seg.tokens, n, seg.kind, provenance)
+
+
+def reference_generate_generic(
+    method: TokenMethod, dist: MaskLengthDistribution, rng: random.Random, provenance: Provenance = Provenance()
+) -> list[CompletionInstance]:
+    open_idx = next((i for i, t in enumerate(method.tokens) if t.text == "{"), None)
+    if open_idx is None:
+        return []
+    body_counts = Counter(t.line for t in method.tokens[open_idx + 1 : -1])
+    start_lines = sorted(line for line, c in body_counts.items() if c >= 2)
+    if not start_lines:
+        return []
+    by_line = _reference_tokens_by_line(method)
+    out: dict[tuple[int, ...], CompletionInstance] = {}
+    for floor in (dist.median, 0.0):
+        for _ in range(_GENERIC_ATTEMPTS):
+            if len(out) >= MAX_GENERIC_PER_METHOD:
+                break
+            start = rng.choice(start_lines)
+            span = tuple(line for line in range(start, start + 3) if line in by_line)
+            toks = [t for line in span for t in by_line[line]]
+            big_n = len(toks)
+            if big_n <= MIN_MASK_TOKENS or big_n - 1 < floor:
+                continue
+            if span in out:
+                continue
+            n = draw_mask_length(dist, big_n - 1, rng)
+            if n is None:
+                continue
+            kind = ISOLATED_LINE if len(span) == 1 else BLOCK
+            instance = _reference_mask_last_tokens(method, toks, n, kind, provenance)
+            if instance is not None:
+                out[span] = instance
+        if out:
+            break
+    return list(out.values())
+
+
+def reference_mlm_pretrain_instances(method: TokenMethod, rng: random.Random) -> MlmInstance:
+    """Masks with indexed sentinels whatever the text holds."""
+    tokens = method.tokens
+    k = math.ceil(MLM_MASK_RATE * len(tokens))
+    positions = sorted(rng.sample(range(len(tokens)), k))
+
+    offset = reference_offset_in_text(method)
+    pieces: list[str] = []
+    targets: list[str] = []
+    cursor = 0
+    for i, pos in enumerate(positions):
+        tok = tokens[pos]
+        start = offset(tok)
+        pieces.append(method.text[cursor:start])
+        pieces.append(f"<MASK_{i}>")
+        targets.append(tok.text)
+        cursor = start + len(tok.text)
+    pieces.append(method.text[cursor:])
+    masked_text = "".join(pieces)
+
+    h = hashlib.sha256()
+    h.update(masked_text.encode("utf-8"))
+    for t in targets:
+        h.update(b"\x00")
+        h.update(t.encode("utf-8"))
+    return MlmInstance(h.hexdigest()[:20], masked_text, tuple(targets), method.signature)
 
 
 def reference_latin_only(text: str) -> bool:

@@ -285,10 +285,10 @@ def test_mlm_masks_ceiling_of_15_percent():
 
 def test_mlm_single_token_masks_one():
     from repotailor.javalex import SourceToken
-    from repotailor.javamethods import MethodUnit
+    from oracles import TokenMethod, unit_of_tokens
 
     tok = SourceToken("identifier", "x", 1, 0)
-    m = MethodUnit("x", "x()", 1, 1, (tok,), 0, "x")
+    m = unit_of_tokens(TokenMethod("x", "x()", 1, 1, (tok,), 0, "x"))
     inst = mlm_pretrain_instances(m, random.Random(3))
     assert inst.targets == ("x",)
     assert inst.masked_text == "<MASK_0>"
@@ -306,6 +306,20 @@ def test_mlm_targets_restore_text():
     for i, target in enumerate(inst.targets):
         text = text.replace(f"<MASK_{i}>", target, 1)
     assert text == m.text
+
+
+def test_mlm_skips_a_method_whose_text_holds_a_mask_sentinel():
+    """A `<MASK_i>` already in a method's text would make its masked text
+    ambiguous, as `<FILL_ME>` would a completion context: the method
+    yields no pre-training instance."""
+    m = method_of(METHOD_20_TOKENS.replace("int c = a + a;", 'String c = "<MASK_0>" + a;'))
+    assert mlm_pretrain_instances(m, random.Random(1)) is None
+    records = [generic_record(f"gen{i}") for i in range(5)]
+    marked = [dict(rec, text=rec["text"].replace("{", "{ // <MASK_1>", 1)) for rec in records]
+    roles = [[d.manifest.role for d in build_datasets(series("a", 15), recs, FAMILY_CAPS, seed=7).datasets]
+             for recs in (records, marked)]
+    assert ROLE_PRETRAIN in roles[0] and ROLE_PRETRAIN not in roles[1]
+    assert ROLE_GENERIC_FINETUNE in roles[1]
 
 
 def test_dedup_rules():

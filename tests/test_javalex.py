@@ -23,6 +23,7 @@ from repotailor.javalex import (
     _RUN,
     count_tokens,
     lex,
+    token_offsets,
     token_texts,
     vocabulary,
 )
@@ -250,6 +251,8 @@ def test_scan_stops_and_ranges_agree_with_the_whole_lex():
         for a, b in zip(cuts, cuts[1:]):
             line = src.count("\n", 0, a) + 1
             assert lex(src, a, b, line) == [t for o, t in zip(offsets, whole) if a <= o < b], (src, a, b)
+            inside = [(o, t.text) for o, t in zip(offsets, whole) if a <= o < b]
+            assert token_offsets(src, a, b) == ([o for o, _ in inside], [t for _, t in inside]), (src, a, b)
 
 
 def test_unicode_classes_follow_str_predicates():
@@ -279,7 +282,7 @@ def test_ascii_text_never_builds_the_unicode_pattern():
         "from repotailor import javalex\n"
         "assert javalex.lex('class A { int x = 1; }')\n"
         "assert javalex.token_texts('x = 1;') and javalex.vocabulary('x = 1;')\n"
-        "assert javalex.count_tokens('x = 1;', 0, 6)\n"
+        "assert javalex.count_tokens('x = 1;', 0, 6) and javalex.token_offsets('x = 1;')\n"
         "print(javalex._unicode_scanners.cache_info().currsize)\n"
         "javalex.lex('int é;')\n"
         "print(javalex._unicode_scanners.cache_info().currsize)\n"
@@ -304,12 +307,39 @@ def test_unicode_pattern_adds_little_to_peak_memory():
     scans = (
         "text = {!r}\n"
         "javalex.lex(text), javalex.token_texts(text), javalex.vocabulary(text)\n"
-        "javalex.count_tokens(text, 0, len(text))\n"
+        "javalex.count_tokens(text, 0, len(text)), javalex.token_offsets(text)\n"
         f"print({PEAK_KB})\n"
     )
     ascii_only = int(run_python(probe + scans.format("class A { int x = 1; }")))
     non_ascii = int(run_python(probe + scans.format("class Ä { int größe = 1; }")))
     assert non_ascii - ascii_only < 2048, (ascii_only, non_ascii)
+
+
+def _lex_offsets(src: str, start: int = 0, end: int | None = None) -> tuple[list[int], list[str]]:
+    """The offsets and texts of `lex`'s tokens of ``src[start:end]``."""
+    starts = [0] + [i + 1 for i, c in enumerate(src) if c == "\n"]
+    tokens = lex(src, start, end, src.count("\n", 0, start) + 1)
+    return [starts[t.line - 1] + t.col for t in tokens], [t.text for t in tokens]
+
+
+def test_token_offsets_equal_the_positions_of_lex():
+    """Each token's (line, col) from `lex`, as an offset, and its text, on
+    whole sources and on arbitrary ranges: with non-ASCII text, text
+    blocks, CRLF lines, unterminated comments, strings and chars, trailing
+    trivia, and the inputs `lex` is checked on against the reference
+    lexer."""
+    rng = random.Random(10)
+    edges = [
+        "", " ", "a", "a ", "a /* open", "x /* open\n y", "// only", "a // c\n", '"""\nblock',
+        'x = """\n  a { b\n  """ + y;', "'c", "'c\nd", 'x = "oops\ny', '"a\\\nb" c',
+        "int größe = ä + ½;\n", "x² + é /* ü */ 世", "a = b;\r\n  c();\r\n", "\\",
+    ]
+    inputs = edges + _reference_corpus()
+    for src in inputs:
+        assert token_offsets(src) == _lex_offsets(src), src
+        start = rng.randint(0, len(src))
+        end = rng.randint(start, len(src))
+        assert token_offsets(src, start, end) == _lex_offsets(src, start, end), (src, start, end)
 
 
 def test_token_texts_strips_comments_and_whitespace():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from repotailor import javamethods
-from repotailor.javalex import _RUN, lex
+from repotailor.javalex import _RUN, lex, token_offsets
 from repotailor.javamethods import (
     REASON_EMPTY_BODY,
     REASON_NON_LATIN,
@@ -43,6 +43,10 @@ SIMPLE_CLASS = """class Greeter {
         return result;
     }
 }"""
+
+
+def _line_starts(source: str) -> list[int]:
+    return [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
 
 
 def test_single_method_span():
@@ -376,8 +380,8 @@ def test_method_spans_nest_or_disjoint():
     methods = extract_methods(source)
     assert len(methods) == 4
     for m in methods:
-        opens = sum(1 for t in m.tokens if t.text == "{")
-        closes = sum(1 for t in m.tokens if t.text == "}")
+        opens = m.texts.count("{")
+        closes = m.texts.count("}")
         assert opens == closes  # every span is brace-balanced
     for i, m1 in enumerate(methods):
         for m2 in methods[i + 1 :]:
@@ -854,48 +858,68 @@ def test_parse_methods_equals_reference_on_fuzzed_sources():
 
 def test_parse_methods_lexes_only_headers_and_methods(monkeypatch):
     """The tokens lexed are at most the methods' tokens plus the header
-    tokens before each '{' outside them; a table row is never lexed."""
+    tokens before each '{' outside them, and the tokens scanned to their
+    offsets are the methods'; a table row is never lexed or scanned."""
     src = _table_class(2000, lambda i: f"{{{i}, {i + 1}, {i + 2}, {i + 3}, {i + 4}, {i + 5}}},")
-    lexed = []
+    lexed, scanned = [], []
 
     def counting(*args, **kwargs):
         tokens = lex(*args, **kwargs)
         lexed.append(len(tokens))
         return tokens
 
+    def counting_offsets(*args):
+        offsets, texts = token_offsets(*args)
+        scanned.append(len(texts))
+        return offsets, texts
+
     monkeypatch.setattr(javamethods, "lex", counting)
+    monkeypatch.setattr(javamethods, "token_offsets", counting_offsets)
     methods = parse_methods(src)
     monkeypatch.undo()
     assert methods == reference_parse_methods(src) and len(methods) == 3
-    inside = {(t.line, t.col) for m in methods for t in m.tokens}
+    starts = _line_starts(src)
+    inside = {starts[m.start_line - 1] + offset for m in methods for offset in m.offsets}
     headers = 0
     seg_start = 0
     whole = lex(src)
     for idx, tok in enumerate(whole):
-        if tok.text == "{" and (tok.line, tok.col) not in inside:
+        if tok.text == "{" and starts[tok.line - 1] + tok.col not in inside:
             headers += idx - seg_start
         if tok.text in ("{", "}", ";"):
             seg_start = idx + 1
     assert len(whole) > 2000 * 13
     assert 0 < sum(lexed) <= sum(m.token_count for m in methods) + headers
+    assert sum(scanned) == sum(m.token_count for m in methods)
 
 
 def test_parse_methods_lexes_no_range_twice_in_type_free_methods(monkeypatch):
     """Blocks inside a method are stepped over, not lexed as headers, so
-    no text is lexed twice when no method declares a type."""
+    when no method declares a type, no text is scanned to token offsets
+    twice, and the only text both lexed and scanned is each method's
+    header, lexed from where its scan starts."""
     for src in (NESTED_BLOCKS, _table_class(200)):
-        ranges = []
+        ranges, scans = [], []
 
         def recording(source, start=0, end=None, line=1):
             ranges.append((start, len(source) if end is None else end))
             return lex(source, start, end, line)
 
+        def recording_offsets(source, start=0, end=None):
+            scans.append((start, len(source) if end is None else end))
+            return token_offsets(source, start, end)
+
         monkeypatch.setattr(javamethods, "lex", recording)
+        monkeypatch.setattr(javamethods, "token_offsets", recording_offsets)
         methods = parse_methods(src)
         monkeypatch.undo()
         assert methods == reference_parse_methods(src) and len(methods) == 3
-        ranges.sort()
-        assert all(end <= start for (_, end), (start, _) in zip(ranges, ranges[1:])), ranges
+        for found in (ranges, scans):
+            found.sort()
+            assert all(end <= start for (_, end), (start, _) in zip(found, found[1:])), found
+        assert len(scans) == 3
+        for start, end in ranges:
+            assert all(end <= a or start >= b or start == a for a, b in scans), (start, end, scans)
 
 
 def test_method_spans_lex_no_body_and_build_the_parsed_methods(monkeypatch):

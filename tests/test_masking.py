@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 
+from repotailor.assembly import mlm_pretrain_instances
 from repotailor.javalex import token_texts
+from repotailor.javamethods import method_from_text, parse_methods
 from repotailor.masking import (
     BLOCK,
     ISOLATED_LINE,
@@ -16,6 +18,16 @@ from repotailor.masking import (
 )
 
 from conftest import method_of, random_method
+from oracles import (
+    reference_generate_generic,
+    reference_mask,
+    reference_mlm_pretrain_instances,
+    reference_offset_in_text,
+    reference_segment,
+    reference_token_method_from_text,
+    reference_token_methods,
+    unit_of_tokens,
+)
 
 RUNNING_EXAMPLE = """class C {
     void build(int a, int b) {
@@ -109,7 +121,7 @@ def test_mask_bounds_uniform_over_3_to_50():
     src = "class C {\n    void f() {\n" + body + "\n    }\n}"
     m = method_of(src)
     seg = segment([3], m)[0]
-    toks = [t for t in m.tokens if t.line == 3]
+    toks = token_texts(src.split("\n")[2])
     assert len(toks) == 61  # N-1 = 60 caps the draw at 50
     rng = random.Random(42)
     seen = set()
@@ -151,9 +163,9 @@ def test_context_reconstruction_token_exact():
             assert inst.context.count(SENTINEL) == 1
             rebuilt = inst.context.replace(SENTINEL, inst.target, 1)
             assert rebuilt == m.text
-            assert token_texts(rebuilt) == [t.text for t in m.tokens]
-            seg_lines = set(seg.line_numbers)
-            seg_token_texts = [t.text for t in m.tokens if t.line in seg_lines]
+            assert token_texts(rebuilt) == list(m.texts)
+            lines = m.text.split("\n")
+            seg_token_texts = [t for line in seg.line_numbers for t in token_texts(lines[line - m.start_line])]
             assert token_texts(inst.target) == seg_token_texts[-inst.n :]
 
 
@@ -201,3 +213,116 @@ def test_generic_determinism():
     a = generate_generic(m, APACHE_MASK_DISTRIBUTION, rng_a)
     b = generate_generic(m, APACHE_MASK_DISTRIBUTION, rng_b)
     assert a == b
+
+
+# Lines that masking must place tokens on: text blocks and block comments
+# that span lines (and hold braces), one-line comments, strings and chars
+# with braces, lines of one token and of none, and non-ASCII identifiers.
+_BODY_LINES = [
+    "int r = a + b * 2;",
+    "x();",
+    "",
+    "    ",
+    "a = b; c = d; e = f;",
+    "if (a > 1) { b = a; }",
+    "// only a comment {",
+    'String t = """\n        one { two\n          three\n        """ + a;',
+    "/* a comment\n   } over lines */ int q = a + 1;",
+    "int p = 1; /* opens\n   and closes */",
+    's = "}" + \'{\' + a;',
+    "int größe = ä + 1;",
+    "return;",
+    "b",
+    's = "<MASK_0>" + a;',
+]
+
+
+def _fuzz_class(rng: random.Random) -> str:
+    methods = []
+    for k in range(rng.randint(1, 3)):
+        body = [rng.choice(_BODY_LINES) for _ in range(rng.randint(1, 9))]
+        lines = ["    int m%d(int a, int b) {" % k, *("        " + line for line in body), "        return a;", "    }"]
+        methods.append("\n".join(lines))
+    src = "class Fuzz {\n" + "\n".join(methods) + "\n}\n"
+    return src.replace("\n", "\r\n") if rng.random() < 0.3 else src
+
+
+# stored generic texts: the first line may open a comment, string or text
+# block that the whole source closed earlier
+_STORED_TEXTS = [
+    "     * Don't do this. */ int m(int a) {\n        return a + a + a + a + a + a + a;\n    }",
+    '    """; int m(int a) {\n        int b = a + a + 1;\n        return b * b;\n    }',
+    "   } over lines */ int m(int a) {\n        /* more\n  */ int b = a + 2;\n        return b + b + b;\n    }",
+    "int m() {\r\n    int x = 1 + 2 + 3;\r\n    return x + x;\r\n}",
+]
+
+_DISTRIBUTIONS = [APACHE_MASK_DISTRIBUTION, MaskLengthDistribution.from_samples([3, 4, 4, 5, 9, 14, 22])]
+
+
+def _line_sets(rng: random.Random, first: int, last: int) -> list[list[int]]:
+    """Added-line sets over lines ``first..last``: every line, each line
+    alone, a run past both ends, and random subsets."""
+    lines = list(range(first, last + 1))
+    sets = [lines, *([line] for line in lines), list(range(first - 2, last + 3))]
+    sets += [sorted(rng.sample(lines, rng.randint(1, len(lines)))) for _ in range(4)]
+    return sets
+
+
+def _assert_masks_as_reference(unit, ref, rng: random.Random) -> int:
+    """`unit` masks as the token-tuple reference masks ``ref``; returns
+    the number of instances compared."""
+    seen = 0
+    for added in _line_sets(rng, unit.start_line, unit.end_line):
+        segments, expected = segment(added, unit), reference_segment(added, ref)
+        offset = reference_offset_in_text(ref)
+        assert [
+            (s.line_numbers, s.counted_line_count, s.kind, unit.offsets[s.first : s.end], unit.texts[s.first : s.end])
+            for s in segments
+        ] == [
+            (s.line_numbers, s.counted_line_count, s.kind, tuple(map(offset, s.tokens)), tuple(t.text for t in s.tokens))
+            for s in expected
+        ], (unit.text, added)
+        for seg, want in zip(segments, expected):
+            seed = rng.random()
+            got = mask(seg, unit, random.Random(seed), Provenance("r", "s", "a", 1, "F.java"))
+            assert got == reference_mask(want, ref, random.Random(seed), Provenance("r", "s", "a", 1, "F.java"))
+            seen += got is not None
+    for dist in _DISTRIBUTIONS:
+        seed = rng.random()
+        got = generate_generic(unit, dist, random.Random(seed), Provenance("g", "s", "generic", 2, "G.java"))
+        assert got == reference_generate_generic(ref, dist, random.Random(seed), Provenance("g", "s", "generic", 2, "G.java"))
+        seen += len(got)
+    seed = rng.random()
+    got = mlm_pretrain_instances(unit, random.Random(seed))
+    if "<MASK_" in unit.text:
+        assert got is None
+    else:
+        assert got == reference_mlm_pretrain_instances(ref, random.Random(seed)), unit.text
+        seen += 1
+    return seen
+
+
+def test_masking_equals_the_token_tuple_reference():
+    """Segments, change-based masks, generic masks under two length
+    distributions and MLM masks read token offsets to the same instances
+    that the token-tuple masking gave, on methods parsed from fixture and
+    fuzzed sources (text blocks and comments spanning added lines, CRLF
+    lines, non-ASCII identifiers) and on the same methods' stored texts,
+    among them texts whose first line starts inside a comment."""
+    rng = random.Random(2525)
+    sources = [RUNNING_EXAMPLE, RUNNING_EXAMPLE.replace("\n", "\r\n")] + [_fuzz_class(rng) for _ in range(150)]
+    methods = texts = instances = 0
+    stored = [(text, "m", "m()") for text in _STORED_TEXTS]
+    for src in sources:
+        units, refs = parse_methods(src), reference_token_methods(src)
+        assert units == [unit_of_tokens(ref) for ref in refs], src
+        for unit, ref in zip(units, refs):
+            instances += _assert_masks_as_reference(unit, ref, rng)
+            stored.append((unit.text, unit.name, unit.signature))
+        methods += len(units)
+    for text, name, signature in stored:
+        unit, ref = method_from_text(text, name, signature), reference_token_method_from_text(text, name, signature)
+        assert unit == unit_of_tokens(ref), text
+        instances += _assert_masks_as_reference(unit, ref, rng)
+        texts += 1
+    assert methods >= 250 and texts >= 250 and instances >= 5000, (methods, texts, instances)

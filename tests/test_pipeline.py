@@ -1282,7 +1282,7 @@ def test_mine_lexes_only_methods_that_gain_a_line(tmp_path, monkeypatch):
     repository's methods are filtered on token counts: no body of them
     is lexed, and the same generic methods are mined."""
     from repotailor import javamethods
-    from repotailor.javalex import lex
+    from repotailor.javalex import lex, token_offsets
     from repotailor.javamethods import method_spans
 
     repo = init_repo(tmp_path / "shop")
@@ -1293,13 +1293,18 @@ def test_mine_lexes_only_methods_that_gain_a_line(tmp_path, monkeypatch):
     commit_files(generic, {"src/Stock.java": stock_v1}, "add stock", "Gus Gen", "gus@example.com", BASE_TS)
     commit_files(generic, {"src/Stock.java": stock_v2}, "edit task", "Gus Gen", "gus@example.com", BASE_TS + 3600)
 
-    ranges = []
+    ranges = []  # what `lex` and `token_offsets` read
 
     def recording(source, start=0, end=None, line=1):
         ranges.append((source, start, len(source) if end is None else end))
         return lex(source, start, end, line)
 
+    def recording_offsets(source, start=0, end=None):
+        ranges.append((source, start, len(source) if end is None else end))
+        return token_offsets(source, start, end)
+
     monkeypatch.setattr(javamethods, "lex", recording)
+    monkeypatch.setattr(javamethods, "token_offsets", recording_offsets)
     out = tmp_path / "out"
     assert main(["mine", "--config", str(write_fixture_config(tmp_path, out, [repo], [generic]))]) == 0
     monkeypatch.undo()
