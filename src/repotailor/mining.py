@@ -5,8 +5,13 @@ resolved once, in an on-disk clone, oldest first, with change stats
 (from git's Myers diff, whatever diff algorithm git's config names)
 and the blob ids of each changed Java file's two sides, both taken
 against the first parent (the root commit is diffed against the empty
-tree). File contents come from one ``git cat-file --batch`` process per
-repository and are read by blob id, so git walks no tree to find them.
+tree). The head is read from the clone's own ref files, the layout of
+git's default files backend (gitrepository-layout(5)): the branch's
+loose ref file, else its ``packed-refs`` line; git is asked only when
+they cannot answer, so a re-run that finds every head unchanged starts
+no git process. File contents come from one ``git
+cat-file --batch`` process per repository and are read by blob id, so
+git walks no tree to find them.
 Line-level change attribution reports only inserted lines: the same
 set as the greedy forward Myers search over the whole texts, found
 after trimming the common prefix and dropping the lines that occur on
@@ -16,6 +21,7 @@ one side only, with one byte per (d, k) of the search on what is left.
 from __future__ import annotations
 
 import os
+import re
 import statistics
 import subprocess
 from dataclasses import dataclass
@@ -79,11 +85,60 @@ def _run_git(repo_path: str | Path, *args: str) -> str:
     return result.stdout
 
 
+# an object id as git's files backend stores it: sha1 or sha256, in
+# lower-case hex; a loose ref file holds one and a newline
+_OBJECT_ID = rb"[0-9a-f]{40}|[0-9a-f]{64}"
+_LOOSE_REF = re.compile(rb"(" + _OBJECT_ID + rb")\n?")
+# a branch name that git-check-ref-format(1) refuses, or that would name
+# another file than its own ref (.git/HEAD, ORIG_HEAD, a lock file): a
+# refused character or sequence, an empty or dot-leading component, a
+# ".lock" suffix on a component, or a trailing dot
+_NOT_A_REF_FILE = re.compile(r"[\x00-\x20\x7f~^:?*\[\\]|\.\.|@\{|(?:^|/)(?:\.|/|$)|\.lock(?:/|$)|\.$")
+
+
+def _ref_file_head(git_dir: Path, ref: str) -> str | None:
+    """The object id the files backend stores for ``ref`` in ``git_dir``:
+    its loose ref file when that exists, else its ``packed-refs`` line;
+    None when the one read holds no plain object id or cannot be read."""
+    try:
+        loose = (git_dir / ref).read_bytes()
+    except FileNotFoundError:
+        pass
+    except OSError:  # a worktree's .git file, a directory in the ref's place
+        return None
+    else:
+        match = _LOOSE_REF.fullmatch(loose)
+        return match and match[1].decode()
+    try:
+        packed = (git_dir / "packed-refs").read_bytes()
+    except OSError:
+        return None
+    line = rb"^(" + _OBJECT_ID + rb") " + re.escape(os.fsencode(ref)) + rb"$"
+    match = re.search(line, packed, re.MULTILINE)
+    return match and match[1].decode()
+
+
 def resolve_branch(repo_path: str | Path, branch: str) -> str:
-    """The sha ``refs/heads/<branch>`` points at, read by one ``git
-    for-each-ref``; "" when the repository has no branch at all, as
-    before its first commit. A repository without ``branch`` raises
-    `BranchMissing`, one that git cannot read `RepoUnreadable`."""
+    """The sha ``refs/heads/<branch>`` points at.
+
+    It is read from ``<repo_path>/.git/refs/heads/<branch>`` when that
+    file exists, else from the branch's line in ``.git/packed-refs``.
+    When neither holds a plain 40- or 64-hex object id, or the name is
+    one git refuses or one that could read another file (an empty or
+    dot-leading component, a ``.lock`` suffix), or ``GIT_DIR`` or
+    ``GIT_COMMON_DIR`` points git elsewhere, one ``git for-each-ref``
+    answers instead: so a worktree's ``.git`` file, a bare or reftable
+    repository and a symbolic ref resolve through git. "" when the
+    repository has no branch at all, as before its first commit. A
+    repository without ``branch`` raises `BranchMissing`, one that git
+    cannot read `RepoUnreadable`. A head read from the files is not
+    checked by git: a repository git would refuse (say, through
+    ``safe.directory``) fails only at the first git command that reads
+    it."""
+    if not (_NOT_A_REF_FILE.search(branch) or "GIT_DIR" in os.environ or "GIT_COMMON_DIR" in os.environ):
+        head = _ref_file_head(Path(repo_path) / ".git", f"refs/heads/{branch}")
+        if head:
+            return head
     out = _run_git(repo_path, "for-each-ref", "--format=%(refname) %(objectname)", "refs/heads")
     heads = dict(line.rsplit(" ", 1) for line in out.splitlines())
     if heads and f"refs/heads/{branch}" not in heads:

@@ -53,6 +53,7 @@ from .storage import (
     dumps_canonical,
     read_json,
     read_jsonl,
+    sha256_file,
     typed,
     write_csv,
     write_json,
@@ -129,17 +130,22 @@ def _check_stage_stamp(cfg: RunConfig, stage: str) -> _Stamp:
 
 
 def _unchanged_output(cfg: RunConfig, stage: str, inputs: dict, name: str) -> dict | None:
-    """The stage's own output ``name`` when the stamp holds, lists ``inputs``
-    and the file's sha256; None when the stage must rebuild."""
-    path = Path(cfg.out_dir) / name
+    """The stage's own output ``name`` when the stamp holds, lists
+    ``inputs``, and every output it lists still has the sha256 it lists;
+    None when the stage must rebuild."""
+    out_dir = Path(cfg.out_dir)
+    path = out_dir / name
     try:
         stamp = _check_stage_stamp(cfg, stage)
         with _reading(path, "stage output"):
             data = path.read_bytes()
+            # the other outputs too: a no-op that kept an edited one would
+            # leave the next stage refusing it
+            hashes = {other: sha256_file(out_dir / other) for other in stamp.outputs.keys() - {name}}
     except (DataError, ConfigHashMismatch):
         return None
-    current = stamp.inputs == inputs and hashlib.sha256(data).hexdigest() == stamp.outputs.get(name)
-    return json.loads(data) if current else None
+    hashes[name] = hashlib.sha256(data).hexdigest()
+    return json.loads(data) if stamp.inputs == inputs and hashes == stamp.outputs else None
 
 
 def _replace_json(path: Path, obj) -> None:

@@ -46,9 +46,10 @@ PEAK_KB = "int(next(l.split()[1] for l in open('/proc/self/status') if l.startsw
 HAS_PEAK_KB = Path("/proc/self/status").exists()
 
 
-def init_repo(path: Path, branch: str = "main") -> Path:
+def init_repo(path: Path, branch: str = "main", options: tuple[str, ...] = ()) -> Path:
+    """A new repository at ``path``; ``options`` go to ``git init``."""
     path.mkdir(parents=True, exist_ok=True)
-    run_git(path, "init", "-q", "-b", branch, ".")
+    run_git(path, "init", "-q", *options, "-b", branch, ".")
     run_git(path, "config", "user.email", "fixture@example.com")
     run_git(path, "config", "user.name", "Fixture")
     run_git(path, "config", "commit.gpgsign", "false")
@@ -144,6 +145,22 @@ def make_instance(
         file="F.java",
         signature=signature,
     )
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process started while the test runs. `subprocess.run`
+    starts its process through `subprocess.Popen`, so replacing
+    `Popen` records both ways of starting one."""
+    processes: list[subprocess.Popen] = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            processes.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return processes
 
 
 @pytest.fixture

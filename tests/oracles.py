@@ -9,7 +9,8 @@ a brace-balance check over a whole lex, a method rebuilder with its
 own body-token count, masking over tuples of `lex` tokens grouped by
 line, a Latin-1 check that tests one character at a time, and a mining
 loop that reads every changed file at ``<sha>:<path>`` and its first
-parent's, again at each commit.
+parent's, again at each commit, and a branch resolver that asks git
+for every head.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import hashlib
 import math
 import random
 import statistics
+import subprocess
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -62,6 +64,7 @@ from repotailor.masking import (
     draw_mask_length,
 )
 from repotailor.metrics import _EPSILON, DEFAULT_MAX_ORDER, DEFAULT_TRIVIAL_K, Ngram
+from repotailor.errors import BranchMissing, RepoUnreadable
 from repotailor.mining import BlobReader, added_lines
 
 
@@ -864,3 +867,19 @@ def reference_mine_commits(commits, repo_paths: dict, counts: Counter, unit, wan
                     counts["unwanted_commits"] += 1
                     continue
                 yield commit, _reference_changed_methods(commit, reader, counts)
+
+
+def reference_resolve_branch(repo_path, branch: str) -> str:
+    """`mining.resolve_branch` without reading a ref file: one ``git
+    for-each-ref`` lists every branch head, whatever the repository's
+    layout."""
+    result = subprocess.run(
+        ["git", "-C", str(repo_path), "for-each-ref", "--format=%(refname) %(objectname)", "refs/heads"],
+        capture_output=True, text=True, encoding="utf-8", errors="replace",
+    )
+    if result.returncode != 0:
+        raise RepoUnreadable(f"{repo_path}: git for-each-ref failed: {result.stderr.strip()}")
+    heads = dict(line.rsplit(" ", 1) for line in result.stdout.splitlines())
+    if heads and f"refs/heads/{branch}" not in heads:
+        raise BranchMissing(f"branch {branch!r} not found in {repo_path}")
+    return heads.get(f"refs/heads/{branch}", "")

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ from conftest import (
     run_git,
     write_fixture_config,
 )
-from oracles import q3_iqr_oracle, reference_inserted, reference_mine_commits
+from oracles import q3_iqr_oracle, reference_inserted, reference_mine_commits, reference_resolve_branch
 
 
 def make_commit(author="alice", email="a@x.com", files=1, ts=BASE_TS, sha="0" * 40):
@@ -184,6 +185,156 @@ def test_stream_unreadable_repo(tmp_path):
         resolve_branch(tmp_path / "missing", "main")
     with pytest.raises(RepoUnreadable):
         stream_commits(tmp_path / "missing", "0" * 40)
+
+
+def _committed(repo: Path, text: str = "class A {}\n") -> Path:
+    commit_files(repo, {"A.java": text}, text, "Alice", "a@x.com", BASE_TS)
+    return repo
+
+
+def _git_version() -> tuple[int, ...]:
+    return tuple(int(part) for part in run_git(Path("."), "--version").split()[2].split(".")[:2])
+
+
+def _loose(tmp_path, monkeypatch):
+    return _committed(init_repo(tmp_path / "r")), "main"
+
+
+def _packed(tmp_path, monkeypatch):
+    repo, branch = _loose(tmp_path, monkeypatch)
+    run_git(repo, "pack-refs", "--all")
+    assert not (repo / ".git" / "refs" / "heads" / "main").exists()
+    return repo, branch
+
+
+def _committed_after_packing(tmp_path, monkeypatch):
+    repo, branch = _packed(tmp_path, monkeypatch)
+    _committed(repo, "class A { int x; }\n")
+    assert run_git(repo, "rev-parse", "main").strip() not in (repo / ".git" / "packed-refs").read_text()
+    return repo, branch
+
+
+def _packed_name_prefix(tmp_path, monkeypatch):
+    return _packed(tmp_path, monkeypatch)[0], "mai"
+
+
+def _sha256_objects(tmp_path, monkeypatch):
+    return _committed(init_repo(tmp_path / "r", options=("--object-format=sha256",))), "main"
+
+
+def _worktree(tmp_path, monkeypatch):
+    repo, _ = _loose(tmp_path, monkeypatch)
+    run_git(repo, "worktree", "add", "-q", "-b", "side", str(tmp_path / "wt"))
+    assert (tmp_path / "wt" / ".git").is_file()
+    return tmp_path / "wt", "side"
+
+
+def _bare(tmp_path, monkeypatch):
+    repo, branch = _loose(tmp_path, monkeypatch)
+    run_git(tmp_path, "clone", "-q", "--bare", str(repo), str(tmp_path / "bare.git"))
+    return tmp_path / "bare.git", branch
+
+
+def _symbolic(tmp_path, monkeypatch):
+    repo, _ = _loose(tmp_path, monkeypatch)
+    run_git(repo, "symbolic-ref", "refs/heads/alias", "refs/heads/main")
+    return repo, "alias"
+
+
+def _empty(tmp_path, monkeypatch):
+    return init_repo(tmp_path / "r"), "main"
+
+
+def _missing_branch(tmp_path, monkeypatch):
+    return _loose(tmp_path, monkeypatch)[0], "nope"
+
+
+def _missing_path(tmp_path, monkeypatch):
+    return tmp_path / "missing", "main"
+
+
+def _garbage(tmp_path, monkeypatch):
+    """A loose ref file holding garbage over a packed line: git ignores
+    the broken ref, packed line and all."""
+    repo, _ = _loose(tmp_path, monkeypatch)
+    run_git(repo, "branch", "junk")
+    run_git(repo, "pack-refs", "--all")
+    (repo / ".git" / "refs" / "heads" / "junk").write_text("not an object id\n")
+    return repo, "junk"
+
+
+def _named(branch: str):
+    """A repository with branches ``main`` and ``a/b``, whose .git holds a
+    plain object id wherever ``branch`` could read one: ORIG_HEAD,
+    refs/HEAD, a dot-leading ref file and a lock file."""
+    def build(tmp_path, monkeypatch):
+        repo, _ = _loose(tmp_path, monkeypatch)
+        run_git(repo, "branch", "a/b")
+        run_git(repo, "reset", "-q", "--hard", "HEAD")  # writes ORIG_HEAD
+        git = repo / ".git"
+        for stray in ("refs/HEAD", "refs/heads/.hidden", "refs/heads/main.lock"):
+            (git / stray).write_text((git / "ORIG_HEAD").read_text())
+        return repo, branch
+    return build
+
+
+def _elsewhere(tmp_path, monkeypatch):
+    repo, branch = _loose(tmp_path, monkeypatch)
+    other = _committed(init_repo(tmp_path / "other"), "class B {}\n")
+    monkeypatch.setenv("GIT_DIR", str(other / ".git"))  # git reads the other repository
+    return repo, branch
+
+
+def _reftable(tmp_path, monkeypatch):
+    return _committed(init_repo(tmp_path / "r", options=("--ref-format=reftable",))), "main"
+
+
+def _resolved(resolve, repo, branch):
+    try:
+        return resolve(repo, branch)
+    except (BranchMissing, RepoUnreadable) as exc:
+        return type(exc)
+
+
+SHA = "sha"  # an object id, whichever
+
+
+@pytest.mark.parametrize("build, answer, spawns", [
+    pytest.param(_loose, SHA, 0, id="loose"),
+    pytest.param(_packed, SHA, 0, id="packed"),
+    pytest.param(_committed_after_packing, SHA, 0, id="committed-after-packing"),
+    pytest.param(_packed_name_prefix, BranchMissing, 1, id="packed-name-prefix"),
+    pytest.param(_sha256_objects, SHA, 0, id="sha256-objects"),
+    pytest.param(_worktree, SHA, 1, id="worktree"),
+    pytest.param(_bare, SHA, 1, id="bare"),
+    pytest.param(_symbolic, SHA, 1, id="symbolic-ref"),
+    pytest.param(_empty, "", 1, id="empty"),
+    pytest.param(_missing_branch, BranchMissing, 1, id="missing-branch"),
+    pytest.param(_missing_path, RepoUnreadable, 1, id="missing-path"),
+    pytest.param(_garbage, BranchMissing, 1, id="garbage-ref-file"),
+    pytest.param(_named("../HEAD"), BranchMissing, 1, id="dot-dot-HEAD"),
+    pytest.param(_named("../../ORIG_HEAD"), BranchMissing, 1, id="ORIG_HEAD"),
+    pytest.param(_named(".hidden"), BranchMissing, 1, id="dot-leading"),
+    pytest.param(_named("a//b"), BranchMissing, 1, id="empty-component"),
+    pytest.param(_named("main.lock"), BranchMissing, 1, id="lock-suffix"),
+    pytest.param(_elsewhere, SHA, 1, id="GIT_DIR"),
+    pytest.param(_reftable, SHA, 1, id="reftable", marks=pytest.mark.skipif(
+        _git_version() < (2, 45), reason="git init --ref-format=reftable needs git 2.45 or later")),
+])
+def test_resolve_branch_answers_as_git_for_each_ref(tmp_path, monkeypatch, started, build, answer, spawns):
+    """What the ref files answer is what ``git for-each-ref`` answers, and
+    every case they cannot answer asks git, once."""
+    monkeypatch.delenv("GIT_DIR", raising=False)
+    monkeypatch.delenv("GIT_COMMON_DIR", raising=False)
+    repo, branch = build(tmp_path, monkeypatch)
+    before = len(started)
+    got = _resolved(resolve_branch, repo, branch)
+    assert [p.args[3] for p in started[before:]] == ["for-each-ref"] * spawns
+    assert got == _resolved(reference_resolve_branch, repo, branch)
+    if answer == SHA:
+        assert re.fullmatch(r"[0-9a-f]{40}|[0-9a-f]{64}", got)
+    else:
+        assert got == answer
 
 
 def test_filter_bots():

@@ -410,6 +410,29 @@ def test_a_no_op_stage_whose_own_report_changed_rebuilds(mined, tmp_path, stage,
     assert (out / own).read_bytes() == before
 
 
+@pytest.mark.parametrize("edited", ["commits.jsonl", "identities.jsonl", "instances.jsonl", "generic_methods.jsonl"])
+def test_a_no_op_mine_whose_other_output_changed_rebuilds(mined, tmp_path, capsys, edited):
+    """An output edited after mine wrote it makes the next mine rebuild it,
+    even with its report unchanged: a no-op would leave assemble refusing
+    the edited file after every mine."""
+    cfg, config_path, _, _ = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    path = out / edited
+    before = path.read_bytes()
+    end = before.index(b"\n")
+    path.write_bytes(before[:end] + b" " + before[end:])  # still valid JSONL
+    (out / "stamps" / "assemble.json").unlink()  # or assemble would not read it again
+    argv = ["--config", str(config_path), "--out", str(out)]
+    capsys.readouterr()
+    if edited in ("instances.jsonl", "generic_methods.jsonl"):
+        assert main(["assemble", *argv]) == 3
+        assert f"{path} is not the file stamps/mine.json lists; run mine again" in capsys.readouterr().err
+    assert main(["mine", *argv]) == 0
+    assert path.read_bytes() == before
+    assert main(["assemble", *argv]) == 0
+
+
 def test_editing_the_identity_overrides_reruns_mine(fixture_repos, tmp_path):
     org, _ = fixture_repos
     config_path = write_fixture_config(tmp_path, tmp_path / "out", org)
@@ -448,23 +471,7 @@ def test_score_needs_the_organization_dataset_of_its_anchor(mined, tmp_path, cap
     assert not (out / "reports" / f"{dev['dataset_id']}.score.json").exists()
 
 
-GIT_PROCESSES_PER_REPO = 3  # for-each-ref for the stamp's head, then log of that head, and cat-file
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """Every process started while the test runs. `subprocess.run`
-    starts its process through `subprocess.Popen`, so replacing
-    `Popen` records both ways of starting one."""
-    processes: list[subprocess.Popen] = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            processes.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
-    return processes
+GIT_PROCESSES_PER_REPO = 2  # log of the head its ref file names, and cat-file
 
 
 def test_mine_starts_a_few_git_processes_per_repository(fixture_repos, tmp_path, monkeypatch, started):
@@ -486,6 +493,17 @@ def test_mine_starts_a_few_git_processes_per_repository(fixture_repos, tmp_path,
     readers = [p for p in git if "cat-file" in p.args]
     assert len(readers) == len(org + generic)
     assert all(p.returncode is not None for p in readers)
+
+
+def test_a_no_op_mine_starts_no_process(fixture_repos, tmp_path, started):
+    """Each head is read from its repository's ref file, and every head is
+    unchanged, so nothing asks git."""
+    org, generic = fixture_repos
+    cfg = load_config(write_fixture_config(tmp_path, tmp_path / "out", org, generic))
+    report = run_mine(cfg)
+    before = len(started)
+    assert run_mine(cfg) == report
+    assert started[before:] == []
 
 
 def _blob_ids(repo: Path, names: list[str]) -> list[str | None]:
