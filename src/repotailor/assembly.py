@@ -57,16 +57,32 @@ def normalize_for_dedup(text: str) -> str:
     return " ".join(text.split())
 
 
-def dedup_key(instance: CompletionInstance) -> tuple[str, str]:
-    return (normalize_for_dedup(instance.context), normalize_for_dedup(instance.target))
+class _HoldoutIndex:
+    """Held-out instances under the duplicate rule: an instance is a
+    duplicate when its context and its target each equal one held-out
+    instance's after `normalize_for_dedup`. Each normalized held-out
+    target maps to the normalized contexts held out with it, so an
+    instance normalizes its short target first and its context only when
+    that target was held out."""
+
+    __slots__ = ("contexts",)
+
+    def __init__(self, holdout: Iterable[CompletionInstance]):
+        self.contexts: dict[str, set[str]] = defaultdict(set)
+        for i in holdout:
+            self.contexts[normalize_for_dedup(i.target)].add(normalize_for_dedup(i.context))
+
+    def __contains__(self, instance: CompletionInstance) -> bool:
+        contexts = self.contexts.get(normalize_for_dedup(instance.target))
+        return contexts is not None and normalize_for_dedup(instance.context) in contexts
 
 
 def dedup(
     train: list[CompletionInstance], holdout: list[CompletionInstance]
 ) -> list[CompletionInstance]:
     """Drop train instances equal to a holdout instance up to whitespace."""
-    holdout_keys = {dedup_key(i) for i in holdout}
-    return [i for i in train if dedup_key(i) not in holdout_keys]
+    index = _HoldoutIndex(holdout)
+    return [i for i in train if i not in index]
 
 
 @dataclass(frozen=True, slots=True)
@@ -494,7 +510,7 @@ def audit_temporal_leak(
         for d in anchored
         if d.manifest.role == ROLE_ORGANIZATION
     }
-    holdout_keys: dict[str, set[tuple[str, str]]] = {}
+    holdouts: dict[str, _HoldoutIndex] = {}
     problems: list[str] = []
     for ds in anchored:
         name, role, anchor = ds.manifest.dataset_id, ds.manifest.role, ds.manifest.anchor_developer
@@ -536,8 +552,8 @@ def audit_temporal_leak(
             if role == ROLE_ORG_SUBSET and anchor in org_train_ids:
                 if not {i.instance_id for i in train} <= org_train_ids[anchor]:
                     problems.append(f"{name}: subset not contained in organization train set")
-        if anchor not in holdout_keys:
-            holdout_keys[anchor] = {dedup_key(i) for i in holdout}
-        if any(dedup_key(i) in holdout_keys[anchor] for i in train):
+        if anchor not in holdouts:
+            holdouts[anchor] = _HoldoutIndex(holdout)
+        if any(i in holdouts[anchor] for i in train):
             problems.append(f"{name}: training data duplicates anchor holdout")
     return problems

@@ -90,7 +90,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         print(
             f"CrystalBLEU: {cb['a_mean']:.4f} vs {cb['b_mean']:.4f} "
-            f"(delta {cb['effect']:+.3f}, p {cb['p_value']:.4g}"
+            f"(Cliff's delta {cb['effect']:+.3f}, p {cb['p_value']:.4g}"
             f"{', significant' if cb['significant'] else ''})"
         )
     elif args.command == "insight":

@@ -1,17 +1,17 @@
 """Commit streaming and commit-level filters.
 
 Commits come from the first-parent chain that ends at a branch head,
-resolved once, in an on-disk clone, oldest first, with change stats
-(from git's Myers diff, whatever diff algorithm git's config names)
-and the blob ids of each changed Java file's two sides, both taken
-against the first parent (the root commit is diffed against the empty
-tree). The head is read from the clone's own ref files, the layout of
-git's default files backend (gitrepository-layout(5)): the branch's
-loose ref file, else its ``packed-refs`` line; git is asked only when
-they cannot answer, so a re-run that finds every head unchanged starts
-no git process. File contents come from one ``git
-cat-file --batch`` process per repository and are read by blob id, so
-git walks no tree to find them.
+resolved once, in an on-disk clone, oldest first, with the blob ids
+of each changed Java file's two sides and, when asked for, the lines
+each commit adds (from git's Myers diff, whatever diff algorithm git's
+config names), both taken against the first parent (the root commit is
+diffed against the empty tree). The head is read from the clone's own
+ref files, the layout of git's default files backend
+(gitrepository-layout(5)): the branch's loose ref file, else its
+``packed-refs`` line; git is asked only when they cannot answer, so a
+re-run that finds every head unchanged starts no git process. File
+contents come from one ``git cat-file --batch`` process per repository
+and are read by blob id, so git walks no tree to find them.
 Line-level change attribution reports only inserted lines: the same
 set as the greedy forward Myers search over the whole texts, found
 after trimming the common prefix and dropping the lines that occur on
@@ -43,7 +43,9 @@ class CommitRecord:
     first_parent_sha: str | None
     changed_java_files: tuple[str, ...]
     files_changed_count: int
-    java_added_lines: int  # numstat additions summed over changed .java files
+    # numstat additions summed over changed .java files; None when the
+    # commit was streamed without them
+    java_added_lines: int | None
     # per changed .java file: (blob id in the first parent, blob id here),
     # None on a side where the file does not exist (added or deleted)
     java_blobs: tuple[tuple[str | None, str | None], ...]
@@ -146,10 +148,14 @@ def resolve_branch(repo_path: str | Path, branch: str) -> str:
     return heads.get(f"refs/heads/{branch}", "")
 
 
-def stream_commits(repo_path: str | Path, head: str, repo_id: str | None = None) -> list[CommitRecord]:
+def stream_commits(
+    repo_path: str | Path, head: str, repo_id: str | None = None, numstat: bool = True
+) -> list[CommitRecord]:
     """First-parent chain that ends at commit ``head``, oldest first, with
-    diff stats and the blob ids of each changed Java file; none when
-    ``head`` is "" (a repository without commits)."""
+    the changed files and the blob ids of each changed Java file; none
+    when ``head`` is "" (a repository without commits). Only with
+    ``numstat`` does git diff each changed file to count the Java lines
+    a commit adds; without it ``java_added_lines`` is None."""
     path = Path(repo_path)
     if repo_id is None:
         repo_id = path.name
@@ -161,9 +167,9 @@ def stream_commits(repo_path: str | Path, head: str, repo_id: str | None = None)
         "--first-parent",
         "--reverse",
         "--diff-merges=first-parent",
-        "--no-renames",  # keeps numstat paths literal
+        "--no-renames",  # keeps raw and numstat paths literal
         "--diff-algorithm=myers",  # numstat counts must not follow diff.algorithm in git's config
-        "--numstat",
+        *(["--numstat"] if numstat else []),
         "--raw",  # each side's blob id, so no read walks a tree
         "--no-abbrev",
         # %x01/%x00 expand inside git, keeping NUL out of the argv
@@ -175,20 +181,23 @@ def stream_commits(repo_path: str | Path, head: str, repo_id: str | None = None)
     commits: list[CommitRecord] = []
     # a record starts at a line that begins with the header mark: its
     # first line is the header, then come a raw line (":<modes> <parent
-    # blob> <child blob> <status>\t<path>") and a numstat line per changed
-    # file; both spell a path alike, quoting it when it needs quotes
+    # blob> <child blob> <status>\t<path>") and, with numstat, a numstat
+    # line per changed file; both list the same files in the same order
+    # and spell a path alike, quoting it when it needs quotes
     for record in ("\n" + out).split("\n" + _LOG_HEADER)[1:]:
         header, *lines = record.split("\n")
         sha, name, email, ts, parents = header.split(_FIELD_SEP)
         blobs = {}
-        files = []
+        files: list[tuple[str, int | None]] = []  # (path, lines added) per changed file
         for line in lines:
             if line.startswith(":"):
                 meta, path = line.split("\t", 1)
                 blobs[path] = tuple(blob if blob.strip("0") else None for blob in meta.split(" ")[2:4])
+                if not numstat:
+                    files.append((path, None))
             elif len(parts := line.split("\t")) >= 3:
-                files.append(parts)
-        java = [(f[2], 0 if f[0] == "-" else int(f[0])) for f in files if f[2].endswith(".java")]
+                files.append((parts[2], 0 if parts[0] == "-" else int(parts[0])))
+        java = [(path, added) for path, added in files if path.endswith(".java")]
         commits.append(CommitRecord(
             repo_id=repo_id,
             sha=sha,
@@ -198,7 +207,7 @@ def stream_commits(repo_path: str | Path, head: str, repo_id: str | None = None)
             first_parent_sha=parents.split()[0] if parents.strip() else None,
             changed_java_files=tuple(p for p, _ in java),
             files_changed_count=len(files),
-            java_added_lines=sum(a for _, a in java),
+            java_added_lines=sum(a for _, a in java) if numstat else None,
             java_blobs=tuple(blobs[p] for p, _ in java),
         ))
     return commits

@@ -181,12 +181,17 @@ def _method_record(commit: CommitRecord, file: str, method: MethodCounts) -> dic
     }
 
 
-def _ingest(specs: tuple[RepoSpec, ...], heads: dict) -> tuple[list[CommitRecord], dict, OutlierThreshold | None]:
+def _ingest(
+    specs: tuple[RepoSpec, ...], heads: dict, numstat: bool = True
+) -> tuple[list[CommitRecord], dict, OutlierThreshold | None]:
     """The first-parent commits up to each spec's head in ``heads``, without
     bot and outlier commits, sorted, with the commit counts after each
-    filter and the outlier threshold, which is fitted to this pool alone.
+    filter and the outlier threshold, which is fitted to this pool alone;
+    ``numstat`` goes to `stream_commits`.
     """
-    commits = [c for spec in specs for c in stream_commits(spec.path, heads[spec.resolved_id()], spec.resolved_id())]
+    commits = [
+        c for spec in specs for c in stream_commits(spec.path, heads[spec.resolved_id()], spec.resolved_id(), numstat)
+    ]
     funnel = {"total": len(commits)}
     commits = filter_bots(commits)
     funnel["after_bot_filter"] = len(commits)
@@ -359,7 +364,8 @@ def run_mine(cfg: RunConfig) -> dict:
         instances.extend(_mask_commit_methods(cfg, commit, author(commit), changed))
     instances.sort(key=lambda i: (i.repo_id, i.timestamp, i.commit_sha, i.file, i.instance_id))
 
-    gen_commits, gen_funnel, _ = _ingest(cfg.generic_repos, inputs["heads"])
+    # no output reads a generic commit's added-line count, so git counts none
+    gen_commits, gen_funnel, _ = _ingest(cfg.generic_repos, inputs["heads"], numstat=False)
     gen_counts: Counter = Counter()
     # a generic method is stored as text: only its token counts are read
     generic_methods = [

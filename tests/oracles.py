@@ -9,8 +9,9 @@ a brace-balance check over a whole lex, a method rebuilder with its
 own body-token count, masking over tuples of `lex` tokens grouped by
 line, a Latin-1 check that tests one character at a time, and a mining
 loop that reads every changed file at ``<sha>:<path>`` and its first
-parent's, again at each commit, and a branch resolver that asks git
-for every head.
+parent's, again at each commit, a branch resolver that asks git
+for every head, and a duplicate filter that normalizes both texts of
+every instance into one set of keys.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repotailor.javalex import (
     SourceToken,
     lex,
 )
-from repotailor.assembly import MLM_MASK_RATE, MlmInstance
+from repotailor.assembly import MLM_MASK_RATE, MlmInstance, normalize_for_dedup
 from repotailor.javamethods import (
     MethodUnit,
     _classify_header,
@@ -883,3 +884,14 @@ def reference_resolve_branch(repo_path, branch: str) -> str:
     if heads and f"refs/heads/{branch}" not in heads:
         raise BranchMissing(f"branch {branch!r} not found in {repo_path}")
     return heads.get(f"refs/heads/{branch}", "")
+
+
+def _reference_dedup_key(instance: CompletionInstance) -> tuple[str, str]:
+    return (normalize_for_dedup(instance.context), normalize_for_dedup(instance.target))
+
+
+def reference_dedup(train: list[CompletionInstance], holdout: list[CompletionInstance]) -> list[CompletionInstance]:
+    """`assembly.dedup` as one set of (context, target) keys, both texts
+    of every train and holdout instance whitespace-collapsed."""
+    holdout_keys = {_reference_dedup_key(i) for i in holdout}
+    return [i for i in train if _reference_dedup_key(i) not in holdout_keys]

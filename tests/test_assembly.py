@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,12 +25,14 @@ from repotailor.assembly import (
     developer_dataset,
     eligible,
     mlm_pretrain_instances,
+    normalize_for_dedup,
     split_developer,
 )
 from repotailor.config import Caps
 from repotailor.errors import AnchorIneligible, TargetTooLarge, TooFewInstances
 
 from conftest import BASE_TS, _method_source, make_instance, method_of
+from oracles import reference_dedup
 
 
 def series(author: str, count: int, start: int = 0, step: int = 10):
@@ -329,6 +332,88 @@ def test_dedup_rules():
     same_target_diff_context = make_instance("d", tag="stdc", context="z = 3;", target="b;")
     out = dedup([keep, drop, same_target_diff_context], holdout)
     assert [i.instance_id for i in out] == ["d-keep", "d-stdc"]
+
+
+# a few contexts and targets, so that train and holdout share targets and
+# contexts; "b = c;" and "b=c;" differ in more than whitespace
+DEDUP_CONTEXTS = ["int a = 1;\n    <FILL_ME>", "x = y;  <FILL_ME>", "if (p) {\n\t<FILL_ME>\n}"]
+DEDUP_TARGETS = ["b = c;", "b=c;", "return z;", "f(x, y);"]
+
+
+def _respaced(text: str, rng: random.Random) -> str:
+    """``text`` with each whitespace run, and either end, re-spaced with
+    spaces, tabs and newlines."""
+    gaps = ["", " ", "  ", "\t", "\n", " \t\n"]
+    first, *words = text.split()
+    return rng.choice(gaps) + first + "".join(rng.choice(gaps[1:]) + word for word in words) + rng.choice(gaps)
+
+
+def random_dedup_case(rng: random.Random, author: str = "t", holdout_author: str = "h"):
+    """Train and holdout instances drawn from the shared texts above,
+    each text re-spaced or not; a train instance copies a holdout
+    instance's context, target or both as often as not."""
+    def drawn(who: str, tag: int, like=None):
+        context, target = rng.choice(DEDUP_CONTEXTS), rng.choice(DEDUP_TARGETS)
+        if like is not None:
+            keep = rng.choice(["context", "target", "both"])
+            context = like.context if keep != "target" else context
+            target = like.target if keep != "context" else target
+        if rng.random() < 0.5:
+            context, target = _respaced(context, rng), _respaced(target, rng)
+        return make_instance(who, ts=BASE_TS + tag, tag=str(tag), context=context, target=target)
+
+    holdout = [drawn(holdout_author, tag) for tag in range(rng.randint(0, 5))]
+    train = [drawn(author, tag, rng.choice(holdout) if holdout and rng.random() < 0.5 else None)
+             for tag in range(rng.randint(0, 12))]
+    return train, holdout
+
+
+def test_dedup_matches_the_reference_key_set():
+    rng = random.Random(2027)
+    seen = Counter()
+    for _ in range(400):
+        train, holdout = random_dedup_case(rng)
+        assert dedup(train, holdout) == reference_dedup(train, holdout)
+        targets = [normalize_for_dedup(h.target) for h in holdout]
+        contexts = {normalize_for_dedup(h.context) for h in holdout}
+        seen["repeated holdout target"] += len(targets) > len(set(targets))
+        for i in train:
+            target, context = normalize_for_dedup(i.target), normalize_for_dedup(i.context)
+            duplicate = not reference_dedup([i], holdout)
+            seen["duplicate"] += duplicate
+            seen["respaced duplicate"] += duplicate and all((i.context, i.target) != (h.context, h.target) for h in holdout)
+            seen["equal target, other context"] += not duplicate and target in targets
+            seen["equal context, other target"] += not duplicate and context in contexts
+    assert all(seen[case] > 10 for case in (
+        "repeated holdout target", "duplicate", "respaced duplicate",
+        "equal target, other context", "equal context, other target",
+    )), seen
+
+
+def test_audit_duplicate_flag_matches_the_reference():
+    rng = random.Random(2028)
+    flagged = 0
+    for _ in range(150):
+        datasets, expected = [], set()
+        for anchor in ("d", "e"):
+            train, holdout = random_dedup_case(rng, anchor, anchor)
+            datasets.append(hand_built(ROLE_DEVELOPER, train, holdout[:-1], holdout[-1:], anchor=anchor))
+            # without a developer test set the audit checks the anchor's datasets for nothing else
+            if holdout and len(reference_dedup(train, holdout)) < len(train):
+                expected.add(f"{ROLE_DEVELOPER}-{anchor}")
+            for role in (ROLE_ORGANIZATION, ROLE_ORG_SUBSET, ROLE_BASELINE_PLUS):
+                other_train, _ = random_dedup_case(rng, f"{role}-{anchor}")
+                parts = [other_train, []]
+                if role == ROLE_ORGANIZATION:  # an organization's val is training data too
+                    parts = [other_train[::2], other_train[1::2]]
+                datasets.append(hand_built(role, *parts, anchor=anchor))
+                if holdout and len(reference_dedup(other_train, holdout)) < len(other_train):
+                    expected.add(f"{role}-{anchor}")
+        suffix = ": training data duplicates anchor holdout"
+        problems = audit_temporal_leak(datasets, test_size=1, min_train=0)
+        assert {p.removesuffix(suffix) for p in problems if p.endswith(suffix)} == expected
+        flagged += len(expected)
+    assert flagged > 100
 
 
 def test_temporal_leak_fuzz_small():

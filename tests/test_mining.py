@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,34 @@ def test_stream_counts_empty_binary_and_non_java_changes(tmp_path):
         (2, ("Blob.java",), 0),
     ]
     assert [c.first_parent_sha for c in commits[1:]] == [c.sha for c in commits[:-1]]
+
+
+def test_stream_without_numstat_lists_the_files_numstat_lists(tmp_path):
+    """Raw lines alone give the commits that raw and numstat lines give,
+    bar the added-line count: through mode-only changes, a typechange to
+    a symlink, binary files, a path git quotes and a delete."""
+    repo = init_repo(tmp_path / "raw")
+    (repo / "b.bin").write_bytes(b"\x00\x01bin")
+    (repo / "Blob.java").write_bytes(b"\x00\x01not text")
+    sources = {"A.java": "class A {}\n", "L.java": "class L {}\n", "Gone.java": "class G {}\n", "d/Q.java": "class Q {}\n"}
+    commit_files(repo, {**sources, "run.sh": "x\n", "Naïve.java": "class N {}\n"}, "root", "Alice", "a@x.com", BASE_TS)
+    (repo / "run.sh").chmod(0o755)
+    (repo / "d" / "Q.java").chmod(0o755)
+    (repo / "L.java").unlink()
+    (repo / "L.java").symlink_to("A.java")
+    (repo / "b.bin").write_bytes(b"\x00\x02binary")
+    (repo / "Gone.java").unlink()
+    commit_files(repo, {"A.java": "class A { }\n", "Naïve.java": "class N { int x; }\n"}, "kinds", "Alice", "a@x.com",
+                 BASE_TS + 60)
+    head = resolve_branch(repo, "main")
+    with_numstat, without = stream_commits(repo, head), stream_commits(repo, head, numstat=False)
+    assert [c.java_added_lines for c in with_numstat] == [4, 2]
+    assert [c.java_added_lines for c in without] == [None, None]
+    assert [replace(c, java_added_lines=None) for c in with_numstat] == without
+    assert [(c.files_changed_count, c.changed_java_files) for c in without] == [
+        (8, ("A.java", "Blob.java", "Gone.java", "L.java", "d/Q.java")),
+        (7, ("A.java", "Gone.java", "L.java", "d/Q.java")),
+    ]
 
 
 def test_stream_merge_commit_follows_first_parent(tmp_path):

@@ -176,6 +176,14 @@ def _duplicate(rows, holdout_row):
     rows[0]["context"], rows[0]["target"] = holdout_row["context"], holdout_row["target"]
 
 
+def _respaced_duplicate(rows, holdout_row):
+    """The held-out row's context and target, each whitespace run and
+    both ends re-spaced: still a duplicate."""
+    for key in ("context", "target"):
+        rows[0][key] = "\n" + re.sub(r"\s+", " \t\n ", holdout_row[key]) + " "
+        assert rows[0][key] != holdout_row[key]
+
+
 def _org_repo(rows, holdout_row):
     rows[0]["repo"] = "org0"
 
@@ -187,13 +195,17 @@ def _drop_last(rows, holdout_row):
 @pytest.mark.parametrize("role, part, plant, expected", [
     pytest.param(ROLE_DEVELOPER, "train", _future, "train newer than holdout", id="developer-future"),
     pytest.param(ROLE_DEVELOPER, "train", _duplicate, "duplicates anchor holdout", id="developer-duplicate"),
+    pytest.param(ROLE_DEVELOPER, "train", _respaced_duplicate, "duplicates anchor holdout", id="developer-respaced-duplicate"),
     pytest.param(ROLE_ORGANIZATION, "train", _future, "newer than cutoff", id="organization-future"),
     pytest.param(ROLE_ORGANIZATION, "train", _duplicate, "duplicates anchor holdout", id="organization-duplicate"),
+    pytest.param(ROLE_ORGANIZATION, "train", _respaced_duplicate, "duplicates anchor holdout", id="organization-respaced-duplicate"),
     pytest.param(ROLE_ORGANIZATION, "val", _drop_last, "manifest counts", id="organization-val-short"),
     pytest.param(ROLE_ORG_SUBSET, "train", _future, "newer than cutoff", id="org-subset-future"),
     pytest.param(ROLE_ORG_SUBSET, "train", _duplicate, "duplicates anchor holdout", id="org-subset-duplicate"),
+    pytest.param(ROLE_ORG_SUBSET, "train", _respaced_duplicate, "duplicates anchor holdout", id="org-subset-respaced-duplicate"),
     pytest.param(ROLE_BASELINE_PLUS, "train", _future, "first test ts", id="baseline-plus-future"),
     pytest.param(ROLE_BASELINE_PLUS, "train", _duplicate, "duplicates anchor holdout", id="baseline-plus-duplicate"),
+    pytest.param(ROLE_BASELINE_PLUS, "train", _respaced_duplicate, "duplicates anchor holdout", id="baseline-plus-respaced-duplicate"),
     pytest.param(ROLE_BASELINE_PLUS, "train", _org_repo, "organization repository", id="baseline-plus-org-repo"),
 ])
 def test_verify_flags_planted_leak(mined, tmp_path, role, part, plant, expected):
@@ -493,6 +505,9 @@ def test_mine_starts_a_few_git_processes_per_repository(fixture_repos, tmp_path,
     readers = [p for p in git if "cat-file" in p.args]
     assert len(readers) == len(org + generic)
     assert all(p.returncode is not None for p in readers)
+    # no output reads a generic commit's added lines, so git counts them for org repositories only
+    numstat = {Path(p.args[2]).name: "--numstat" in p.args for p in git if "log" in p.args}
+    assert numstat == {**{path.name: True for path in org}, **{path.name: False for path in generic}}
 
 
 def test_a_no_op_mine_starts_no_process(fixture_repos, tmp_path, started):
@@ -835,8 +850,27 @@ def test_assemble_score_and_compare_print_what_they_did(mined, tmp_path, capsys)
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == [
         "EM: 100.0% vs 100.0% (OR 1.0, p 1)",
-        "CrystalBLEU: 1.0000 vs 1.0000 (delta +0.000, p 1)",
+        "CrystalBLEU: 1.0000 vs 1.0000 (Cliff's delta +0.000, p 1)",
     ]
+
+
+def test_compare_prints_the_reports_cliffs_delta(mined, tmp_path, capsys):
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    preds = predictions_for(cfg, dataset_id, tmp_path / "preds.jsonl")
+    common = ["--config", str(config_path), "--out", str(out)]
+    assert main(["score", *common, "--dataset", dataset_id, "--predictions", str(preds)]) == 0
+    report = str(out / "reports" / f"{dataset_id}.score.json")
+    capsys.readouterr()
+    argv = ["compare", *common, "--report-a", report, "--report-b", report, "--model-a", "mangle", "--model-b", "echo"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()[1]
+    cb = read_json(out / "reports" / f"{dataset_id}.compare-mangle-vs-echo.json")["crystal_bleu"]
+    # Cliff's delta, not the mean difference the report calls "delta"
+    assert f"{cb['effect']:+.3f}" != f"{cb['delta']:+.3f}"
+    assert re.fullmatch(r"CrystalBLEU: .* \(Cliff's delta ([-+]\d\.\d{3}), p .*\)", printed)[1] == f"{cb['effect']:+.3f}"
 
 
 def test_compare_reports_a_bad_report_as_a_data_error(mined, tmp_path, capsys):
