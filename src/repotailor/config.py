@@ -154,4 +154,9 @@ def load_config(path: str | Path, out_dir: str | None = None, seed: int | None =
         raise ConfigError("a repo path such as '.' or '/' has no name; give it a 'repo_id'")
     if len(set(ids)) != len(ids):
         raise ConfigError("repo ids must be unique across repos and generic_repos")
+    # the generic side must hold no organization code
+    org_paths = {Path(r.path).resolve() for r in config.repos}
+    for spec in config.generic_repos:
+        if Path(spec.path).resolve() in org_paths:
+            raise ConfigError(f"generic_repos entry {spec.path!r} is also listed in repos")
     return config

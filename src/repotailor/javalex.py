@@ -6,26 +6,25 @@ blocks and block comments at end of input. Whitespace and comments are
 skipped. Each token keeps the 1-based line and 0-based column of its
 first character; that position, not the token texts, locates a token
 in its source. `token_offsets` gives the same tokens' offsets and texts,
-which is all that masking reads.
+which is all that masking reads; `lex` is built on it, placing each
+offset on its line and taking each kind from the text (`token_kind`).
 
-Four scanners, built from the same pieces by one builder, read a
-source in one `re` call each. In every one a possessive prefix absorbs
+Three scanners, built from the same pieces by one builder, read a
+source in one `findall` each. In every one a possessive prefix absorbs
 what comes before the next token it yields, so each match is one such
 token, and a final end-of-input alternative keeps trailing text from
 being scanned again.
 
-- The token scanner, which `lex` runs, has one named group per token
-  kind, and its prefix absorbs whitespace and comments.
-- The text scanner, which `token_texts` and `count_tokens` run with
-  `findall`, has the same prefix and alternatives in one group.
-- The offset scanner, which `token_offsets` runs with `findall`, also
-  captures that prefix: group 1 is the whitespace and comments before a
-  token and group 2 its text, so their lengths, summed in order, place
-  each token.
-- The vocabulary scanner, which `vocabulary` runs with `findall`, also
-  absorbs in its prefix every separator and operator: every character
-  that starts no word, number, string or char, "...", and a "." that
-  no digit follows. Its one group captures a word or a literal.
+- The text scanner, which `token_texts` and `count_tokens` run, has a
+  prefix that absorbs whitespace and comments and one group holding
+  the token alternatives.
+- The offset scanner, which `token_offsets` runs, also captures that
+  prefix: group 1 is the whitespace and comments before a token and
+  group 2 its text, so their lengths, summed in order, place each token.
+- The vocabulary scanner, which `vocabulary` runs, also absorbs in its
+  prefix every separator and operator: every character that starts no
+  word, number, string or char, "...", and a "." that no digit
+  follows. Its one group captures a word or a literal.
 
 Every capture group sits outside the possessive repeats: CPython's `re`
 misreports a group captured inside one (or raises SystemError on it).
@@ -108,8 +107,7 @@ _CHAR = _QUOTED.format(q="'")
 
 
 class _Scanners(NamedTuple):
-    """The four scans of one character set."""
-    tokens: re.Pattern  # one named group per token kind (`lex`)
+    """The three scans of one character set."""
     texts: re.Pattern  # group 1 is each token's text
     offsets: re.Pattern  # group 1 is the trivia before each token, group 2 its text
     vocabulary: re.Pattern  # group 1 is each word, number, string or char
@@ -131,22 +129,13 @@ def _scanners(digit: str, ident_start: str, ident_part: str, no_start: str) -> _
         f"|\\.{digits}{exponent})[lLfFdD]?"
     )
     word = f"{ident_start}[{ident_part}]*+"
-    groups = (
-        ("number", number),
-        ("word", word),
-        ("separator", "|".join(map(re.escape, _SEPARATORS))),
-        ("string", _STRING),
-        ("char", _CHAR),
-        ("operator", "|".join(map(re.escape, _OPERATORS)) + r"|[\s\S]"),
-        ("end", r"\Z"),
-    )
-    body = "|".join(f"(?P<{name}>{alt})" for name, alt in groups)
+    separator = "|".join(map(re.escape, _SEPARATORS))
+    operator = "|".join(map(re.escape, _OPERATORS)) + r"|[\s\S]"
+    alternatives = rf"{number}|{word}|{separator}|{_STRING}|{_CHAR}|{operator}|\Z"
     # A "." starts a number exactly when a digit follows it, and "..." is
     # tried first, so that "...5" skips "..." as `lex` does
     skip = rf"(?:(?:{no_start})++|{_COMMENT}|/|\.\.\.|\.(?![{digit}]))*+"
-    alternatives = "|".join(alt for _, alt in groups)
     return _Scanners(
-        re.compile(f"{_TRIVIA}(?:{body})"),
         re.compile(f"{_TRIVIA}({alternatives})"),
         re.compile(f"({_TRIVIA})({alternatives})"),
         re.compile(rf"{skip}({number}|{word}|{_STRING}|{_CHAR}|\Z)"),
@@ -154,11 +143,7 @@ def _scanners(digit: str, ident_start: str, ident_part: str, no_start: str) -> _
 
 
 _ASCII = _scanners("0-9", "[A-Za-z_$]", "0-9A-Za-z_$", r"""[^0-9A-Za-z_$"'./]""")
-# Kind of each group, by group number in `_scanners`' token pattern; a
-# word is a keyword or an identifier.
-_KINDS = (None, NUMBER_LITERAL, None, SEPARATOR, STRING_LITERAL, CHAR_LITERAL, OPERATOR, None)
-_WORD = _ASCII.tokens.groupindex["word"]
-_END = _ASCII.tokens.groupindex["end"]
+_SEPARATOR_TEXTS = frozenset(_SEPARATORS)
 # what `vocabulary` drops of the texts it scans: keywords and the empty
 # match at end of input
 _NOT_VOCABULARY = KEYWORDS | {""}
@@ -228,6 +213,26 @@ _FLAT_GROUP = rf"\{{{_text('{}')}\}}"
 SCAN_CODE = re.compile(rf"(?:{_text('{};')}(?:;|{_FLAT_GROUP})){{0,{_RUN}}}+(){_text('{};')}([{{}};]|\Z)")
 
 
+def token_kind(text: str) -> str:
+    """The kind of a significant token with this (non-empty) text; no
+    text is a token of two kinds. A quote starts a string or char, a
+    digit or a "." a number (".5"; "." and "..." are separators), a
+    letter, "_" or "$" a keyword or identifier; any other non-separator
+    text is an operator."""
+    first = text[0]
+    if first == '"':
+        return STRING_LITERAL
+    if first == "'":
+        return CHAR_LITERAL
+    if text in _SEPARATOR_TEXTS:
+        return SEPARATOR
+    if first.isdigit() or first == ".":
+        return NUMBER_LITERAL
+    if first.isalpha() or first in "_$":
+        return KEYWORD if text in KEYWORDS else IDENTIFIER
+    return OPERATOR
+
+
 def lex(source: str, start: int = 0, end: int | None = None, line: int = 1) -> list[SourceToken]:
     """Significant tokens of ``source[start:end]``; total over arbitrary input.
 
@@ -239,8 +244,7 @@ def lex(source: str, start: int = 0, end: int | None = None, line: int = 1) -> l
     """
     if end is None:
         end = len(source)
-    # `str.isascii` reads a flag CPython keeps on the string: O(1)
-    pattern = (_ASCII if source.isascii() else _unicode_scanners()).tokens
+    offsets, texts = token_offsets(source, start, end)
     tokens: list[SourceToken] = []
     append = tokens.append
     new = tuple.__new__
@@ -248,22 +252,14 @@ def lex(source: str, start: int = 0, end: int | None = None, line: int = 1) -> l
     next_nl = source.find("\n", start, end)
     if next_nl < 0:
         next_nl = end
-    for m in pattern.finditer(source, start, end):
-        group = m.lastindex
-        if group == _END:
-            break
-        text = m[group]
-        at = m.end() - len(text)
+    for at, text in zip(offsets, texts):
         if next_nl < at:
             line += source.count("\n", line_start, at)
             line_start = source.rfind("\n", 0, at) + 1
             next_nl = source.find("\n", at, end)
             if next_nl < 0:
                 next_nl = end
-        kind = _KINDS[group]
-        if group == _WORD:
-            kind = KEYWORD if text in KEYWORDS else IDENTIFIER
-        append(new(SourceToken, (kind, text, line, at - line_start)))
+        append(new(SourceToken, (token_kind(text), text, line, at - line_start)))
     return tokens
 
 
@@ -286,8 +282,8 @@ def count_tokens(source: str, start: int, end: int) -> int:
 
 def token_offsets(source: str, start: int = 0, end: int | None = None) -> tuple[list[int], list[str]]:
     """The offset in ``source`` and the text of each significant token of
-    ``source[start:end]``: the tokens of `lex` on that range, each
-    (line, col) given as an offset, without building a token."""
+    ``source[start:end]``, without building a token; `lex` places the
+    same offsets on their lines."""
     if end is None:
         end = len(source)
     pairs = (_ASCII if source.isascii() else _unicode_scanners()).offsets.findall(source, start, end)

@@ -114,7 +114,7 @@ def _strip_throws(header: list[SourceToken]) -> list[SourceToken]:
             depth += 1
         elif tok.text in ")]":
             depth -= 1
-        elif depth == 0 and tok.kind == KEYWORD and tok.text == "throws":
+        elif depth == 0 and tok.text == "throws":
             return header[:i]
     return header
 
@@ -203,11 +203,10 @@ def _classify_header(header: list[SourceToken], parent_decl: str | None) -> tupl
     """
     texts = [t.text for t in header]
     for i, tok in enumerate(header):
-        if tok.kind == KEYWORD and tok.text in _TYPE_DECL_KEYWORDS:
+        if tok.text in _TYPE_DECL_KEYWORDS:
             return "type", tok.text, None
         if (
             tok.text == "record"
-            and tok.kind == IDENTIFIER
             and i + 2 < len(header)
             and header[i + 1].kind == IDENTIFIER
             and header[i + 2].text == "("
@@ -258,11 +257,10 @@ class MethodSpan(NamedTuple):
     """Where a method sits in its source, found without lexing its body."""
     name: str
     signature: str
-    header: list[SourceToken]
+    header_tokens: int  # how many tokens the header has
     start: int  # offset the header's range starts at, just past the ';', brace or group before it
     open: int  # offset of the body's '{'
     close: int  # offset of the body's '}'
-    open_line: int  # line of the '{'
     start_line: int  # line of the first header token
     end_line: int  # line of the '}'
 
@@ -288,17 +286,17 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
     ``headers`` is a memo the caller owns and may share between sources.
     It maps what a header's tokens and class depend on (its text, the
     column it starts at, the enclosing type's decl, and whether the
-    source is ASCII, which picks the lexer's pattern) to that class and
-    those tokens, so each distinct header is lexed and classified once.
-    A hit moves the tokens to the header's line.
+    source is ASCII, which picks the lexer's pattern) to that class, the
+    header's token count, and how many lines below the header range's
+    start its first token sits, so each distinct header is lexed and
+    classified once.
     """
     spans: list[MethodSpan] = []
     # per open brace: the decl of a type body, None for a block, or an open
-    # method's (header tokens, header start, '{' offset, line at '{', name, signature)
+    # method's (name, signature, header tokens, header start, '{' offset, start line, line at '{')
     stack: list[str | tuple | None] = []
     line, counted = 1, 0  # the line number at offset `counted`
     is_ascii = source.isascii()
-    new = tuple.__new__
     scan = SCAN_CODE
     pos = 0
     while True:
@@ -318,17 +316,14 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
                 known = headers.get(key)
                 if known is None:
                     header = lex(source, seg, brace, line)
-                    known = headers[key] = (*_classify_header(header, parent), tuple(header), line)
-                else:
-                    header = None
-                kind, decl, info, tokens, tokens_line = known
+                    first_line = header[0].line - line if header else 0
+                    known = headers[key] = (*_classify_header(header, parent), len(header), first_line)
+                kind, decl, info, header_tokens, first_line = known
                 if kind == "method" and info is not None:
-                    if header is None:  # a hit: the memo's tokens, moved to this line
-                        shift = line - tokens_line
-                        header = [new(SourceToken, (k, t, at + shift, c)) for k, t, at, c in tokens]
+                    start_line = line + first_line
                     line += source.count("\n", counted, brace)
                     counted = brace
-                    stack.append((header, seg, brace, line, info[0], info[1]))
+                    stack.append((info[0], info[1], header_tokens, seg, brace, start_line, line))
                 else:
                     stack.append(decl if kind == "type" else None)
         elif stop == "}":
@@ -336,11 +331,9 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
                 return None
             top = stack.pop()
             if top.__class__ is tuple:  # a method: its span ends here
-                header, seg, brace, brace_line, name, signature = top
+                name, signature, header_tokens, seg, brace, start_line, brace_line = top
                 end_line = brace_line + source.count("\n", brace, pos - 1)
-                spans.append(MethodSpan(
-                    name, signature, header, seg, brace, pos - 1, brace_line, header[0].line, end_line
-                ))
+                spans.append(MethodSpan(name, signature, header_tokens, seg, brace, pos - 1, start_line, end_line))
         elif not stop:
             break
         else:
@@ -391,7 +384,7 @@ def method_counts(source: str, span: MethodSpan, lines: list[str]) -> MethodCoun
         signature=span.signature,
         start_line=span.start_line,
         end_line=span.end_line,
-        token_count=len(span.header) + body,
+        token_count=span.header_tokens + body,
         body_token_count=body - 2,
         text="\n".join(lines[span.start_line - 1 : span.end_line]),
     )

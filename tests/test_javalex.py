@@ -23,6 +23,7 @@ from repotailor.javalex import (
     _RUN,
     count_tokens,
     lex,
+    token_kind,
     token_offsets,
     token_texts,
     vocabulary,
@@ -274,9 +275,23 @@ def test_unicode_classes_follow_str_predicates():
     assert token_texts(" ".join("1" + c for c in chars)) == after_digit
 
 
+def test_token_kind_is_the_reference_lexers_kind():
+    """No text lexes to two kinds: `token_kind` gives the reference
+    lexer's kind of every token of the reference corpus, and of every
+    non-ASCII digit and alphanumeric non-letter (and every fifth letter)
+    alone and after "a", "1" and "."."""
+    alnum = [c for c in map(chr, range(0x80, sys.maxunicode + 1)) if c.isalnum()]
+    chars = [c for i, c in enumerate(alnum) if c.isdigit() or not c.isalpha() or i % 5 == 0]
+    inputs = _reference_corpus() + [" ".join(p + c for c in chars) for p in ("", "a", "1", ".")]
+    for src in inputs:
+        for t in reference_lex(src):
+            if t.significant:
+                assert token_kind(t.text) == t.kind, (t, hex(ord(t.text[-1])))
+
+
 def test_ascii_text_never_builds_the_unicode_pattern():
-    """Building the Unicode classes costs a tenth of a second; an
-    import or ASCII-only text must not pay it."""
+    """Building the Unicode classes costs 100-160 ms; an import or
+    ASCII-only text must not pay it."""
     probe = (
         "import repotailor\n"
         "from repotailor import javalex\n"

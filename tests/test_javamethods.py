@@ -1006,13 +1006,18 @@ SHARED_HEADERS = [
     "enum Ee {\n    A(1) {\n        int v() { return 1; }\n    };\n    Ee(int v) {\n    }\n}\n",
     "class K {\n    A(1) {\n        return;\n    }\n}\n",
     "class A {\n    int f(int a) {\n        return a + 1; // größe\n    }\n}\n",
+    # a header whose first token sits lines below its start: after the
+    # class's '{' (column 9), then twice after a '}' (column 5)
+    "class O {\n    // c\n\n    @Override\n    int f(int a) {\n        return a;\n    }\n"
+    "    // c\n\n    @Override\n    int f(int a) {\n        return a;\n    }\n"
+    "    // c\n\n    @Override\n    int f(int a) {\n        return a;\n    }\n}\n",
 ]
 
 
 def test_method_spans_with_one_memo_equal_those_with_a_fresh_one(monkeypatch):
     """One memo shared across many sources gives each the spans, header
-    tokens included, that a fresh memo gives it, while lexing fewer
-    headers."""
+    token counts and first lines included, that a fresh memo gives it,
+    while lexing fewer headers."""
     import random
 
     rng = random.Random(4243)

@@ -1198,6 +1198,21 @@ def test_bad_config_values_exit_2(fixture_repos, tmp_path, monkeypatch, capsys, 
     assert not (tmp_path / "commits.jsonl").exists()
 
 
+def test_generic_repo_that_is_an_org_repo_exits_2(fixture_repos, tmp_path, capsys):
+    """A `generic_repos` path that resolves to a `repos` path, written
+    another way and under another id, is a configuration error."""
+    org, _ = fixture_repos
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", org)
+    data = json.loads(config_path.read_text())
+    vendored = f"{org[0].parent}/./{org[0].name}/"
+    data["generic_repos"] = [{"path": vendored, "branch": "main", "repo_id": "vendored-org-0"}]
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["mine", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(vendored) in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def _scenario_without_small_cost() -> str:
     scenario = json.loads((Path(repotailor.__file__).parent / "data" / "scenario.json").read_text())
     del scenario["inference_cost_small"]
