@@ -14,11 +14,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
-from .errors import AnchorIneligible, TargetTooLarge, TooFewInstances
+from .errors import TargetTooLarge, TooFewInstances
 from .javamethods import MethodUnit, method_from_text
 from .masking import (
     APACHE_MASK_DISTRIBUTION,
@@ -78,7 +80,7 @@ class _HoldoutIndex:
 
 
 def dedup(
-    train: list[CompletionInstance], holdout: list[CompletionInstance]
+    train: Iterable[CompletionInstance], holdout: Iterable[CompletionInstance]
 ) -> list[CompletionInstance]:
     """Drop train instances equal to a holdout instance up to whitespace."""
     index = _HoldoutIndex(holdout)
@@ -198,46 +200,21 @@ def developer_dataset(author: str, split: SplitAssignment, seed: int) -> Dataset
 
 
 def build_org_dataset(
-    all_dev_instances: dict[str, list[CompletionInstance]],
-    anchor: str,
-    anchor_split: SplitAssignment,
-    seed: int,
-    test_size: int = DEFAULT_TEST_SIZE,
-    min_train: int = DEFAULT_MIN_TRAIN,
+    ordered: Sequence[CompletionInstance], anchor: str, anchor_split: SplitAssignment, seed: int
 ) -> Dataset:
-    """Union all developers' instances up to the cutoff of the anchor's
-    split, scrub the anchor's held-out duplicates, and split 90/10 by
-    recency.
+    """The organization dataset anchored on ``anchor``. ``ordered`` holds
+    the selected developers' instances sorted by `order_key`; the pool is
+    its time prefix up to the cutoff of the anchor's split, less the
+    anchor's held-out duplicates, split 90/10 by recency.
     """
-    if anchor not in all_dev_instances:
-        raise AnchorIneligible(f"unknown anchor {anchor!r}")
-    if not eligible(anchor_split, min_train, test_size):
-        raise AnchorIneligible(f"anchor {anchor!r} has no eligible split")
-
-    holdout = list(anchor_split.val) + list(anchor_split.test)
-    min_holdout_ts = min(i.timestamp for i in holdout)
+    holdout = anchor_split.val + anchor_split.test
     # the cutoff is the anchor's newest training change; when that ties
     # with the first held-out change, step back one second so training
     # data stays strictly older than evaluation data
-    cutoff_ts = min(max(i.timestamp for i in anchor_split.train), min_holdout_ts - 1)
-
-    pool: list[CompletionInstance] = []
-    for instances in all_dev_instances.values():
-        for inst in instances:
-            if inst.timestamp <= cutoff_ts:
-                pool.append(inst)
-    pool = dedup(pool, holdout)
-
-    seen: set[str] = set()
-    unique: list[CompletionInstance] = []
-    for inst in sorted(pool, key=order_key):
-        if inst.instance_id not in seen:
-            seen.add(inst.instance_id)
-            unique.append(inst)
-
-    n_train = math.floor(TRAIN_FRACTION * len(unique))
-    train, val = unique[:n_train], unique[n_train:]
-    return _dataset(f"org-{anchor}", ROLE_ORGANIZATION, anchor, cutoff_ts, seed, train, val)
+    cutoff_ts = min(max(i.timestamp for i in anchor_split.train), min(i.timestamp for i in holdout) - 1)
+    pool = dedup(ordered[: bisect_right(ordered, cutoff_ts, key=attrgetter("timestamp"))], holdout)
+    n_train = math.floor(TRAIN_FRACTION * len(pool))
+    return _dataset(f"org-{anchor}", ROLE_ORGANIZATION, anchor, cutoff_ts, seed, pool[:n_train], pool[n_train:])
 
 
 def _seeded_sample(
@@ -379,8 +356,11 @@ def build_datasets(
 
     Eligible developers are ranked by instance count, then author id;
     the first ``caps.top_developers`` each get a developer, organization
-    and org-subset dataset, in that order. The generic, pre-training and
-    baseline+ datasets follow. Reads and writes no file.
+    and org-subset dataset, in that order. Their instances are sorted by
+    `order_key` once, and each organization pool is a time prefix of
+    that list; ``instances`` holds each instance id once, as ``mine``
+    writes them. The generic, pre-training and baseline+ datasets
+    follow. Reads and writes no file.
     """
     by_author: dict[str, list[CompletionInstance]] = defaultdict(list)
     for inst in instances:
@@ -397,7 +377,7 @@ def build_datasets(
 
     ranked = sorted(splits, key=lambda a: (-len(by_author[a]), a))
     selected = ranked[: caps.top_developers]
-    selected_instances = {a: by_author[a] for a in selected}
+    ordered = sorted((i for author in selected for i in by_author[author]), key=order_key)
 
     datasets: list[Dataset] = []
     notes: list[str] = []
@@ -405,12 +385,7 @@ def build_datasets(
     for author in selected:
         split = splits[author]
         datasets.append(developer_dataset(author, split, seed))
-        org = build_org_dataset(
-            selected_instances, author, split,
-            seed=derive_seed(seed, "org", author),
-            test_size=caps.test_size,
-            min_train=caps.min_train,
-        )
+        org = build_org_dataset(ordered, author, split, derive_seed(seed, "org", author))
         org_train[author] = len(org.train)
         datasets.append(org)
         try:
@@ -488,8 +463,9 @@ def audit_temporal_leak(
     Each anchored dataset needs its anchor's developer dataset, with a
     test set, among ``datasets``; its training data (train and val for
     an organization dataset) must not duplicate the anchor's val or
-    test data up to whitespace, and each part's size must equal its
-    manifest count. Per role:
+    test data up to whitespace, each part's size must equal its
+    manifest count, and its parts together hold each instance id once.
+    Per role:
 
     - developer: exactly ``test_size`` test and at least ``min_train``
       train instances; train no newer than val and test;
@@ -518,6 +494,9 @@ def audit_temporal_leak(
             size = len(getattr(ds, part))
             if size != count:
                 problems.append(f"{name}: {part} has {size} instances, manifest counts {count}")
+        ids = [i.instance_id for part in (ds.train, ds.val, ds.test) for i in part]
+        if len(set(ids)) < len(ids):
+            problems.append(f"{name}: an instance id repeats across its parts")
         dev = devs.get(anchor)
         if dev is None or not dev.test:
             problems.append(f"{name}: anchor {anchor} has no developer test set")

@@ -33,10 +33,6 @@ class TooFewInstances(DataError):
     """Developer history is too short to carve out the fixed test set."""
 
 
-class AnchorIneligible(DataError):
-    """Anchor developer has no valid train/val/test split."""
-
-
 class TargetTooLarge(DataError):
     """Requested sample size exceeds the available pool."""
 

@@ -359,10 +359,12 @@ def run_mine(cfg: RunConfig) -> dict:
         return author_of[(commit.author_name, commit.author_email)]
 
     counts: Counter = Counter()
-    instances: list[CompletionInstance] = []
+    # the first instance mined under each id: equal methods of one commit can mask alike
+    by_id: dict[str, CompletionInstance] = {}
     for commit, changed in _mine_commits(commits, repo_paths, counts, method_unit, lambda c: author(c) in pool_ids):
-        instances.extend(_mask_commit_methods(cfg, commit, author(commit), changed))
-    instances.sort(key=lambda i: (i.repo_id, i.timestamp, i.commit_sha, i.file, i.instance_id))
+        for instance in _mask_commit_methods(cfg, commit, author(commit), changed):
+            by_id.setdefault(instance.instance_id, instance)
+    instances = sorted(by_id.values(), key=lambda i: (i.repo_id, i.timestamp, i.commit_sha, i.file, i.instance_id))
 
     # no output reads a generic commit's added-line count, so git counts none
     gen_commits, gen_funnel, _ = _ingest(cfg.generic_repos, inputs["heads"], numstat=False)
@@ -374,6 +376,7 @@ def run_mine(cfg: RunConfig) -> dict:
         for file, method, _ in changed
     ]
     generic_methods.sort(key=lambda r: (r["repo"], r["ts"], r["sha"], r["file"], r["signature"]))
+    generic_lines = list(dict.fromkeys(map(dumps_canonical, generic_methods)))  # equal methods, one line
 
     _stamp_path(cfg, STAGE_MINE).unlink(missing_ok=True)
     stores = {"commits.jsonl": commits, "identities.jsonl": identities, "instances.jsonl": instances}
@@ -383,7 +386,7 @@ def run_mine(cfg: RunConfig) -> dict:
     }
     if cfg.generic_repos:
         outputs["generic_methods.jsonl"] = write_jsonl(
-            out_dir / "generic_methods.jsonl", map(dumps_canonical, generic_methods)
+            out_dir / "generic_methods.jsonl", generic_lines
         )
     else:  # a leftover from an earlier config must not feed assemble
         (out_dir / "generic_methods.jsonl").unlink(missing_ok=True)
@@ -417,7 +420,7 @@ def run_mine(cfg: RunConfig) -> dict:
         "generic": {
             "total": gen_funnel["total"],
             "kept": gen_funnel["after_outlier_filter"],
-            "methods": len(generic_methods),
+            "methods": len(generic_lines),
             "methods_extracted": gen_counts["methods_extracted"],
             "undecodable_files": gen_counts["undecodable_files"],
             "unparsable_files": gen_counts["unparsable_files"],

@@ -338,3 +338,33 @@ def build_edge_history(path: Path) -> Path:
     run_git(repo, "merge", "-q", "--no-ff", "-m", "merge side", "side",
             env={"GIT_AUTHOR_DATE": date, "GIT_COMMITTER_DATE": date})
     return repo
+
+
+def build_repeated_method_history(path: Path) -> Path:
+    """A history of one developer whose last two commits add, then edit
+    one line of, six identical anonymous-class ``run()`` methods: equal
+    texts under one signature, file and commit. The edit leaves each a
+    five-token segment, whose mask length is 3 or 4, so some of the six
+    mask to one instance; as a generic repository, each commit gives six
+    equal method records."""
+    repo = init_repo(path)
+    dana = ("Dana Dev", "dana@example.com")
+    stmts = ["int c0 = seed + scale + 7;"]
+    ts = BASE_TS
+    for edit in range(4):
+        stmts = stmts + [f"int c{edit + 1} = c{edit} * {edit + 2} + scale;"]
+        ts += 3600
+        commit_files(repo, {"src/Calc.java": _method_source("Calc", stmts)}, f"edit {edit}", *dana, ts)
+    task = (
+        "    Runnable task{0} = new Runnable() {{\n"
+        "        public void run() {{\n"
+        "            System.out.println(\"tick\" + 1 + 2);\n"
+        "            int t = {1};\n"
+        "        }}\n"
+        "    }};\n"
+    )
+    for step, value in enumerate(("0", "1")):
+        tasks = "class Tasks {\n" + "".join(task.format(i, value) for i in range(6)) + "}\n"
+        ts += 3600
+        commit_files(repo, {"src/Tasks.java": tasks}, f"tasks {step}", *dana, ts)
+    return repo

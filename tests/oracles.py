@@ -10,8 +10,9 @@ own body-token count, masking over tuples of `lex` tokens grouped by
 line, a Latin-1 check that tests one character at a time, and a mining
 loop that reads every changed file at ``<sha>:<path>`` and its first
 parent's, again at each commit, a branch resolver that asks git
-for every head, and a duplicate filter that normalizes both texts of
-every instance into one set of keys.
+for every head, a duplicate filter that normalizes both texts of
+every instance into one set of keys, and an organization pool that
+re-unions, filters and re-sorts every developer's instances.
 """
 
 from __future__ import annotations
@@ -895,3 +896,17 @@ def reference_dedup(train: list[CompletionInstance], holdout: list[CompletionIns
     of every train and holdout instance whitespace-collapsed."""
     holdout_keys = {_reference_dedup_key(i) for i in holdout}
     return [i for i in train if _reference_dedup_key(i) not in holdout_keys]
+
+
+def reference_org_pool(devs: dict[str, list[CompletionInstance]], anchor_split) -> list[CompletionInstance]:
+    """The train and val of an organization dataset, by the rule as first
+    written: union every developer's instances no newer than the anchor's
+    cutoff, drop the anchor's held-out duplicates, sort by time, commit
+    and id, and keep the first instance of each id."""
+    holdout = [*anchor_split.val, *anchor_split.test]
+    cutoff = min(max(i.timestamp for i in anchor_split.train), min(i.timestamp for i in holdout) - 1)
+    pool = reference_dedup([i for pool in devs.values() for i in pool if i.timestamp <= cutoff], holdout)
+    first: dict[str, CompletionInstance] = {}
+    for i in sorted(pool, key=lambda i: (i.timestamp, i.commit_sha, i.instance_id)):
+        first.setdefault(i.instance_id, i)
+    return list(first.values())

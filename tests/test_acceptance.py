@@ -10,6 +10,7 @@ import json
 import random
 import statistics
 import time
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repotailor.assembly import (
     build_org_dataset,
     developer_dataset,
     eligible,
+    order_key,
     split_developer,
 )
 from repotailor.config import load_config
@@ -130,7 +132,7 @@ def test_criterion_03_temporal_leak_audit():
                 continue
             if not eligible(split, min_train=8, test_size=5):
                 continue
-            org = build_org_dataset(devs, anchor, split, seed=11, test_size=5, min_train=8)
+            org = build_org_dataset(sorted(chain(*devs.values()), key=order_key), anchor, split, seed=11)
             assert audit_temporal_leak([developer_dataset(anchor, split, 11), org], 5, 8) == []
             cutoff = org.manifest.cutoff_ts
             holdout_ts = min(i.timestamp for i in list(split.val) + list(split.test))

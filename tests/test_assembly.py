@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -26,13 +27,14 @@ from repotailor.assembly import (
     eligible,
     mlm_pretrain_instances,
     normalize_for_dedup,
+    order_key,
     split_developer,
 )
 from repotailor.config import Caps
-from repotailor.errors import AnchorIneligible, TargetTooLarge, TooFewInstances
+from repotailor.errors import TargetTooLarge, TooFewInstances
 
 from conftest import BASE_TS, _method_source, make_instance, method_of
-from oracles import reference_dedup
+from oracles import reference_dedup, reference_org_pool
 
 
 def series(author: str, count: int, start: int = 0, step: int = 10):
@@ -113,10 +115,10 @@ def test_eligibility_fails_when_dedup_drops_train():
     assert not eligible(split)
 
 
-def org_fixture():
-    anchor = series("anchor", 40, start=0)
-    other = series("other", 30, start=5)
-    return {"anchor": anchor, "other": other}
+def ordered(*pools) -> list:
+    """The instances of ``pools`` sorted by `order_key`, as `build_datasets`
+    passes the selected developers' instances to `build_org_dataset`."""
+    return sorted(chain(*pools), key=order_key)
 
 
 def test_org_cutoff_includes_older_excludes_newer():
@@ -128,7 +130,7 @@ def test_org_cutoff_includes_older_excludes_newer():
         ],
     }
     split = split_developer(dev_instances["anchor"], test_size=5)
-    org = build_org_dataset(dev_instances, "anchor", split, seed=1, test_size=5, min_train=10)
+    org = build_org_dataset(ordered(*dev_instances.values()), "anchor", split, seed=1)
     ids = {i.instance_id for i in org.train + org.val}
     assert "other-old" in ids
     assert "other-new" not in ids
@@ -137,7 +139,7 @@ def test_org_cutoff_includes_older_excludes_newer():
 def test_org_anchor_only_covers_anchor_train():
     dev_instances = {"anchor": series("anchor", 40)}
     split = split_developer(dev_instances["anchor"], test_size=5)
-    org = build_org_dataset(dev_instances, "anchor", split, seed=1, test_size=5, min_train=10)
+    org = build_org_dataset(ordered(*dev_instances.values()), "anchor", split, seed=1)
     org_keys = {i.instance_id for i in org.train + org.val}
     assert {i.instance_id for i in split.train} <= org_keys
 
@@ -150,7 +152,7 @@ def test_org_removes_anchor_holdout_duplicates():
         context=split.test[0].context, target=split.test[0].target,
     )
     dev_instances = {"anchor": anchor, "other": [dup_of_test]}
-    org = build_org_dataset(dev_instances, "anchor", split, seed=1, test_size=5, min_train=10)
+    org = build_org_dataset(ordered(*dev_instances.values()), "anchor", split, seed=1)
     assert "other-dup" not in {i.instance_id for i in org.train + org.val}
 
 
@@ -162,7 +164,7 @@ def test_org_timestamp_tie_excluded():
     # force a tie: another developer committed exactly at the holdout boundary
     tied = make_instance("other", ts=first_holdout, tag="tied")
     dev_instances = {"anchor": anchor, "other": [tied]}
-    org = build_org_dataset(dev_instances, "anchor", split, seed=1, test_size=5, min_train=10)
+    org = build_org_dataset(ordered(*dev_instances.values()), "anchor", split, seed=1)
     assert cutoff < first_holdout  # sanity for this fixture
     assert "other-tied" not in {i.instance_id for i in org.train + org.val}
     assert audit_temporal_leak([developer_dataset("anchor", split, 1), org], 5, 10) == []
@@ -179,20 +181,11 @@ def test_org_cutoff_steps_back_on_anchor_boundary_tie():
     min_holdout = min(i.timestamp for i in list(split.val) + list(split.test))
     assert max_train == min_holdout  # fixture really does tie
     other = [make_instance("other", ts=max_train, tag="attie")]
-    org = build_org_dataset({"anchor": anchor, "other": other}, "anchor", split, seed=1, test_size=5, min_train=10)
+    org = build_org_dataset(ordered(anchor, other), "anchor", split, seed=1)
     assert org.manifest.cutoff_ts < min_holdout
     ids = {i.instance_id for i in org.train + org.val}
     assert "other-attie" not in ids
     assert audit_temporal_leak([developer_dataset("anchor", split, 1), org], 5, 10) == []
-
-
-def test_org_anchor_must_be_eligible():
-    short = series("anchor", 6)
-    with pytest.raises(AnchorIneligible):
-        build_org_dataset({"anchor": short}, "anchor", split_developer(short, 5), seed=1, test_size=5, min_train=10)
-    other = series("a", 40)
-    with pytest.raises(AnchorIneligible):
-        build_org_dataset({"a": other}, "missing", split_developer(other, 5), seed=1, test_size=5, min_train=10)
 
 
 def org_of(pool):
@@ -228,7 +221,7 @@ def test_builders_derive_manifests_from_their_parts():
     anchor = series("anchor", 40)
     split = split_developer(anchor, test_size=5)
     dev = developer_dataset("anchor", split, 1)
-    org = build_org_dataset({"anchor": anchor}, "anchor", split, seed=2, test_size=5, min_train=10)
+    org = build_org_dataset(ordered(anchor), "anchor", split, seed=2)
     sub = build_org_subset(org, 10, seed=3)
     pool = [make_instance("g", ts=BASE_TS + i, tag=str(i), repo="gen") for i in range(50)]
     bplus = build_baseline_plus(pool, "anchor", 10, first_test_ts=split.test[0].timestamp, seed=4)
@@ -434,8 +427,9 @@ def test_temporal_leak_fuzz_small():
             continue
         if not eligible(split, min_train=10, test_size=5):
             continue
-        org = build_org_dataset(devs, anchor, split, seed=7, test_size=5, min_train=10)
+        org = build_org_dataset(ordered(*devs.values()), anchor, split, seed=7)
         assert audit_temporal_leak([developer_dataset(anchor, split, 7), org], 5, 10) == []
+        assert [*org.train, *org.val] == reference_org_pool(devs, split)
 
 
 def hand_built(role: str, train=(), val=(), test=(), cutoff_ts=None, anchor: str = "d") -> Dataset:
@@ -470,6 +464,11 @@ OTHERS = series("o", 3)
         [hand_built(ROLE_DEVELOPER, OWN[:5], OWN[5:7], OWN[7:]),
          hand_built(ROLE_ORGANIZATION, OTHERS, cutoff_ts=OWN[5].timestamp)],
         [f"organization-d: cutoff {OWN[5].timestamp} not older than anchor holdout"], id="cutoff-at-holdout",
+    ),
+    pytest.param(
+        [hand_built(ROLE_DEVELOPER, OWN[:5], OWN[5:7], OWN[7:]),
+         hand_built(ROLE_ORGANIZATION, OTHERS, OTHERS[-1:], cutoff_ts=OWN[5].timestamp - 1)],
+        ["organization-d: an instance id repeats across its parts"], id="repeated-instance-id",
     ),
 ])
 def test_audit_flags_each_size_and_cutoff_rule(datasets, expected):

@@ -40,6 +40,7 @@ from conftest import (
     _method_source,
     build_edge_history,
     build_generic_repo,
+    build_repeated_method_history,
     build_org_repo,
     commit_files,
     init_repo,
@@ -827,6 +828,35 @@ def test_score_and_compare_roundtrip(mined, tmp_path):
     assert same["em"]["odds_ratio"] == 1.0
     assert same["crystal_bleu"]["effect"] == 0.0
     assert same["em"]["p_value"] == 1.0
+
+
+def test_an_instance_id_names_one_instance_in_every_part(tmp_path):
+    """Equal methods of one commit can mask to one instance and give one
+    generic method record: `mine` writes each once, and its report counts
+    what it wrote, so every dataset part holds each id once and the
+    developer's test set scores and compares."""
+    repos = [build_repeated_method_history(tmp_path / name) for name in ("org", "gen")]
+    out = tmp_path / "out"
+    config_path = str(write_fixture_config(tmp_path, out, *([repo] for repo in repos), seed=7, min_train=1, test_size=2))
+    assert main(["mine", "--config", config_path]) == 0
+    report = read_json(out / "run_report.json")
+    ids = [rec["id"] for rec in read_jsonl(out / "instances.jsonl")]
+    assert len(set(ids)) == len(ids) == report["instances"]["emitted"]
+    generic_lines = (out / "generic_methods.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(set(generic_lines)) == len(generic_lines) == report["generic"]["methods"]
+
+    index = run_assemble(load_config(config_path))
+    parts = sorted((out / "datasets").glob("*/*.jsonl"))
+    assert len(parts) >= 3 * len(index["manifests"]) - 1  # a pre-training set has no test part
+    for path in parts:
+        part_ids = [rec["id"] for rec in read_jsonl(path)]
+        assert len(set(part_ids)) == len(part_ids), path
+    dev = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    preds = predictions_for(load_config(config_path), dev, tmp_path / "preds.jsonl")
+    assert main(["score", "--config", config_path, "--dataset", dev, "--predictions", str(preds)]) == 0
+    score = str(out / "reports" / f"{dev}.score.json")
+    argv = ["--report-a", score, "--report-b", score, "--model-a", "echo", "--model-b", "mangle"]
+    assert main(["compare", "--config", config_path, *argv]) == 0
 
 
 def test_assemble_score_and_compare_print_what_they_did(mined, tmp_path, capsys):
