@@ -16,7 +16,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
@@ -65,7 +65,8 @@ class _HoldoutIndex:
     instance's after `normalize_for_dedup`. Each normalized held-out
     target maps to the normalized contexts held out with it, so an
     instance normalizes its short target first and its context only when
-    that target was held out."""
+    that target was held out. `split_developer` builds one per developer,
+    which every dataset anchored on that developer is cleared against."""
 
     __slots__ = ("contexts",)
 
@@ -79,19 +80,20 @@ class _HoldoutIndex:
         return contexts is not None and normalize_for_dedup(instance.context) in contexts
 
 
-def dedup(
-    train: Iterable[CompletionInstance], holdout: Iterable[CompletionInstance]
-) -> list[CompletionInstance]:
-    """Drop train instances equal to a holdout instance up to whitespace."""
-    index = _HoldoutIndex(holdout)
-    return [i for i in train if i not in index]
+def dedup(train: Iterable[CompletionInstance], held_out: _HoldoutIndex) -> list[CompletionInstance]:
+    """Drop train instances equal to a held-out instance up to whitespace."""
+    return [i for i in train if i not in held_out]
 
 
 @dataclass(frozen=True, slots=True)
 class SplitAssignment:
+    """A developer's time-ordered split, and the index of its val and
+    test instances."""
+
     train: tuple[CompletionInstance, ...]
     val: tuple[CompletionInstance, ...]
     test: tuple[CompletionInstance, ...]
+    held_out: _HoldoutIndex = field(compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,8 +180,8 @@ def split_developer(
     n_train = math.floor(TRAIN_FRACTION * len(rest))
     train = rest[:n_train]
     val = rest[n_train:]
-    train = dedup(train, val + test)
-    return SplitAssignment(tuple(train), tuple(val), tuple(test))
+    held_out = _HoldoutIndex(val + test)
+    return SplitAssignment(tuple(dedup(train, held_out)), tuple(val), tuple(test), held_out)
 
 
 def eligible(
@@ -207,12 +209,12 @@ def build_org_dataset(
     its time prefix up to the cutoff of the anchor's split, less the
     anchor's held-out duplicates, split 90/10 by recency.
     """
-    holdout = anchor_split.val + anchor_split.test
     # the cutoff is the anchor's newest training change; when that ties
     # with the first held-out change, step back one second so training
     # data stays strictly older than evaluation data
-    cutoff_ts = min(max(i.timestamp for i in anchor_split.train), min(i.timestamp for i in holdout) - 1)
-    pool = dedup(ordered[: bisect_right(ordered, cutoff_ts, key=attrgetter("timestamp"))], holdout)
+    first_held_out_ts = min(i.timestamp for i in anchor_split.val + anchor_split.test)
+    cutoff_ts = min(max(i.timestamp for i in anchor_split.train), first_held_out_ts - 1)
+    pool = dedup(ordered[: bisect_right(ordered, cutoff_ts, key=attrgetter("timestamp"))], anchor_split.held_out)
     n_train = math.floor(TRAIN_FRACTION * len(pool))
     return _dataset(f"org-{anchor}", ROLE_ORGANIZATION, anchor, cutoff_ts, seed, pool[:n_train], pool[n_train:])
 
@@ -448,8 +450,11 @@ def _generic_instances(
                 )
                 generic_pool.extend(generate_generic(method, dist, rng, provenance))
 
-    holdout = [i for split in splits.values() for i in split.val + split.test]
-    return dedup(generic_pool, holdout), pretrain
+    held_out = _HoldoutIndex(())
+    for split in splits.values():
+        for target, contexts in split.held_out.contexts.items():
+            held_out.contexts[target] |= contexts
+    return dedup(generic_pool, held_out), pretrain
 
 
 def audit_temporal_leak(

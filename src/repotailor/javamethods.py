@@ -195,39 +195,34 @@ def _match_method_header(header: list[SourceToken], parent_decl: str) -> tuple[s
     return name_tok.text, f"{name_tok.text}({','.join(types)})"
 
 
-def _classify_header(header: list[SourceToken], parent_decl: str | None) -> tuple[str, str, tuple[str, str] | None]:
-    """Classify the '{' opened after ``header``.
-
-    Returns (context_kind, decl, method_info) where context_kind is one
-    of 'type', 'method', 'block'.
-    """
+def _classify_header(header: list[SourceToken], parent_decl: str | None) -> str | tuple[str, str] | None:
+    """What the '{' after ``header`` opens: a type, as its decl ('class',
+    'interface', 'enum', 'record' or 'anon'); a method, as its (name,
+    signature); or None for a block. ``parent_decl`` is the enclosing
+    type's decl when the '{' sits directly in a type body, else None."""
     texts = [t.text for t in header]
     for i, tok in enumerate(header):
         if tok.text in _TYPE_DECL_KEYWORDS:
-            return "type", tok.text, None
+            return tok.text
         if (
             tok.text == "record"
             and i + 2 < len(header)
             and header[i + 1].kind == IDENTIFIER
             and header[i + 2].text == "("
         ):
-            return "type", "record", None
+            return "record"
     if "new" in texts:
-        if texts and texts[-1] == ")":
-            return "type", "anon", None
-        return "block", "", None
+        return "anon" if texts[-1] == ")" else None
     if texts and texts[-1] == "->":
-        return "block", "", None
+        return None
     if parent_decl is not None:  # directly inside a type body
         stripped = _strip_annotations(header)
         if all(t.text in _MODIFIERS for t in stripped):
-            return "block", "", None  # initializer block
+            return None  # initializer block
         if any(t.text == "=" for t in stripped):
-            return "block", "", None  # field initializer
-        info = _match_method_header(header, parent_decl)
-        if info is not None:
-            return "method", "", info
-    return "block", "", None
+            return None  # field initializer
+        return _match_method_header(header, parent_decl)
+    return None
 
 
 def _body_token_count(texts: list[str]) -> int:
@@ -254,10 +249,10 @@ def method_from_text(text: str, name: str, signature: str) -> MethodUnit:
 
 
 class MethodSpan(NamedTuple):
-    """Where a method sits in its source, found without lexing its body."""
+    """Where a method sits in its source, found without lexing its body:
+    its header's tokens lie in [start, open), its body's in [open, close]."""
     name: str
     signature: str
-    header_tokens: int  # how many tokens the header has
     start: int  # offset the header's range starts at, just past the ';', brace or group before it
     open: int  # offset of the body's '{'
     close: int  # offset of the body's '}'
@@ -284,19 +279,18 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
     methods come first before the sort.
 
     ``headers`` is a memo the caller owns and may share between sources.
-    It maps what a header's tokens and class depend on (its text, the
-    column it starts at, the enclosing type's decl, and whether the
-    source is ASCII, which picks the lexer's pattern) to that class, the
-    header's token count, and how many lines below the header range's
-    start its first token sits, so each distinct header is lexed and
-    classified once.
+    It maps a header's text and the enclosing type's decl, which are all
+    that its class depends on, to what its '{' opens (`_classify_header`)
+    and how many lines below the header range's start its first token
+    sits, so each distinct header is lexed and classified once. The
+    ASCII and Unicode scanners lex ASCII text alike, so the source's
+    charset is no part of the key.
     """
     spans: list[MethodSpan] = []
     # per open brace: the decl of a type body, None for a block, or an open
-    # method's (name, signature, header tokens, header start, '{' offset, start line, line at '{')
+    # method's (name, signature, header start, '{' offset, start line, line at '{')
     stack: list[str | tuple | None] = []
     line, counted = 1, 0  # the line number at offset `counted`
-    is_ascii = source.isascii()
     scan = SCAN_CODE
     pos = 0
     while True:
@@ -312,28 +306,27 @@ def method_spans(source: str, headers: dict) -> list[MethodSpan] | None:
             else:
                 line += source.count("\n", counted, seg)
                 counted = seg
-                key = (source[seg:brace], seg - source.rfind("\n", 0, seg) - 1, parent, is_ascii)
+                key = (source[seg:brace], parent)
                 known = headers.get(key)
                 if known is None:
                     header = lex(source, seg, brace, line)
-                    first_line = header[0].line - line if header else 0
-                    known = headers[key] = (*_classify_header(header, parent), len(header), first_line)
-                kind, decl, info, header_tokens, first_line = known
-                if kind == "method" and info is not None:
+                    known = headers[key] = (_classify_header(header, parent), header[0].line - line if header else 0)
+                opened, first_line = known
+                if opened.__class__ is tuple:  # a method's (name, signature)
                     start_line = line + first_line
                     line += source.count("\n", counted, brace)
                     counted = brace
-                    stack.append((info[0], info[1], header_tokens, seg, brace, start_line, line))
+                    stack.append((*opened, seg, brace, start_line, line))
                 else:
-                    stack.append(decl if kind == "type" else None)
+                    stack.append(opened)
         elif stop == "}":
             if not stack:
                 return None
             top = stack.pop()
             if top.__class__ is tuple:  # a method: its span ends here
-                name, signature, header_tokens, seg, brace, start_line, brace_line = top
+                name, signature, seg, brace, start_line, brace_line = top
                 end_line = brace_line + source.count("\n", brace, pos - 1)
-                spans.append(MethodSpan(name, signature, header_tokens, seg, brace, pos - 1, start_line, end_line))
+                spans.append(MethodSpan(name, signature, seg, brace, pos - 1, start_line, end_line))
         elif not stop:
             break
         else:
@@ -384,7 +377,7 @@ def method_counts(source: str, span: MethodSpan, lines: list[str]) -> MethodCoun
         signature=span.signature,
         start_line=span.start_line,
         end_line=span.end_line,
-        token_count=span.header_tokens + body,
+        token_count=count_tokens(source, span.start, span.open) + body,
         body_token_count=body - 2,
         text="\n".join(lines[span.start_line - 1 : span.end_line]),
     )

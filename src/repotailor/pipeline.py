@@ -100,13 +100,19 @@ def _dataset_dir(out_dir: Path, dataset_id: str = "") -> Path:
 
 def _assembled_manifests(cfg: RunConfig) -> dict[assembly.DatasetManifest, dict]:
     """``index.json``'s manifests, each with its entry's ``files`` (file
-    name -> sha256), once the assemble stamp holds."""
-    _check_stage_stamp(cfg, STAGE_ASSEMBLE)
+    name -> sha256), once the assemble stamp holds and lists the sha256
+    of the bytes read."""
+    stamp = _check_stage_stamp(cfg, STAGE_ASSEMBLE)
     path = Path(cfg.out_dir) / "index.json"
     with _reading(path, "stage output"):
+        data = path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != stamp.outputs.get("index.json"):
+            raise DataError(
+                f"stage output {path} is not the file stamps/{STAGE_ASSEMBLE}.json lists; run assemble again"
+            )
         return {
             assembly.DatasetManifest.from_record(rec): typed(rec["files"], dict)
-            for rec in typed(read_json(path)["manifests"], list)
+            for rec in typed(json.loads(data.decode("utf-8"))["manifests"], list)
         }
 
 
@@ -284,12 +290,11 @@ def _mine_changed_methods(
 
 
 def _mine_commits(
-    commits: list[CommitRecord], repo_paths: dict[str, str], counts: Counter, unit: MethodReader,
-    wanted: Callable[[CommitRecord], bool] = lambda commit: True,
+    commits: list[CommitRecord], repo_paths: dict[str, str], counts: Counter, unit: MethodReader
 ) -> Iterator[tuple[CommitRecord, ChangedMethods]]:
-    """Each commit that changes Java files and that ``wanted`` accepts,
-    with its changed methods, read by ``unit``. ``counts`` gains this
-    pool's file and method attrition, and ``unwanted_commits``.
+    """Each of ``commits`` that changes Java files, with its changed
+    methods, read by ``unit``. ``counts`` gains this pool's file and
+    method attrition.
 
     Commits are sorted by repository: one blob reader per repository,
     each closed and reaped before the next opens. Each repository's
@@ -297,14 +302,7 @@ def _mine_commits(
     later commit of it still reads, and `method_spans`'s headers.
     """
     for repo_id, repo_commits in groupby(commits, key=attrgetter("repo_id")):
-        mined = []
-        for commit in repo_commits:
-            if not commit.changed_java_files:
-                continue
-            if not wanted(commit):
-                counts["unwanted_commits"] += 1
-                continue
-            mined.append(commit)
+        mined = [commit for commit in repo_commits if commit.changed_java_files]
         headers: dict = {}
         with BlobReader(repo_paths[repo_id]) as reader:
             blobs = _BlobTexts(reader, mined)
@@ -358,10 +356,12 @@ def run_mine(cfg: RunConfig) -> dict:
     def author(commit: CommitRecord) -> str:
         return author_of[(commit.author_name, commit.author_email)]
 
+    pool_commits = [c for c in commits if author(c) in pool_ids]
+    outside_pool = sum(1 for c in commits if c.changed_java_files and author(c) not in pool_ids)
     counts: Counter = Counter()
     # the first instance mined under each id: equal methods of one commit can mask alike
     by_id: dict[str, CompletionInstance] = {}
-    for commit, changed in _mine_commits(commits, repo_paths, counts, method_unit, lambda c: author(c) in pool_ids):
+    for commit, changed in _mine_commits(pool_commits, repo_paths, counts, method_unit):
         for instance in _mask_commit_methods(cfg, commit, author(commit), changed):
             by_id.setdefault(instance.instance_id, instance)
     instances = sorted(by_id.values(), key=lambda i: (i.repo_id, i.timestamp, i.commit_sha, i.file, i.instance_id))
@@ -403,7 +403,7 @@ def run_mine(cfg: RunConfig) -> dict:
             "raw_author_rows": len(raw_authors),
             "resolved": len(identities),
             "contributor_pool": len(pool),
-            "commits_outside_pool": counts["unwanted_commits"],
+            "commits_outside_pool": outside_pool,
         },
         "files": {
             "undecodable": counts["undecodable_files"],

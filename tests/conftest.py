@@ -28,9 +28,9 @@ def run_git(repo: Path, *args: str, env: dict | None = None) -> str:
     return result.stdout
 
 
-def run_python(code: str) -> str:
-    """Standard output of ``code`` run by a fresh interpreter that imports
-    this checkout's repotailor."""
+def run_python(code: str, *options: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter, started
+    with ``options``, that imports this checkout's repotailor."""
     import os
     import sys
 
@@ -38,7 +38,9 @@ def run_python(code: str) -> str:
 
     src = str(Path(repotailor.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    result = subprocess.run([sys.executable, *options, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 # A Python expression for a child script: its peak resident set in KB so far (Linux)

@@ -562,25 +562,22 @@ def reference_token_methods(source: str) -> list[TokenMethod] | None:
     lines = source.split("\n")
 
     methods: list[TokenMethod] = []
-    # stack entries: (kind, decl, header_start_idx, name, signature)
-    stack: list[tuple[str, str, int, str, str]] = []
+    # stack entries: (what the '{' opens, as `_classify_header` gives it, header_start_idx)
+    stack: list[tuple[str | tuple[str, str] | None, int]] = []
     seg_start = 0
 
     for idx, tok in enumerate(sig):
         text = tok.text
         if text == "{":
             parent_decl = None
-            if stack and stack[-1][0] == "type":
-                parent_decl = stack[-1][1]
-            kind, decl, info = _classify_header(sig[seg_start:idx], parent_decl)
-            if kind == "method" and info is not None:
-                stack.append(("method", "", seg_start, info[0], info[1]))
-            else:
-                stack.append((kind, decl, seg_start, "", ""))
+            if stack and isinstance(stack[-1][0], str):
+                parent_decl = stack[-1][0]
+            stack.append((_classify_header(sig[seg_start:idx], parent_decl), seg_start))
             seg_start = idx + 1
         elif text == "}":
-            kind, _, start_idx, name, signature = stack.pop()
-            if kind == "method":
+            opened, start_idx = stack.pop()
+            if isinstance(opened, tuple):
+                name, signature = opened
                 start_tok = sig[start_idx]
                 toks = tuple(sig[start_idx : idx + 1])
                 open_pos = next(i for i, t in enumerate(toks) if t.text == "{")
@@ -853,7 +850,7 @@ def _reference_changed_methods(commit, reader: BlobReader, counts: Counter) -> l
     return out
 
 
-def reference_mine_commits(commits, repo_paths: dict, counts: Counter, unit, wanted=lambda commit: True):
+def reference_mine_commits(commits, repo_paths: dict, counts: Counter, unit):
     """`pipeline._mine_commits` without memos: each changed Java file is
     read at ``<sha>:<path>`` and at ``<first parent>:<path>``, so git
     walks the tree on every read and a text is read again at each commit
@@ -864,9 +861,6 @@ def reference_mine_commits(commits, repo_paths: dict, counts: Counter, unit, wan
         with BlobReader(repo_paths[repo_id]) as reader:
             for commit in repo_commits:
                 if not commit.changed_java_files:
-                    continue
-                if not wanted(commit):
-                    counts["unwanted_commits"] += 1
                     continue
                 yield commit, _reference_changed_methods(commit, reader, counts)
 

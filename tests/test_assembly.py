@@ -15,6 +15,7 @@ from repotailor.assembly import (
     ROLE_PRETRAIN,
     Dataset,
     DatasetManifest,
+    _HoldoutIndex,
     audit_temporal_leak,
     build_baseline_plus,
     build_datasets,
@@ -323,7 +324,7 @@ def test_dedup_rules():
     drop = make_instance("d", tag="drop", context="a   =  2;", target="b;")
     holdout = [make_instance("h", tag="h", context="a = 2;", target="b;")]
     same_target_diff_context = make_instance("d", tag="stdc", context="z = 3;", target="b;")
-    out = dedup([keep, drop, same_target_diff_context], holdout)
+    out = dedup([keep, drop, same_target_diff_context], _HoldoutIndex(holdout))
     assert [i.instance_id for i in out] == ["d-keep", "d-stdc"]
 
 
@@ -366,7 +367,7 @@ def test_dedup_matches_the_reference_key_set():
     seen = Counter()
     for _ in range(400):
         train, holdout = random_dedup_case(rng)
-        assert dedup(train, holdout) == reference_dedup(train, holdout)
+        assert dedup(train, _HoldoutIndex(holdout)) == reference_dedup(train, holdout)
         targets = [normalize_for_dedup(h.target) for h in holdout]
         contexts = {normalize_for_dedup(h.context) for h in holdout}
         seen["repeated holdout target"] += len(targets) > len(set(targets))

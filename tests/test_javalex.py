@@ -275,6 +275,20 @@ def test_unicode_classes_follow_str_predicates():
     assert token_texts(" ".join("1" + c for c in chars)) == after_digit
 
 
+def test_ascii_and_unicode_scanners_agree_on_ascii_text():
+    """On ASCII text each Unicode scanner finds what the ASCII one does,
+    so a header lexes alike in an ASCII and a non-ASCII source (which
+    lets `method_spans` key its memo on the header text alone). Inputs:
+    every pair of ASCII characters followed by nothing, a digit, a letter
+    or a ".", and the ASCII texts of the fuzz corpora."""
+    pairs = [chr(a) + chr(b) for a in range(128) for b in range(128)]
+    inputs = [p + end for end in ("", "1", "a", ".") for p in pairs]
+    fuzz = _fuzz(99, 500, FUZZ_ALPHABET, 60) + _fuzz(20_240, 4000, EDGE_PIECES, 30)
+    inputs += [src for src in fuzz if src.isascii()]
+    for ascii_scan, unicode_scan in zip(javalex._ASCII, javalex._unicode_scanners()):
+        assert [src for src in inputs if ascii_scan.findall(src) != unicode_scan.findall(src)] == []
+
+
 def test_token_kind_is_the_reference_lexers_kind():
     """No text lexes to two kinds: `token_kind` gives the reference
     lexer's kind of every token of the reference corpus, and of every

@@ -994,9 +994,11 @@ def test_method_counts_equal_the_lexed_unit_and_its_verdict():
     assert reasons == {True: every - {REASON_NON_LATIN}, False: every}
 
 
-# One header text in two places that differ in one part of what a header's
-# tokens and class depend on: its line, its column, the enclosing type's
-# kind, and whether the source is ASCII.
+# One header text in two places that differ in its line, its column, the
+# enclosing type's kind, or whether the source is ASCII. Only the text and
+# the enclosing type's kind key the memo: a header's class and first line
+# depend on nothing else, as the ASCII and Unicode scanners lex ASCII
+# text alike.
 SHARED_HEADERS = [
     "class A {\n    int f(int a) {\n        return a + 1;\n    }\n}\n",
     "// one line lower\nclass A {\n    int f(int a) {\n        return a + 1;\n    }\n}\n",
@@ -1015,9 +1017,9 @@ SHARED_HEADERS = [
 
 
 def test_method_spans_with_one_memo_equal_those_with_a_fresh_one(monkeypatch):
-    """One memo shared across many sources gives each the spans, header
-    token counts and first lines included, that a fresh memo gives it,
-    while lexing fewer headers."""
+    """One memo shared across many sources gives each the spans, first
+    lines included, that a fresh memo gives it, while lexing fewer
+    headers."""
     import random
 
     rng = random.Random(4243)

@@ -44,6 +44,7 @@ from conftest import (
     build_org_repo,
     commit_files,
     init_repo,
+    run_python,
     write_fixture_config,
 )
 
@@ -257,6 +258,28 @@ def test_verify_reports_a_part_edited_after_assemble(mined, tmp_path, capsys):
     assert f"violation: {violation}" in capsys.readouterr().err
 
 
+def test_a_reader_refuses_an_index_edited_after_assemble(mined, tmp_path, capsys):
+    """A part edited together with its sha256 in index.json: index.json
+    is then not the file the assemble stamp lists, and every reader
+    refuses the tree instead of trusting the edited part."""
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    part = out / "datasets" / dataset_id / "test.jsonl"
+    _edit_first_row(part, "target")
+    edited = read_json(out / "index.json")
+    entry = next(m for m in edited["manifests"] if m["dataset_id"] == dataset_id)
+    entry["files"]["test.jsonl"] = hashlib.sha256(part.read_bytes()).hexdigest()
+    (out / "index.json").write_text(json.dumps(edited), encoding="utf-8")
+    preds = predictions_for(cfg, dataset_id, tmp_path / "preds.jsonl")
+    capsys.readouterr()
+    for stage, *extra in (["verify"], ["insight"], ["score", "--dataset", dataset_id, "--predictions", str(preds)]):
+        assert main([stage, "--config", str(config_path), "--out", str(out), *extra]) == 3, stage
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(out / "index.json") in err and "stamps/assemble.json" in err, err
+
+
 @pytest.mark.parametrize("name, key", [("instances.jsonl", "target"), ("generic_methods.jsonl", "text")])
 def test_assemble_refuses_a_mine_output_edited_after_mine(mined, tmp_path, capsys, name, key):
     cfg, config_path, _, _ = mined
@@ -368,6 +391,15 @@ def _every_manifest(key: str, value):
 READERS = ["score", "insight", "verify"]
 
 
+def _restamp_index(out: Path) -> None:
+    """List the sha256 of ``out``'s edited index.json in its assemble
+    stamp, so that a reader gets past the stamp to the check under test."""
+    stamp_path = out / "stamps" / "assemble.json"
+    stamp = read_json(stamp_path)
+    stamp["outputs"]["index.json"] = hashlib.sha256((out / "index.json").read_bytes()).hexdigest()
+    stamp_path.write_text(json.dumps(stamp), encoding="utf-8")
+
+
 @pytest.mark.parametrize("damaged, damage, stages", [
     pytest.param("instances.jsonl", lambda p: _truncate(p, p.stat().st_size, '{"id": '), ["assemble"],
                  id="instances-cut-mid-row"),
@@ -389,6 +421,8 @@ def test_an_unreadable_stage_output_is_a_data_error_naming_it(mined, tmp_path, c
     if damaged == "instances.jsonl":
         (out / "stamps" / "assemble.json").unlink()  # or assemble would not read it again
     damage(out / damaged)
+    if damaged == "index.json":
+        _restamp_index(out)
     dataset = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
     extra = {"score": ["--dataset", dataset, "--predictions", str(tmp_path / "preds.jsonl")]}
     capsys.readouterr()
@@ -474,6 +508,7 @@ def test_score_needs_the_organization_dataset_of_its_anchor(mined, tmp_path, cap
                if m["role"] == ROLE_DEVELOPER and m["anchor_developer"] == org["anchor_developer"])
     manifests = [m for m in index["manifests"] if m["dataset_id"] != org["dataset_id"]]
     (out / "index.json").write_text(json.dumps({**index, "manifests": manifests}), encoding="utf-8")
+    _restamp_index(out)
     preds = predictions_for(cfg, dev["dataset_id"], tmp_path / "preds.jsonl")
     capsys.readouterr()
     argv = ["score", "--config", str(config_path), "--out", str(out),
@@ -552,7 +587,7 @@ def test_mine_reads_each_blob_once_per_repository(fixture_repos, tmp_path, monke
     added = 0
     heads = pipeline._head_shas(cfg)
     for specs in (cfg.repos, cfg.generic_repos):
-        commits, _, _ = pipeline._ingest(specs, heads)  # every commit is wanted: the pool holds every author
+        commits, _, _ = pipeline._ingest(specs, heads)  # every commit is mined: the pool holds every author
         for commit in commits:
             repo = Path(next(spec.path for spec in specs if spec.resolved_id() == commit.repo_id))
             files = sorted(commit.changed_java_files)
@@ -828,6 +863,38 @@ def test_score_and_compare_roundtrip(mined, tmp_path):
     assert same["em"]["odds_ratio"] == 1.0
     assert same["crystal_bleu"]["effect"] == 0.0
     assert same["em"]["p_value"] == 1.0
+
+
+def test_every_stage_runs_with_encoding_warnings_as_errors(fixture_repos, tmp_path):
+    """A text read or write without an explicit encoding would make the
+    output bytes depend on the host's locale: in one interpreter that
+    turns each such call into an error, every stage runs through `main`
+    on a fresh output tree."""
+    org, generic = fixture_repos
+    config_path = write_fixture_config(tmp_path, tmp_path / "out", org, generic)
+    probe = f"""
+import json
+from pathlib import Path
+from repotailor.cli import main
+
+common = ["--config", {str(config_path)!r}]
+out = Path({str(tmp_path / "out")!r})
+assert main(["mine", *common]) == 0
+assert main(["assemble", *common]) == 0
+index = json.loads((out / "index.json").read_text(encoding="utf-8"))
+dev = next(m["dataset_id"] for m in index["manifests"] if m["role"] == "developer")
+preds = out.parent / "preds.jsonl"
+with open(out / "datasets" / dev / "test.jsonl", encoding="utf-8") as rows, open(preds, "w", encoding="utf-8") as fh:
+    for row in map(json.loads, rows):
+        fh.write(json.dumps({{"id": row["id"], "model": "echo", "text": row["target"]}}) + "\\n")
+        fh.write(json.dumps({{"id": row["id"], "model": "mangle", "text": "broken();"}}) + "\\n")
+assert main(["score", *common, "--dataset", dev, "--predictions", str(preds)]) == 0
+report = str(out / "reports" / f"{{dev}}.score.json")
+assert main(["compare", *common, "--report-a", report, "--report-b", report, "--model-a", "echo", "--model-b", "mangle"]) == 0
+assert main(["insight", *common]) == 0
+assert main(["verify", *common]) == 0
+"""
+    run_python(probe, "-X", "warn_default_encoding", "-W", "error::EncodingWarning")
 
 
 def test_an_instance_id_names_one_instance_in_every_part(tmp_path):
