@@ -91,10 +91,17 @@ def trivially_shared_ngrams(
     """
     if k <= 0:
         return set()
-    totals: Counter = Counter()
+    # one token list for the whole corpus, each text followed by None: an
+    # n-gram that holds None spans a text's end and is dropped after counting
+    flat: list[str | None] = []
     for tokens in corpus:
-        for order in range(1, max_order + 1):
-            totals.update(zip(*(tokens[i:] for i in range(order))))
+        flat += tokens
+        flat.append(None)
+    totals: Counter = Counter()
+    for order in range(1, max_order + 1):
+        totals.update(zip(*(flat[i:] for i in range(order))))
+    for gram in [g for g in totals if None in g]:
+        totals.pop(gram)  # dict.pop: Counter's own __delitem__ is Python code
     if len(totals) <= k:
         return set(totals)
     # cut is the k-th largest count: every n-gram above it is in, and the
@@ -250,5 +257,7 @@ def corpus_report(
 
 
 def exclusion_corpus_from_targets(targets: list[str], k: int, max_order: int) -> set[Ngram]:
-    """Trivially shared n-grams of a training split's target texts."""
-    return trivially_shared_ngrams([token_texts(t) for t in targets], k, max_order)
+    """Trivially shared n-grams of a training split's target texts; each
+    distinct text is tokenized once."""
+    tokens = {text: token_texts(text) for text in set(targets)}
+    return trivially_shared_ngrams([tokens[text] for text in targets], k, max_order)

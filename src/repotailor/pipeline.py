@@ -550,15 +550,32 @@ def run_assemble(cfg: RunConfig) -> dict:
     return index
 
 
+def _check_part_sha256(path: Path, data: bytes, files: dict) -> None:
+    """A DataError naming the dataset part ``path`` unless ``data`` has the
+    sha256 that ``files``, its dataset's entry in ``index.json``, lists."""
+    if hashlib.sha256(data).hexdigest() != files.get(path.name):
+        raise DataError(f"dataset part {path} is not the file index.json lists; run assemble again")
+
+
 def _exclusion_for_dataset(
-    cfg: RunConfig, by_role: dict[str, dict], man: assembly.DatasetManifest, memo: PartMemo
+    cfg: RunConfig, manifests: dict[assembly.DatasetManifest, dict], man: assembly.DatasetManifest
 ) -> set:
     """Trivially shared n-grams from the training targets of the
-    organization dataset on the same anchor as ``man``."""
-    org = by_role[assembly.ROLE_ORGANIZATION].get(man.anchor_developer)
+    organization dataset on the same anchor as ``man``. Only each line's
+    target is decoded: the part's sha256 vouches for the rest."""
+    org = next(
+        (m for m in manifests
+         if m.role == assembly.ROLE_ORGANIZATION and m.anchor_developer == man.anchor_developer),
+        None,
+    )
     if org is None:
         raise DataError(f"index.json lists no organization dataset on the anchor of {man.dataset_id!r}")
-    targets = [i.target for i in _load_part(Path(cfg.out_dir), org, "train", memo)]
+    path = _dataset_dir(Path(cfg.out_dir), org.dataset_id) / "train.jsonl"
+    with _reading(path, "dataset part"):
+        data = path.read_bytes()
+        _check_part_sha256(path, data, manifests[org])
+        lines = data.decode("utf-8").split("\n")
+        targets = [typed(json.loads(line)["target"], str) for line in lines if line.strip()]
     return metrics.exclusion_corpus_from_targets(targets, cfg.crystal_bleu.k, cfg.crystal_bleu.max_order)
 
 
@@ -577,9 +594,11 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     man = next((m for m in manifests if m.dataset_id == dataset_id), None)
     if man is None:
         raise MissingStage(f"dataset {dataset_id!r} is not in index.json; run assemble first")
-    memo: PartMemo = {}
-    # counts: (train, val, test)
-    test = _load_part(Path(cfg.out_dir), man, "test", memo) if man.counts[2] else []
+    out_dir = Path(cfg.out_dir)
+    test: list[CompletionInstance] = []
+    if man.counts[2]:  # counts: (train, val, test)
+        data, test = _read_part(out_dir, man, "test", {})
+        _check_part_sha256(_dataset_dir(out_dir, dataset_id) / "test.jsonl", data, manifests[man])
     if not test:
         raise DataError(f"dataset {dataset_id!r} has no test split to score against")
 
@@ -587,7 +606,7 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     if not by_model:
         raise EmptyInput(f"no predictions in {predictions_path}")
 
-    trivial = _exclusion_for_dataset(cfg, _manifests_by_role(manifests), man, memo)
+    trivial = _exclusion_for_dataset(cfg, manifests, man)
     reports = metrics.corpus_report(test, by_model, trivial, cfg.crystal_bleu.max_order)
 
     out = {
@@ -597,7 +616,7 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
         "models": {m: r.to_record() for m, r in reports.items()},
         "rows": {m: [row.to_record() for row in r.rows] for m, r in reports.items()},
     }
-    reports_dir = Path(cfg.out_dir) / "reports"
+    reports_dir = out_dir / "reports"
     _replace_json(reports_dir / f"{dataset_id}.score.json", out)
     write_csv(
         reports_dir / f"{dataset_id}.rows.csv",
@@ -612,21 +631,34 @@ def run_score(cfg: RunConfig, dataset_id: str, predictions_path: str | Path) -> 
     return out
 
 
-def _score_rows(path: str | Path, model: str | None) -> tuple[str, str, tuple[metrics.ScoreRow, ...]]:
-    """A score report's dataset id, the model picked from it and that model's rows."""
+def _score_report(config_hash: str, path: str | Path) -> dict:
+    """A score report with a string dataset id and rows by model, once it
+    was built under the config whose hash is ``config_hash``."""
     with _reading(path, "score report"):
         report = read_json(path)
-        rows = report.get("rows") if isinstance(report, dict) else None
-        if not isinstance(rows, dict) or not isinstance(report.get("dataset_id"), str):
-            raise DataError(f"{path} is not a score report")
-        models = sorted(rows)
-        if model is None:
-            if len(models) != 1:
-                raise DataError(f"{path} has models {models}; pick one explicitly")
-            model = models[0]
-        if model not in rows:
-            raise DataError(f"model {model!r} not in {path} (has {models})")
-        return report["dataset_id"], model, tuple(map(metrics.ScoreRow.from_record, rows[model]))
+    rows = report.get("rows") if isinstance(report, dict) else None
+    if not isinstance(rows, dict) or not isinstance(report.get("dataset_id"), str):
+        raise DataError(f"{path} is not a score report")
+    if report.get("config_hash") != config_hash:
+        raise ConfigHashMismatch(
+            f"score report {path} was built under config {report.get('config_hash')}, "
+            f"current config is {config_hash}"
+        )
+    return report
+
+
+def _score_rows(path: str | Path, report: dict, model: str | None) -> tuple[str, tuple[metrics.ScoreRow, ...]]:
+    """The model picked from the score report read from ``path``, and that model's rows."""
+    rows = report["rows"]
+    models = sorted(rows)
+    if model is None:
+        if len(models) != 1:
+            raise DataError(f"{path} has models {models}; pick one explicitly")
+        model = models[0]
+    if model not in rows:
+        raise DataError(f"model {model!r} not in {path} (has {models})")
+    with _reading(path, "score report"):
+        return model, tuple(map(metrics.ScoreRow.from_record, rows[model]))
 
 
 def run_compare(
@@ -637,15 +669,19 @@ def run_compare(
     model_b: str | None = None,
 ) -> dict:
     """Statistically compare two scored models on the same test set."""
-    dataset_id, name_a, rows_a = _score_rows(report_a_path, model_a)
-    _, name_b, rows_b = _score_rows(report_b_path, model_b)
+    config_hash = cfg.config_hash()
+    report_a = _score_report(config_hash, report_a_path)
+    report_b = report_a if Path(report_b_path) == Path(report_a_path) else _score_report(config_hash, report_b_path)
+    dataset_id = report_a["dataset_id"]
+    name_a, rows_a = _score_rows(report_a_path, report_a, model_a)
+    name_b, rows_b = _score_rows(report_b_path, report_b, model_b)
 
     outcome, em_result, cb_result = stats.compare_models(rows_a, rows_b)
     em = em_result.to_record()
     summary_a = metrics.ModelReport.from_rows(name_a, rows_a)
     summary_b = metrics.ModelReport.from_rows(name_b, rows_b)
     comparison = {
-        "config_hash": cfg.config_hash(),
+        "config_hash": config_hash,
         "dataset_id": dataset_id,
         "model_a": name_a,
         "model_b": name_b,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -24,6 +25,7 @@ from repotailor.cli import main
 from repotailor.config import load_config
 from repotailor.errors import ConfigError, ConfigHashMismatch, DataError, MissingStage
 from repotailor.insight import coverage_report, vocabulary_elements
+from repotailor.javalex import token_texts
 from repotailor.masking import CompletionInstance
 from repotailor.pipeline import (
     run_assemble,
@@ -47,6 +49,7 @@ from conftest import (
     run_python,
     write_fixture_config,
 )
+from oracles import reference_trivially_shared_ngrams
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +375,49 @@ def test_a_damaged_dataset_part_is_a_data_error_naming_it(mined, tmp_path, capsy
         assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"violation: {org['dataset_id']}: cannot read dataset part {part}" in err, err
+
+
+@pytest.mark.parametrize("role, part", [(ROLE_DEVELOPER, "test"), (ROLE_ORGANIZATION, "train")])
+def test_score_refuses_a_part_edited_after_assemble(mined, tmp_path, capsys, role, part):
+    """An edit that keeps every field's type and the line count: only the
+    part's sha256 in index.json tells it from what assemble wrote."""
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    dev = next(m for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    edited = next(m for m in index["manifests"]
+                  if m["role"] == role and m["anchor_developer"] == dev["anchor_developer"])
+    path = out / "datasets" / edited["dataset_id"] / f"{part}.jsonl"
+    lines = len(path.read_text(encoding="utf-8").splitlines())
+    _edit_first_row(path, "target")
+    assert len(path.read_text(encoding="utf-8").splitlines()) == lines
+    preds = predictions_for(cfg, dev["dataset_id"], tmp_path / "preds.jsonl")
+    capsys.readouterr()
+    argv = ["score", "--config", str(config_path), "--out", str(out),
+            "--dataset", dev["dataset_id"], "--predictions", str(preds)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err, err
+
+
+@pytest.mark.parametrize("k", [None, 1, 500])
+def test_the_exclusion_set_of_every_anchor_is_the_reference_set_of_its_decoded_targets(mined, k):
+    """The targets-only read of an organization train gives the set that
+    the fully decoded instances' targets give."""
+    cfg, _, _, index = mined
+    manifests = pipeline._assembled_manifests(cfg)
+    if k is not None:
+        cfg = dataclasses.replace(cfg, crystal_bleu=dataclasses.replace(cfg.crystal_bleu, k=k))
+    orgs = [m for m in index["manifests"] if m["role"] == ROLE_ORGANIZATION]
+    assert len(orgs) == 2
+    for org in orgs:
+        dev = next(man for man in manifests
+                   if man.role == ROLE_DEVELOPER and man.anchor_developer == org["anchor_developer"])
+        rows = read_jsonl(Path(cfg.out_dir) / "datasets" / org["dataset_id"] / "train.jsonl")
+        corpus = [token_texts(CompletionInstance.from_record(rec).target) for rec in rows]
+        assert len(corpus) == org["counts"]["train"] > 0
+        expected = reference_trivially_shared_ngrams(corpus, cfg.crystal_bleu.k, cfg.crystal_bleu.max_order)
+        assert pipeline._exclusion_for_dataset(cfg, manifests, dev) == expected
 
 
 def _truncate(path: Path, keep: int, tail: str = "") -> None:
@@ -1028,15 +1074,39 @@ def test_compare_rejects_a_duplicate_instance_id_in_either_report(mined, tmp_pat
         assert capsys.readouterr().err.startswith("data error: ")
 
 
+def test_compare_refuses_a_report_scored_under_another_config(mined, tmp_path, capsys):
+    cfg, config_path, _, index = mined
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out, ignore=shutil.ignore_patterns("reports"))
+    dataset_id = next(m["dataset_id"] for m in index["manifests"] if m["role"] == ROLE_DEVELOPER)
+    preds = predictions_for(cfg, dataset_id, tmp_path / "preds.jsonl")
+    assert main(["score", "--config", str(config_path), "--out", str(out),
+                 "--dataset", dataset_id, "--predictions", str(preds)]) == 0
+    data = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    data["crystal_bleu"]["k"] = 7
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(data), encoding="utf-8")
+    report = str(out / "reports" / f"{dataset_id}.score.json")
+    capsys.readouterr()
+    argv = ["compare", "--config", str(other), "--out", str(out), "--report-a", report, "--report-b", report,
+            "--model-a", "echo", "--model-b", "mangle"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and report in err, err
+    assert not list((out / "reports").glob("*.compare-*.json"))
+
+
 def test_compare_means_are_exactly_rounded(mined, tmp_path):
     """compare reports the score summary's means: ten rows of 0.1 average
     to 0.1, which the builtin sum misses before Python 3.12."""
-    cfg, config_path, _, _ = mined
+    _, config_path, _, _ = mined
     rows = [{"id": f"i{i}", "em": False, "crystal_bleu": 0.1, "bleu": 0.1, "degenerate": False, "missing": False}
             for i in range(10)]
+    cfg = load_config(config_path, out_dir=str(tmp_path / "out"))
     report = tmp_path / "tenths.score.json"
-    report.write_text(json.dumps({"dataset_id": "tenths", "rows": {"m": rows}}), encoding="utf-8")
-    comparison = run_compare(load_config(config_path, out_dir=str(tmp_path / "out")), report, report)
+    report.write_text(json.dumps({"config_hash": cfg.config_hash(), "dataset_id": "tenths", "rows": {"m": rows}}),
+                      encoding="utf-8")
+    comparison = run_compare(cfg, report, report)
     assert (comparison["crystal_bleu"]["a_mean"], comparison["crystal_bleu"]["b_mean"]) == (0.1, 0.1)
 
 
